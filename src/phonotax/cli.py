@@ -22,7 +22,7 @@ from .plot import scatter_csv, scatter_svg
 from .score import parse_stimuli, score_batch
 from .stats import evaluate, load_judgments, synthetic_judgments
 from .syllabify import MedialSplitPolicy
-from .train import TrainedModel, load_model, save_model, top_k, train_model
+from .train import EPSILON_MAX, EPSILON_MIN, TrainedModel, load_model, save_model, top_k, train_model
 
 SCORE_COLUMNS = ("word_id", "p_word", "ln_p_word", "p_worst", "p_best", "best_parse_paths", "error")
 
@@ -38,8 +38,6 @@ class Config:
     top: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1e-3:
-            raise PhonotaxError("--epsilon must lie in (0, 1e-3]")
         if self.top < 1:
             raise PhonotaxError("--top must be at least 1")
         if self.inventory_path is not None:
@@ -227,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--medial-split", choices=[m.value for m in MedialSplitPolicy],
                    default="max-onset")
     p.add_argument("--gt", choices=("simple", "full"), default="simple")
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--epsilon", type=float, default=1e-9,
+                   help="probability of any path in a cell the lexicon leaves empty "
+                        f"(default 1e-9, range [{EPSILON_MIN:g}, {EPSILON_MAX:g}])")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_train)
 

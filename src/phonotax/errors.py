@@ -23,6 +23,10 @@ class EmptyDocument(PhonotaxError):
     pass
 
 
+class ReservedSymbol(PhonotaxError):
+    pass
+
+
 # transcription text
 class UnknownSymbol(PhonotaxError):
     pass
@@ -81,6 +85,10 @@ class ModelFormatError(PhonotaxError):
 
 class VersionMismatch(ModelFormatError):
     pass
+
+
+class BadConfig(PhonotaxError):
+    """A training setting outside its allowed values."""
 
 
 # correlation inputs

@@ -21,12 +21,11 @@ followed by a rhyme with the same tags, so ``Osi`` then ``Owf`` fails.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import MalformedPath, OutOfScope, TagMismatch, UnsupportedStressPattern
-from .phonology import Stress
-
-NULL_TERMINAL = "∅"  # ∅, the empty onset in all textual output
+from .phonology import NULL_TERMINAL, Stress
 
 
 class Position(enum.Enum):
@@ -119,9 +118,13 @@ class PathType:
         return cell_label(self.cell)
 
 
+# everything a rendered path carries before its terminal, per cell
+_PATH_PREFIX = {cell: f"U : W : {cell[0].label} : {cell_label(cell)} : " for cell in ALL_CELLS}
+
+
 def format_path(p: PathType) -> str:
     """Render a path, e.g. 'U : W : Ssi : Osi : k'."""
-    return " : ".join(("U", "W", p.syllable.label, p.constituent_label, format_terminal(p.terminal)))
+    return _PATH_PREFIX[p.syllable, p.kind] + format_terminal(p.terminal)
 
 
 def parse_path(text: str) -> PathType:
@@ -154,6 +157,10 @@ class WordTemplate:
     """
 
     words: tuple[tuple[SyllableCategory, ...], ...]
+    # per path slot, onset then rhyme per syllable: the cell it fills and its label
+    slots: tuple[tuple[SyllableCategory, ConstituentKind], ...] = field(
+        init=False, repr=False, compare=False)
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = sum(len(w) for w in self.words)
@@ -170,6 +177,9 @@ class WordTemplate:
             len(w) != 1 or w[0].stress is not Stress.STRONG for w in self.words
         ):
             raise ValueError("a two-word template must pair two strong monosyllables")
+        slots = tuple((cat, kind) for cat in self.categories for kind in ConstituentKind)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "labels", tuple(map(cell_label, slots)))
 
     @property
     def categories(self) -> tuple[SyllableCategory, ...]:
@@ -213,6 +223,9 @@ def templates_for(pattern: tuple[Stress, ...]) -> tuple[WordTemplate, ...]:
     raise UnsupportedStressPattern("no rule generates a weak-weak word")
 
 
+_CELL_OF = attrgetter("syllable", "kind")  # PathType.cell, without the property call
+
+
 @dataclass(frozen=True)
 class UnifiedParse:
     """A template plus the onset/rhyme paths that fill it, in order."""
@@ -221,9 +234,7 @@ class UnifiedParse:
     paths: tuple[PathType, ...]
 
     def __post_init__(self) -> None:
-        expected = _expected_slots(self.template)
-        got = [(p.syllable, p.kind) for p in self.paths]
-        if got != expected:
+        if tuple(map(_CELL_OF, self.paths)) != self.template.slots:
             raise ValueError("paths do not fill the template in onset/rhyme order")
 
 
@@ -237,14 +248,6 @@ class UnifyFailure:
     reason: str
 
 
-def _expected_slots(template: WordTemplate) -> list[tuple[SyllableCategory, ConstituentKind]]:
-    slots = []
-    for cat in template.categories:
-        slots.append((cat, ConstituentKind.ONSET))
-        slots.append((cat, ConstituentKind.RHYME))
-    return slots
-
-
 def sequential_unify(
     template: WordTemplate, paths: tuple[PathType, ...] | list[PathType]
 ) -> UnifiedParse | UnifyFailure:
@@ -255,19 +258,18 @@ def sequential_unify(
     offending pair. Total: never raises on bad input.
     """
     paths = tuple(paths)
-    expected = _expected_slots(template)
+    slots = template.slots
     if not paths:
         return UnifyFailure(0, None, None, "no paths to unify")
-    for i in range(max(len(paths), len(expected))):
+    for i in range(max(len(paths), len(slots))):
         left = paths[i - 1] if 0 < i <= len(paths) else None
-        if i >= len(expected):
+        if i >= len(slots):
             return UnifyFailure(i, left, paths[i], "more paths than the template holds")
-        want_cat, want_kind = expected[i]
-        want = cell_label((want_cat, want_kind))
+        want = template.labels[i]
         if i >= len(paths):
             return UnifyFailure(i, left, None, f"paths end where {want} is required")
         got = paths[i]
-        if (got.syllable, got.kind) != (want_cat, want_kind):
+        if got.cell != slots[i]:
             if left is None:
                 reason = f"parse must open with {want}, not {got.constituent_label}"
             else:

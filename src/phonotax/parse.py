@@ -4,8 +4,9 @@ A novel word does not announce its syllable boundaries, so every legal
 split of the medial cluster is a candidate segmentation. Each
 segmentation is scored under every word template its stress pattern
 generates; the parse probability is the product of its path
-probabilities, and the forest is ordered best first. Ties break on the
-rendered path text so the ordering is reproducible.
+probabilities, and the forest is ordered best first. Exact product
+ties break on the rendered path text so the ordering is reproducible;
+path text is rendered only to break such ties.
 """
 
 from __future__ import annotations
@@ -13,17 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import NoNucleus, ThreePlusNuclei, UnsupportedStressPattern
-from .grammar import (
-    ConstituentKind,
-    PathType,
-    UnifiedParse,
-    WordTemplate,
-    format_path,
-    sequential_unify,
-    templates_for,
-)
+from .grammar import PathType, UnifiedParse, WordTemplate, format_path, templates_for
 from .phonology import Token, Transcription, stress_pattern
 from .train import TrainedModel
 
@@ -77,23 +71,26 @@ class ScoredParse:
 
     @property
     def path_text(self) -> str:
-        return " ; ".join(format_path(p) for p in self.paths)
+        return " ; ".join(map(format_path, self.paths))
 
 
-def _score(template: WordTemplate, seg: Segmentation, model: TrainedModel) -> ScoredParse:
-    paths: list[PathType] = []
-    for cat, (onset, rhyme) in zip(template.categories, seg):
-        paths.append(PathType(cat, ConstituentKind.ONSET, tuple(t.symbol for t in onset)))
-        paths.append(PathType(cat, ConstituentKind.RHYME, tuple(t.symbol for t in rhyme)))
-    unified = sequential_unify(template, paths)
-    assert isinstance(unified, UnifiedParse)  # true by construction
-    probs = []
-    seen = []
-    for p in paths:
-        prob, was_seen = model.prob(p.cell, p.terminal)
-        probs.append(prob)
-        seen.append(was_seen)
-    return ScoredParse(unified, tuple(probs), tuple(seen), math.prod(probs))
+# symbol runs of one segmentation: onset, rhyme, onset, rhyme ...
+Runs = tuple[tuple[str, ...], ...]
+
+
+def _runs(seg: Segmentation) -> Runs:
+    return tuple(tuple([tok.symbol for tok in run]) for syllable in seg for run in syllable)
+
+
+def _score(template: WordTemplate, runs: Runs, model: TrainedModel) -> ScoredParse:
+    paths = tuple([PathType(cat, kind, run) for (cat, kind), run in zip(template.slots, runs)])
+    parse = UnifiedParse(template, paths)  # checks the paths fill the slots in order
+    probs, seen = zip(*map(model.prob_by_label, template.labels, runs))
+    return ScoredParse(parse, probs, seen, math.prod(probs))
+
+
+_PRODUCT = attrgetter("product")
+_PATH_TEXT = attrgetter("path_text")
 
 
 def parse_all(t: Transcription, model: TrainedModel) -> list[ScoredParse]:
@@ -103,7 +100,8 @@ def parse_all(t: Transcription, model: TrainedModel) -> list[ScoredParse]:
     template; unmarked input is tried under every template its stress
     pattern generates, so an unmarked strong-strong word competes as
     one word and as a closed compound. Raises UnsupportedStressPattern
-    and OutOfScope as the stress pattern dictates.
+    and OutOfScope as the stress pattern dictates. The order is that of
+    the key (-product, path_text).
     """
     pattern = stress_pattern(t)
     templates = templates_for(pattern)
@@ -113,14 +111,20 @@ def parse_all(t: Transcription, model: TrainedModel) -> list[ScoredParse]:
             raise UnsupportedStressPattern(
                 "a compound boundary needs two strong monosyllables"
             )
-    segmentations = enumerate_segmentations(t)
+    segmentations = [_runs(seg) for seg in enumerate_segmentations(t)]
     forest = [
-        _score(template, seg, model)
+        _score(template, runs, model)
         for template in templates
-        for seg in segmentations
+        for runs in segmentations
     ]
-    forest.sort(key=lambda sp: (-sp.product, sp.path_text))
-    return forest
+    forest.sort(key=_PRODUCT, reverse=True)
+    ranked: list[ScoredParse] = []
+    for _, group in itertools.groupby(forest, key=_PRODUCT):
+        tied = list(group)
+        if len(tied) > 1:
+            tied.sort(key=_PATH_TEXT)
+        ranked += tied
+    return ranked
 
 
 def best_parse(forest: list[ScoredParse]) -> ScoredParse:

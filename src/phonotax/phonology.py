@@ -8,7 +8,9 @@ at most one is allowed. Symbols themselves are free-form UTF-8 (IPA or
 ASCII schemes both work) as long as they are declared in the inventory.
 
 Inventory documents are line-oriented: ``symbol<TAB>V|C`` per line,
-``#`` comments and blank lines ignored.
+``#`` comments and blank lines ignored. A symbol may not be one of the
+notation marks (``∅``, ``+``, ``;``, ``:``) nor end in a digit, which
+would read as a stress digit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     EmptyTranscription,
     MissingStress,
     NoNucleus,
+    ReservedSymbol,
     TooManyBoundaries,
     UnknownClass,
     UnknownSymbol,
@@ -33,6 +36,9 @@ VOWEL = "V"
 CONSONANT = "C"
 
 BOUNDARY_MARK = "+"
+NULL_TERMINAL = "∅"  # the empty onset in all textual output
+# marks of the transcription, path and model notation, never phoneme symbols
+RESERVED_SYMBOLS = frozenset((NULL_TERMINAL, BOUNDARY_MARK, ";", ":"))
 
 
 class Stress(enum.Enum):
@@ -96,9 +102,9 @@ class Transcription:
 def load_inventory(document: str) -> PhonemeInventory:
     """Parse an inventory document into a PhonemeInventory.
 
-    Raises DuplicateSymbol, UnknownClass, or EmptyDocument. The digest
-    is a sha256 over the canonical symbol/class pairs, so comments and
-    blank lines do not affect it.
+    Raises DuplicateSymbol, ReservedSymbol, UnknownClass, or
+    EmptyDocument. The digest is a sha256 over the canonical
+    symbol/class pairs, so comments and blank lines do not affect it.
     """
     symbols: list[str] = []
     classes: dict[str, str] = {}
@@ -112,6 +118,8 @@ def load_inventory(document: str) -> PhonemeInventory:
         symbol, cls = parts
         if cls not in (VOWEL, CONSONANT):
             raise UnknownClass(f"line {lineno}: class must be V or C, got {cls!r}")
+        if symbol in RESERVED_SYMBOLS or symbol[-1].isdigit():
+            raise ReservedSymbol(f"line {lineno}: symbol {symbol!r} collides with the notation")
         if symbol in classes:
             raise DuplicateSymbol(f"line {lineno}: symbol {symbol!r} declared twice")
         symbols.append(symbol)

@@ -54,16 +54,17 @@ def parse_stimuli(document: str) -> list[tuple[str, str]]:
     ``#`` comments and blank lines are ignored; an empty document is an
     empty batch, not an error. A line without a tab becomes a row with
     an empty transcription, which then fails per-row downstream rather
-    than aborting the batch. Word ids are carried through verbatim;
-    uniqueness is the caller's concern.
+    than aborting the batch. The id is everything before the first tab,
+    stripped, so a line opening with a tab has an empty id. Uniqueness
+    is the caller's concern.
     """
     rows: list[tuple[str, str]] = []
     for line in document.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         word_id, _, raw = line.partition("\t")
-        rows.append((word_id.strip(), raw))
+        rows.append((word_id.strip(), raw.rstrip()))
     return rows
 
 

@@ -80,10 +80,16 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     my = math.fsum(ys) / n
     dx = [x - mx for x in xs]
     dy = [y - my for y in ys]
+    # r is scale-free, so rescale each spread to a largest deviation of 1:
+    # squaring tiny or huge deviations then neither underflows nor overflows
+    sx = max(abs(d) for d in dx)
+    sy = max(abs(d) for d in dy)
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateVariance("a variable with zero variance cannot be correlated")
+    dx = [d / sx for d in dx]
+    dy = [d / sy for d in dy]
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateVariance("a variable with zero variance cannot be correlated")
     r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 

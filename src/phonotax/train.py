@@ -20,7 +20,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import EmptyCorpus, ModelFormatError, PhonotaxError, UnsupportedStressPattern, VersionMismatch
+from .errors import (
+    BadConfig,
+    EmptyCorpus,
+    ModelFormatError,
+    PhonotaxError,
+    UnsupportedStressPattern,
+    VersionMismatch,
+)
 from .grammar import (
     ALL_CELLS,
     NULL_TERMINAL,
@@ -38,6 +45,9 @@ from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, syl
 Cell = tuple[SyllableCategory, ConstituentKind]
 
 GT_MODES = ("simple", "full")
+# an all-unseen cell answers epsilon; four of them in one parse still
+# multiply to a normal float (1e-300), so ln p(word) is always finite
+EPSILON_MIN, EPSILON_MAX = 1e-75, 1e-3
 
 
 @dataclass(frozen=True)
@@ -95,11 +105,11 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
     skipped: list[tuple[int, str, str]] = []
     downgraded = 0
     for lineno, line in enumerate(document.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         if "\t" not in line:
-            skipped.append((lineno, "MalformedLine", line))
+            skipped.append((lineno, "MalformedLine", stripped))
             continue
         orthography, raw = line.split("\t", 1)
         orthography = orthography.strip()
@@ -195,9 +205,9 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if self.gt_mode not in GT_MODES:
-            raise ValueError(f"gt_mode must be one of {GT_MODES}")
-        if not 0.0 < self.epsilon <= 1e-3:
-            raise ValueError("epsilon must lie in (0, 1e-3]")
+            raise BadConfig(f"gt_mode must be one of {GT_MODES}")
+        if not EPSILON_MIN <= self.epsilon <= EPSILON_MAX:
+            raise BadConfig(f"epsilon must lie in [{EPSILON_MIN:g}, {EPSILON_MAX:g}]")
 
 
 @dataclass
@@ -207,19 +217,29 @@ class TrainedModel:
     probabilities: dict[Cell, dict[tuple[str, ...], float]]
     all_unseen: frozenset[Cell]
     config: ModelConfig
+    # per cell label: the seen terminals' probabilities and the unseen answer
+    lookup: dict[str, tuple[dict[tuple[str, ...], float], float]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # unseen terminals get the cell's whole reserved mass p0; a cell
+        # with no training data at all answers epsilon
+        self.lookup = {
+            cell_label(cell): (
+                ({}, self.config.epsilon) if cell in self.all_unseen
+                else (self.probabilities[cell], self.p0[cell])
+            )
+            for cell in ALL_CELLS
+        }
 
     def prob(self, cell: Cell, terminal: tuple[str, ...]) -> tuple[float, bool]:
-        """Probability of a terminal in a cell, plus whether it was seen.
+        """Probability of a terminal in a cell, plus whether it was seen."""
+        return self.prob_by_label(cell_label(cell), terminal)
 
-        Unseen terminals get the cell's whole reserved mass p0; a cell
-        with no training data at all answers epsilon.
-        """
-        if cell in self.all_unseen:
-            return self.config.epsilon, False
-        p = self.probabilities[cell].get(terminal)
-        if p is not None:
-            return p, True
-        return self.p0[cell], False
+    def prob_by_label(self, label: str, terminal: tuple[str, ...]) -> tuple[float, bool]:
+        seen, unseen = self.lookup[label]
+        p = seen.get(terminal)
+        return (unseen, False) if p is None else (p, True)
 
 
 def good_turing(table: PathTable, config: ModelConfig) -> TrainedModel:
@@ -404,7 +424,7 @@ def load_model(document: str) -> TrainedModel:
             config_fields["inventory_sha256"], policy,
             config_fields["gt"], float(config_fields["epsilon"]),
         )
-    except ValueError as err:
+    except (ValueError, BadConfig) as err:
         raise _bad(f"bad config: {err}") from None
 
     table = PathTable(counts, total)
@@ -429,6 +449,7 @@ def train_model(
     epsilon: float = 1e-9,
 ) -> TrainResult:
     """Run the whole training pipeline over a lexicon document."""
+    config = ModelConfig(inv.digest, policy, gt_mode, epsilon)
     ingest = ingest_lexicon(document, inv)
     onsets = collect_word_onsets([e.transcription for e in ingest.entries])
     paths: list[PathType] = []
@@ -442,7 +463,5 @@ def train_model(
             continue
         paths.extend(entry_paths)
         trained += 1
-    table = tabulate(paths)
-    config = ModelConfig(inv.digest, policy, gt_mode, epsilon)
-    model = good_turing(table, config)
+    model = good_turing(tabulate(paths), config)
     return TrainResult(model, ingest, onsets, unsupported, len(paths), trained)

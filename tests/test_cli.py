@@ -4,6 +4,8 @@ Everything goes through cli.main(argv) so exit codes and stdout/stderr
 are exercised exactly as a shell user would see them.
 """
 
+import math
+
 import pytest
 
 from phonotax.cli import SCORE_COLUMNS, main
@@ -73,6 +75,57 @@ def test_bad_epsilon_rejected(tmp_path, capsys):
     rc = main(["train", str(lex), "--out", str(tmp_path / "out"), "--epsilon", "0.5"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_epsilon_below_floor_rejected(tmp_path, capsys):
+    lex = tmp_path / "lexicon.tsv"
+    lex.write_text(TOY_LEXICON, encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["train", str(lex), "--out", str(out), "--epsilon", "1e-200"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "model.tsv").exists()
+
+
+def test_epsilon_floor_keeps_every_score_finite(tmp_path, capsys):
+    # the toy lexicon has no iambs: all four cells of an iamb are empty
+    lex = tmp_path / "lexicon.tsv"
+    lex.write_text(TOY_LEXICON, encoding="utf-8")
+    assert main(["train", str(lex), "--out", str(tmp_path / "m"), "--epsilon", "1e-75"]) == 0
+    stim = tmp_path / "stimuli.tsv"
+    stim.write_text("w1\tə0 k æ1 t\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["score", str(tmp_path / "m" / "model.tsv"), str(stim)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert float(row[1]) == pytest.approx(1e-300, rel=1e-9)
+    assert float(row[2]) == pytest.approx(4 * math.log(1e-75), rel=1e-12)
+    assert row[6] == ""
+
+
+# w2-w4 each have a winner tied with one or two other parses on product;
+# the rows are those a plain sort on (-product, path_text) gives
+TIED_STIMULI = "w1\tk æ1 n ə1\nw2\tɔɪ1 n d ə1 l\nw3\tk æ0 n d ɪ1 l\nw4\tk æ1 t ə0 l\n"
+TIED_ROWS = [
+    "w1\t0.010416666666666666\t-4.564348191467836\t0.08333333333333333\t0.5\t"
+    "U : W : Ssif : Osif : k ; U : W : Ssif : Rsif : æ ; "
+    "U : W : Ssif : Osif : n ; U : W : Ssif : Rsif : ə\t",
+    "w2\t0.001736111111111111\t-6.3561076606958915\t0.08333333333333333\t0.5\t"
+    "U : W : Ssif : Osif : ∅ ; U : W : Ssif : Rsif : ɔɪ ; "
+    "U : W : Ssif : Osif : n d ; U : W : Ssif : Rsif : ə l\t",
+    "w3\t1.0000000000000003e-36\t-82.89306334778564\t1e-09\t1e-09\t"
+    "U : W : Swi : Owi : k ; U : W : Swi : Rwi : æ ; "
+    "U : W : Ssf : Osf : n d ; U : W : Ssf : Rsf : ɪ l\t",
+    "w4\t0.01171875\t-4.446565155811453\t0.25\t0.75\t"
+    "U : W : Ssi : Osi : k ; U : W : Ssi : Rsi : æ ; "
+    "U : W : Swf : Owf : t ; U : W : Swf : Rwf : ə l\t",
+]
+
+
+def test_score_rows_with_tied_winners_are_pinned(model_path, tmp_path, capsys):
+    stim = tmp_path / "stimuli.tsv"
+    stim.write_text(TIED_STIMULI, encoding="utf-8")
+    assert main(["score", str(model_path), str(stim)]) == 0
+    assert capsys.readouterr().out == "\n".join(["\t".join(SCORE_COLUMNS), *TIED_ROWS]) + "\n"
 
 
 def test_score_stdout_and_file(model_path, tmp_path, capsys):

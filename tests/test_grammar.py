@@ -13,6 +13,7 @@ from phonotax.grammar import (
     UnifiedParse,
     UnifyFailure,
     WordTemplate,
+    cell_from_label,
     cell_label,
     format_path,
     parse_path,
@@ -57,6 +58,14 @@ def test_template_validation():
         WordTemplate(((SC.STRONG_INITIAL_FINAL,), (SC.WEAK_INITIAL_FINAL,)))  # weak half
     with pytest.raises(ValueError):
         WordTemplate(())
+
+
+def test_template_slots():
+    iamb = templates_for((W, S))[0]
+    assert iamb.labels == ("Owi", "Rwi", "Osf", "Rsf")
+    assert iamb.slots == tuple(cell_from_label(label) for label in iamb.labels)
+    compound = templates_for((S, S))[1]
+    assert compound.labels == ("Osif", "Rsif", "Osif", "Rsif")
 
 
 def test_format_path():

@@ -4,9 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phonotax.errors import OutOfScope, UnsupportedStressPattern
-from phonotax.grammar import SyllableCategory
+from phonotax.grammar import SyllableCategory, sequential_unify
 from phonotax.parse import best_parse, enumerate_segmentations, parse_all
 from phonotax.phonology import load_inventory, tokenize
 from phonotax.train import train_model
@@ -117,3 +118,17 @@ def test_agrees_with_oracle_randomized():
             want_product, want_paths = oracle_best(t, model)
             assert got.product == pytest.approx(want_product, rel=1e-12)
             assert got.path_text.split(" ; ") == want_paths
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000))
+def test_forest_order_is_product_then_text(seed):
+    # toy lexica leave many cells empty, so exact product ties are common
+    rng = random.Random(seed)
+    inventory = load_inventory(INVENTORY_TEXT)
+    model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
+    for _ in range(5):
+        forest = parse_all(tokenize(random_transcription_text(rng), inventory), model)
+        assert forest == sorted(forest, key=lambda sp: (-sp.product, sp.path_text))
+        for sp in forest:
+            assert sequential_unify(sp.parse.template, sp.paths) == sp.parse

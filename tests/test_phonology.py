@@ -10,6 +10,7 @@ from phonotax.errors import (
     EmptyTranscription,
     MissingStress,
     NoNucleus,
+    ReservedSymbol,
     TooManyBoundaries,
     UnknownClass,
     UnknownSymbol,
@@ -52,6 +53,12 @@ def test_load_inventory_errors():
         load_inventory("k\n")
     with pytest.raises(EmptyDocument):
         load_inventory("# nothing here\n")
+
+
+@pytest.mark.parametrize("symbol", ["∅", "+", ";", ":", "a1", "ʃ0"])
+def test_load_inventory_rejects_notation_symbols(symbol):
+    with pytest.raises(ReservedSymbol):
+        load_inventory(INVENTORY_TEXT + f"{symbol}\tC\n")
 
 
 def test_tokenize_stress_and_boundary(inv):

@@ -92,6 +92,11 @@ def test_parse_stimuli():
     assert parse_stimuli("# only comments\n") == []
 
 
+def test_parse_stimuli_keeps_an_empty_id():
+    rows = parse_stimuli("\tz ɪ1 p\n \t k æ1 t \n  w3\tæ1\t\n")
+    assert rows == [("", "z ɪ1 p"), ("", " k æ1 t"), ("w3", "æ1")]
+
+
 def test_score_batch_order_and_errors(inv, toy_model):
     rows = [
         ("w1", "k æ1 t"),

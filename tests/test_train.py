@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phonotax.errors import (
+    BadConfig,
     EmptyCorpus,
     ModelFormatError,
     UnsupportedStressPattern,
@@ -59,6 +60,12 @@ two\ts æ1 n d ə0 l
         "MalformedLine": 1,
         "NoNucleus": 1,
     }
+
+
+def test_ingest_keeps_an_empty_orthography(inv):
+    result = ingest_lexicon("\tk æ1 t\ncat\tk æ1 t\n", inv)
+    assert [(e.orthography, e.lineno) for e in result.entries] == [("", 1), ("cat", 2)]
+    assert result.skipped == []
 
 
 def test_ingest_empty_corpus(inv):
@@ -213,6 +220,25 @@ def test_load_model_version_and_corruption(toy_model):
     # duplicate record
     with pytest.raises(ModelFormatError):
         load_model(doc + target + "\n")
+
+
+@pytest.mark.parametrize("epsilon", [1e-75, 1e-9, 1e-3])
+def test_epsilon_range_accepts(epsilon):
+    assert ModelConfig("x" * 64, epsilon=epsilon).epsilon == epsilon
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 9e-76, 1e-200, 2e-3, -1e-9, math.nan, math.inf])
+def test_epsilon_range_rejects(epsilon):
+    with pytest.raises(BadConfig):
+        ModelConfig("x" * 64, epsilon=epsilon)
+
+
+def test_load_model_rejects_epsilon_below_floor(toy_model):
+    doc = save_model(toy_model)
+    low = doc.replace("config\tepsilon\t1e-09\n", "config\tepsilon\t1e-200\n")
+    assert low != doc
+    with pytest.raises(ModelFormatError):
+        load_model(low)
 
 
 def test_train_model_reports_unsupported(inv):
