@@ -163,6 +163,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(f"n = {results[0].n}, df = {results[0].df}")
     for i, res in enumerate(results, start=1):
         name = f"{i}) {res.method}"
+        if res.r is None:
+            print(f"{name:<18} r = undefined (zero variance)")
+            continue
         print(f"{name:<18} r = {res.r:+.4f}   t = {res.t:+.3f}   p = {res.p:.4g}   {res.significant_at}")
     if config.out_dir is not None:
         csv_path = _write(config.out_dir, "scatter.csv", scatter_csv(scatter))

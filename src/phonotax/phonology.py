@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BadStressDigit,
@@ -53,6 +53,9 @@ class PhonemeInventory:
     symbols: tuple[str, ...]
     classes: dict[str, str]
     digest: str
+    # field text -> its Token, filled by tokenize with valid fields only, so
+    # it holds at most four entries per vowel (bare, 0, 1, 2) and one per consonant
+    tokens: dict[str, Token] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.classes
@@ -131,38 +134,48 @@ def load_inventory(document: str) -> PhonemeInventory:
     return PhonemeInventory(tuple(symbols), classes, digest)
 
 
+def _read_field(text: str, inv: PhonemeInventory) -> Token:
+    """The Token one field spells; raises on anything invalid."""
+    stress: int | None = None
+    symbol = text
+    if text[-1].isdigit():
+        symbol, digit = text[:-1], text[-1]
+        if digit not in "012":
+            raise BadStressDigit(f"stress digit must be 0, 1, or 2: {text!r}")
+        stress = int(digit)
+    if symbol not in inv:
+        raise UnknownSymbol(f"symbol {symbol!r} not in inventory")
+    is_vowel = inv.is_vowel(symbol)
+    if stress is not None and not is_vowel:
+        raise BadStressDigit(f"stress digit on consonant: {text!r}")
+    return Token(symbol, stress, is_vowel)
+
+
 def tokenize(raw: str, inv: PhonemeInventory) -> Transcription:
     """Parse transcription text against an inventory.
 
     A trailing digit on a token is its stress digit and must sit on a
-    vowel; a bare ``+`` marks the compound boundary.
+    vowel; a bare ``+`` marks the compound boundary. Each valid field is
+    read once per inventory and its Token reused after that.
     """
     fields = raw.split()
     if not fields:
         raise EmptyTranscription("empty transcription text")
+    memo = inv.tokens
     tokens: list[Token] = []
     boundary: int | None = None
-    for field in fields:
-        if field == BOUNDARY_MARK:
-            if boundary is not None:
-                raise TooManyBoundaries(f"more than one {BOUNDARY_MARK!r} in {raw!r}")
-            if not tokens:
-                raise EmptyTranscription(f"boundary at start of {raw!r}")
-            boundary = len(tokens)
-            continue
-        stress: int | None = None
-        symbol = field
-        if field[-1].isdigit():
-            symbol, digit = field[:-1], field[-1]
-            if digit not in "012":
-                raise BadStressDigit(f"stress digit must be 0, 1, or 2: {field!r}")
-            stress = int(digit)
-        if symbol not in inv:
-            raise UnknownSymbol(f"symbol {symbol!r} not in inventory")
-        is_vowel = inv.is_vowel(symbol)
-        if stress is not None and not is_vowel:
-            raise BadStressDigit(f"stress digit on consonant: {field!r}")
-        tokens.append(Token(symbol, stress, is_vowel))
+    for text in fields:
+        tok = memo.get(text)
+        if tok is None:
+            if text == BOUNDARY_MARK:
+                if boundary is not None:
+                    raise TooManyBoundaries(f"more than one {BOUNDARY_MARK!r} in {raw!r}")
+                if not tokens:
+                    raise EmptyTranscription(f"boundary at start of {raw!r}")
+                boundary = len(tokens)
+                continue
+            tok = memo[text] = _read_field(text, inv)
+        tokens.append(tok)
     if boundary is not None and boundary == len(tokens):
         raise EmptyTranscription(f"boundary at end of {raw!r}")
     return Transcription(tuple(tokens), boundary)
@@ -178,8 +191,8 @@ def format_transcription(t: Transcription) -> str:
     return " ".join(fields)
 
 
-def _word_stresses(word: tuple[Token, ...]) -> list[Stress]:
-    nuclei = [t for t in word if t.is_vowel]
+def nuclei_stresses(nuclei: list[Token]) -> list[Stress]:
+    """Per-syllable stress of one phonological word, from its vowel tokens."""
     if not nuclei:
         raise NoNucleus("phonological word has no vowel")
     if len(nuclei) == 1 and nuclei[0].stress is None:
@@ -203,5 +216,5 @@ def stress_pattern(t: Transcription) -> tuple[Stress, ...]:
     """
     pattern: list[Stress] = []
     for word in t.words():
-        pattern.extend(_word_stresses(word))
+        pattern.extend(nuclei_stresses([tok for tok in word if tok.is_vowel]))
     return tuple(pattern)

@@ -76,6 +76,9 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     if n < 3:
         raise LengthMismatch(f"need at least 3 points, got {n}")
+    # tested on the values: the mean of equal values need not equal them
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        raise DegenerateVariance("a variable with zero variance cannot be correlated")
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     dx = [x - mx for x in xs]
@@ -84,8 +87,6 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     # squaring tiny or huge deviations then neither underflows nor overflows
     sx = max(abs(d) for d in dx)
     sy = max(abs(d) for d in dy)
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateVariance("a variable with zero variance cannot be correlated")
     dx = [d / sx for d in dx]
     dy = [d / sy for d in dy]
     sxx = math.fsum(d * d for d in dx)
@@ -184,12 +185,14 @@ def significance_bucket(p: float) -> str:
 
 @dataclass(frozen=True)
 class CorrelationResult:
+    """One method's correlation; r, t and p are None when its scores never vary."""
+
     method: str
-    r: float
+    r: float | None
     n: int
     df: int
-    t: float
-    p: float
+    t: float | None
+    p: float | None
     significant_at: str
 
 
@@ -217,9 +220,11 @@ def evaluate(
     """Correlate each scoring method with votes over the id join.
 
     Returns the four correlation results plus scatter rows
-    (word id, ln p(word), votes) in report order. Raises JoinEmpty when
-    fewer than three ids join, DuplicateWordId on repeats in either
-    input, and DegenerateVariance when votes (or a score) never vary.
+    (word id, ln p(word), votes) in report order. A method whose scores
+    never vary is reported as undefined (r, t and p None) and the others
+    are kept. Raises JoinEmpty when fewer than three ids join,
+    DuplicateWordId on repeats in either input, and DegenerateVariance
+    when the votes never vary.
     """
     _check_unique([wid for wid, _ in reports], "report")
     _check_unique([rec.word_id for rec in judgments], "judgment")
@@ -228,10 +233,15 @@ def evaluate(
     if len(joined) < 3:
         raise JoinEmpty(f"only {len(joined)} ids joined; need at least 3")
     votes = [float(v) for _, _, v in joined]
+    if min(votes) == max(votes):
+        raise DegenerateVariance("votes never vary, so no score can be correlated with them")
     n = len(joined)
     results: list[CorrelationResult] = []
     for method, extract in METHODS:
         scores = [extract(rep) for _, rep, _ in joined]
+        if min(scores) == max(scores):
+            results.append(CorrelationResult(method, None, n, n - 2, None, None, "undefined"))
+            continue
         r = pearson_r(scores, votes)
         t = t_from_r(r, n)
         p = p_two_tailed(t, n - 2)

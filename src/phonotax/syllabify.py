@@ -70,10 +70,9 @@ def collect_word_onsets(corpus: Iterable[Transcription]) -> WordOnsetSet:
 
 
 def _split_cluster(
-    cluster: tuple[Token, ...], onsets: WordOnsetSet, policy: MedialSplitPolicy
+    symbols: tuple[str, ...], onsets: WordOnsetSet, policy: MedialSplitPolicy
 ) -> int:
     """How many trailing cluster consonants open the second syllable."""
-    symbols = tuple(t.symbol for t in cluster)
     m = len(symbols)
     if policy is MedialSplitPolicy.MAX_ONSET:
         for k in range(m, 0, -1):
@@ -93,6 +92,35 @@ def _split_cluster(
     return 0
 
 
+def cut_points(
+    t: Transcription, onsets: WordOnsetSet, policy: MedialSplitPolicy
+) -> list[int]:
+    """Where each onset and rhyme run starts in ``t.tokens``, plus the end.
+
+    Runs alternate onset, rhyme per syllable across both words, so run i
+    is ``t.tokens[cuts[i]:cuts[i + 1]]``. Raises NoNucleus for a
+    vowel-less word and ThreePlusNuclei past two vowels in one word.
+    """
+    cuts: list[int] = []
+    start = 0
+    for word in t.words():
+        nuclei = [start + i for i, tok in enumerate(word) if tok.is_vowel]
+        if not nuclei:
+            raise NoNucleus("word has no vowel")
+        if len(nuclei) > 2:
+            raise ThreePlusNuclei(f"word has {len(nuclei)} nuclei; at most two are supported")
+        cuts.append(start)
+        if len(nuclei) == 1:
+            cuts.append(nuclei[0])
+        else:
+            n0, n1 = nuclei
+            cluster = tuple([tok.symbol for tok in t.tokens[n0 + 1 : n1]])
+            cuts += (n0, n1 - _split_cluster(cluster, onsets, policy), n1)
+        start += len(word)
+    cuts.append(start)
+    return cuts
+
+
 def syllabify(
     t: Transcription,
     onsets: WordOnsetSet,
@@ -104,23 +132,11 @@ def syllabify(
     vowels in one word. The output conserves the input tokens exactly:
     concatenating onset+rhyme across syllables and words restores them.
     """
-    flat_stress = list(stress_pattern(t))
-    out: list[tuple[Syllable, ...]] = []
-    for word in t.words():
-        nuclei = [i for i, tok in enumerate(word) if tok.is_vowel]
-        if not nuclei:
-            raise NoNucleus("word has no vowel")
-        if len(nuclei) > 2:
-            raise ThreePlusNuclei(f"word has {len(nuclei)} nuclei; at most two are supported")
-        if len(nuclei) == 1:
-            n = nuclei[0]
-            out.append((Syllable(word[:n], word[n:], flat_stress.pop(0)),))
-            continue
-        n0, n1 = nuclei
-        cluster = word[n0 + 1 : n1]
-        k = _split_cluster(cluster, onsets, policy)
-        cut = len(cluster) - k
-        first = Syllable(word[:n0], word[n0 : n0 + 1 + cut], flat_stress.pop(0))
-        second = Syllable(cluster[cut:], word[n1:], flat_stress.pop(0))
-        out.append((first, second))
-    return tuple(out)
+    pattern = stress_pattern(t)
+    cuts = cut_points(t, onsets, policy)
+    runs = [t.tokens[a:b] for a, b in zip(cuts, cuts[1:])]
+    syllables = tuple(map(Syllable, runs[::2], runs[1::2], pattern))
+    if t.boundary is None:
+        return (syllables,)
+    first = sum(1 for tok in t.tokens[: t.boundary] if tok.is_vowel)
+    return (syllables[:first], syllables[first:])

@@ -19,11 +19,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable
 
 from .errors import (
     BadConfig,
     EmptyCorpus,
     ModelFormatError,
+    NoNucleus,
+    OutOfScope,
     PhonotaxError,
     UnsupportedStressPattern,
     VersionMismatch,
@@ -39,8 +44,8 @@ from .grammar import (
     format_terminal,
     templates_for,
 )
-from .phonology import PhonemeInventory, Token, Transcription, stress_pattern, tokenize
-from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, syllabify
+from .phonology import PhonemeInventory, Stress, Token, Transcription, nuclei_stresses, tokenize
+from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_points
 
 Cell = tuple[SyllableCategory, ConstituentKind]
 
@@ -55,6 +60,7 @@ class LexiconEntry:
     orthography: str
     transcription: Transcription
     lineno: int
+    pattern: tuple[Stress, ...]  # stress_pattern(transcription), read once at ingest
 
 
 @dataclass
@@ -115,21 +121,23 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
         orthography = orthography.strip()
         try:
             t = tokenize(raw, inv)
-            nuclei_per_word = [sum(1 for tok in word if tok.is_vowel) for word in t.words()]
-            if any(n == 0 for n in nuclei_per_word):
-                skipped.append((lineno, "NoNucleus", orthography))
-                continue
-            if sum(nuclei_per_word) > 2:
-                skipped.append((lineno, "OutOfScope", orthography))
-                continue
-            t, changed = _downgrade_secondary(t)
-            stress_pattern(t)  # probe for missing digits before accepting
+            nuclei = [[tok for tok in word if tok.is_vowel] for word in t.words()]
+            if not all(nuclei):
+                raise NoNucleus("phonological word has no vowel")
+            if sum(map(len, nuclei)) > 2:
+                raise OutOfScope("more than two nuclei")
+            changed = False
+            if "2" in raw:  # only a secondary stress can be downgraded
+                t, changed = _downgrade_secondary(t)
+            if changed:
+                nuclei = [[tok for tok in word if tok.is_vowel] for word in t.words()]
+            pattern = tuple(chain.from_iterable(map(nuclei_stresses, nuclei)))
         except PhonotaxError as err:
             skipped.append((lineno, type(err).__name__, orthography))
             continue
         if changed:
             downgraded += 1
-        entries.append(LexiconEntry(orthography, t, lineno))
+        entries.append(LexiconEntry(orthography, t, lineno, pattern))
     if not entries:
         raise EmptyCorpus("no usable lexicon entries")
     return IngestResult(entries, skipped, downgraded)
@@ -150,18 +158,21 @@ def extract_paths(
     """
     t = entry.transcription
     want_words = 2 if t.boundary is not None else 1
-    candidates = templates_for(stress_pattern(t))
+    candidates = templates_for(entry.pattern)
     template = next((c for c in candidates if len(c.words) == want_words), None)
     if template is None:
         raise UnsupportedStressPattern(
             f"{entry.orthography}: a compound boundary needs two strong monosyllables"
         )
-    syllables = [syl for word in syllabify(t, onsets, policy) for syl in word]
-    paths: list[PathType] = []
-    for cat, syl in zip(template.categories, syllables):
-        paths.append(PathType(cat, ConstituentKind.ONSET, syl.onset_symbols))
-        paths.append(PathType(cat, ConstituentKind.RHYME, syl.rhyme_symbols))
-    return paths
+    symbols = tuple([tok.symbol for tok in t.tokens])
+    cuts = cut_points(t, onsets, policy)
+    return [
+        PathType(cat, kind, symbols[a:b])
+        for (cat, kind), a, b in zip(template.slots, cuts, cuts[1:])
+    ]
+
+
+_PATH_KEY = attrgetter("syllable", "kind", "terminal")
 
 
 @dataclass
@@ -172,12 +183,12 @@ class PathTable:
     total: int
 
     @classmethod
-    def from_paths(cls, paths: list[PathType]) -> "PathTable":
+    def from_paths(cls, paths: Iterable[PathType]) -> "PathTable":
+        tally = Counter(map(_PATH_KEY, paths))
         counts: dict[Cell, dict[tuple[str, ...], int]] = {}
-        for p in paths:
-            counts.setdefault(p.cell, {})
-            counts[p.cell][p.terminal] = counts[p.cell].get(p.terminal, 0) + 1
-        return cls(counts, len(paths))
+        for (syllable, kind, terminal), c in tally.items():
+            counts.setdefault((syllable, kind), {})[terminal] = c
+        return cls(counts, sum(tally.values()))
 
     def n(self, cell: Cell) -> int:
         return sum(self.counts.get(cell, {}).values())
@@ -190,10 +201,12 @@ class PathTable:
         return dict(Counter(self.counts.get(cell, {}).values()))
 
 
-def tabulate(paths: list[PathType]) -> PathTable:
-    if not paths:
+def tabulate(paths: Iterable[PathType]) -> PathTable:
+    """Count paths per cell in one pass; ``paths`` may be a generator."""
+    table = PathTable.from_paths(paths)
+    if not table.total:
         raise EmptyCorpus("no paths to tabulate")
-    return PathTable.from_paths(paths)
+    return table
 
 
 @dataclass(frozen=True)
@@ -326,9 +339,12 @@ def _bad(msg: str) -> ModelFormatError:
 def load_model(document: str) -> TrainedModel:
     """Parse and cross-check a model document.
 
-    Counts must sum to the declared total, every cell must carry a p0
-    line consistent with its records, and each populated cell must
-    normalize: p0 plus the seen mass equal to 1 within 1e-9.
+    Counts must be positive and sum to the declared total, and every
+    cell must carry a p0 line whose N, N1 and all_unseen flag agree with
+    its records. p0 and every seen probability are then re-derived from
+    the counts with good_turing under the file's config and must match
+    within 1e-12. The file's own floats are kept, so save-load-save is
+    byte-stable.
     """
     lines = document.splitlines()
     if not lines:
@@ -380,6 +396,8 @@ def load_model(document: str) -> TrainedModel:
                 if terminal in bucket:
                     raise _bad(f"line {lineno}: duplicate record for {parts[0]} {text}")
                 bucket[terminal] = int(parts[2])
+                if bucket[terminal] < 1:
+                    raise _bad(f"line {lineno}: count below 1 in {line!r}")
                 probabilities[cell][terminal] = float(parts[3])
             else:
                 raise _bad(f"line {lineno}: unrecognized line {line!r}")
@@ -414,9 +432,6 @@ def load_model(document: str) -> TrainedModel:
             continue
         if n == 0:
             raise _bad(f"cell {cell_label(cell)}: empty but not flagged all_unseen")
-        mass = p0[cell] + math.fsum(probabilities[cell].values())
-        if abs(mass - 1.0) > 1e-9:
-            raise _bad(f"cell {cell_label(cell)}: probabilities sum to {mass!r}, not 1")
 
     try:
         policy = MedialSplitPolicy(config_fields["medial_split"])
@@ -428,6 +443,17 @@ def load_model(document: str) -> TrainedModel:
         raise _bad(f"bad config: {err}") from None
 
     table = PathTable(counts, total)
+    derived = good_turing(table, config)
+    for cell in ALL_CELLS:
+        # written as "not <=" so that a NaN fails too
+        if not abs(p0[cell] - derived.p0[cell]) <= 1e-12:
+            raise _bad(f"cell {cell_label(cell)}: p0 {p0[cell]!r} is not the "
+                       f"{derived.p0[cell]!r} its counts imply")
+        expected = derived.probabilities[cell]
+        for terminal, prob in probabilities[cell].items():
+            if not abs(prob - expected[terminal]) <= 1e-12:
+                raise _bad(f"cell {cell_label(cell)}: p({format_terminal(terminal)}) {prob!r} "
+                           f"is not the {expected[terminal]!r} its counts imply")
     return TrainedModel(table, p0, probabilities, frozenset(all_unseen), config)
 
 
@@ -452,16 +478,18 @@ def train_model(
     config = ModelConfig(inv.digest, policy, gt_mode, epsilon)
     ingest = ingest_lexicon(document, inv)
     onsets = collect_word_onsets([e.transcription for e in ingest.entries])
-    paths: list[PathType] = []
     unsupported: list[tuple[int, str]] = []
-    trained = 0
-    for entry in ingest.entries:
-        try:
-            entry_paths = extract_paths(entry, onsets, policy)
-        except UnsupportedStressPattern:
-            unsupported.append((entry.lineno, entry.orthography))
-            continue
-        paths.extend(entry_paths)
-        trained += 1
-    model = good_turing(tabulate(paths), config)
-    return TrainResult(model, ingest, onsets, unsupported, len(paths), trained)
+
+    def trained_paths() -> Iterable[PathType]:
+        # streamed into the count, so no corpus-sized list of paths is built
+        for entry in ingest.entries:
+            try:
+                paths = extract_paths(entry, onsets, policy)
+            except UnsupportedStressPattern:
+                unsupported.append((entry.lineno, entry.orthography))
+                continue
+            yield from paths
+
+    table = tabulate(trained_paths())
+    trained = len(ingest.entries) - len(unsupported)
+    return TrainResult(good_turing(table, config), ingest, onsets, unsupported, table.total, trained)

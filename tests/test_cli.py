@@ -213,6 +213,21 @@ def test_evaluate_with_judgment_file(model_path, tmp_path, capsys):
     assert "n = 4, df = 2" in captured.out
 
 
+def test_evaluate_reports_a_flat_score_column_as_undefined(model_path, tmp_path, capsys):
+    # under the toy model all four words' worst path has p = 1/12
+    stim = tmp_path / "stimuli.tsv"
+    stim.write_text("w1\tk æ1 t\nw2\td ʌ1 l\nw3\tk ʌ1 l\nw4\td æ1 t\n", encoding="utf-8")
+    judge = tmp_path / "judgments.csv"
+    judge.write_text("word_id,votes_against\nw1,1\nw2,8\nw3,9\nw4,2\n", encoding="utf-8")
+    rc = main(["evaluate", str(model_path), str(stim), str(judge)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    rows = captured.out.splitlines()[2:6]
+    assert rows[2] == "3) p(worst part)   r = undefined (zero variance)"
+    for row, method in zip([rows[0], rows[1], rows[3]], ("p(word)", "ln p(word)", "p(best part)")):
+        assert method in row and " r = " in row and " p = " in row
+
+
 def test_evaluate_disjoint_ids(model_path, tmp_path, capsys):
     stim = tmp_path / "stimuli.tsv"
     stim.write_text(STIMULI, encoding="utf-8")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from phonotax.errors import (
     BadStressDigit,
@@ -24,6 +26,7 @@ from phonotax.phonology import (
 )
 
 from conftest import INVENTORY_TEXT
+from oracles import GEN_CONSONANTS, GEN_VOWELS, random_transcription_text
 
 
 def test_load_inventory_basics(inv):
@@ -134,3 +137,41 @@ def test_tokenize_format_inverse(raw):
     t = tokenize(raw, inventory)
     assert format_transcription(t) == raw
     assert tokenize(format_transcription(t), inventory) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**32), min_size=1, max_size=6))
+def test_tokenize_is_stable_across_its_memo(seeds):
+    inventory = load_inventory(INVENTORY_TEXT)  # a fresh, empty memo
+    texts = [random_transcription_text(random.Random(seed)) for seed in seeds]
+    first = [tokenize(x, inventory) for x in texts]
+    second = [tokenize(x, inventory) for x in texts]
+    unshared = [tokenize(x, load_inventory(INVENTORY_TEXT)) for x in texts]
+    assert first == second == unshared
+    assert [format_transcription(t) for t in first] == texts
+    # only valid fields are kept: one per consonant, four per vowel at most
+    assert len(inventory.tokens) <= 4 * len(inventory.symbols)
+    assert "+" not in inventory.tokens
+
+
+INVALID_FIELDS = (
+    [(c + "1", BadStressDigit) for c in GEN_CONSONANTS]
+    + [(v + "3", BadStressDigit) for v in GEN_VOWELS]
+    + [("q", UnknownSymbol), ("q1", UnknownSymbol), ("+1", UnknownSymbol)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(INVALID_FIELDS), st.integers(0, 20))
+def test_invalid_field_raises_on_every_call(seed, invalid, at):
+    field, error = invalid
+    inventory = load_inventory(INVENTORY_TEXT)
+    text = random_transcription_text(random.Random(seed))
+    expected = tokenize(text, inventory)  # fills the memo with valid fields
+    fields = text.split()
+    fields.insert(at % (len(fields) + 1), field)
+    for _ in range(3):
+        with pytest.raises(error):
+            tokenize(" ".join(fields), inventory)
+    assert field not in inventory.tokens
+    assert tokenize(text, inventory) == expected

@@ -65,6 +65,15 @@ def test_pearson_errors():
         pearson_r([1, 2, 3], [7, 7, 7])
 
 
+def test_pearson_flat_column_whose_mean_rounds_away():
+    # fsum([0.1] * 3) / 3 is not 0.1, so every deviation from the mean is
+    # a rounding error; such a column still has zero variance
+    with pytest.raises(DegenerateVariance):
+        pearson_r([0.1, 0.1, 0.1], [1, 2, 3])
+    with pytest.raises(DegenerateVariance):
+        pearson_r([1, 2, 3, 4, 5, 6], [0.7] * 6)
+
+
 @given(
     st.lists(st.floats(-100, 100), min_size=3, max_size=30),
     st.floats(0.1, 50),
@@ -198,6 +207,32 @@ def test_evaluate_errors():
     flat = [JudgmentRecord(f"w{i}", 6) for i in range(6)]
     with pytest.raises(DegenerateVariance):
         evaluate(reports, flat)
+
+
+def test_evaluate_keeps_methods_beside_a_flat_column():
+    ps = [0.2, 0.1, 0.05, 0.01, 0.004, 0.001]
+    # every word's worst part is the same path: that score column never varies
+    reports = [(f"w{i}", ScoreReport(p, math.log(p), 0.1, p * 2, None)) for i, p in enumerate(ps)]
+    votes = (1, 2, 4, 7, 9, 12)
+    judgments = [JudgmentRecord(f"w{i}", v) for i, v in enumerate(votes)]
+    results, scatter = evaluate(reports, judgments)
+    assert [r.method for r in results] == [
+        "p(word)", "ln p(word)", "p(worst part)", "p(best part)",
+    ]
+    worst = results[2]
+    assert (worst.r, worst.t, worst.p, worst.significant_at) == (None, None, None, "undefined")
+    assert (worst.n, worst.df) == (6, 4)
+    floats = [float(v) for v in votes]
+    assert results[0].r == pearson_r(ps, floats)
+    assert results[1].r == pearson_r([math.log(p) for p in ps], floats)
+    assert results[3].r == pearson_r([p * 2 for p in ps], floats)
+    assert len(scatter) == 6
+
+
+def test_evaluate_flat_votes_raise_even_when_every_score_is_flat():
+    reports = [(f"w{i}", _report(0.1)) for i in range(4)]
+    with pytest.raises(DegenerateVariance):
+        evaluate(reports, [JudgmentRecord(f"w{i}", 6) for i in range(4)])
 
 
 def test_evaluate_invariant_under_relabeling():

@@ -15,7 +15,7 @@ from phonotax.errors import (
 )
 from phonotax.grammar import ALL_CELLS, ConstituentKind, SyllableCategory
 from phonotax.phonology import Stress, load_inventory, stress_pattern
-from phonotax.syllabify import collect_word_onsets
+from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
 from phonotax.train import (
     ModelConfig,
     PathTable,
@@ -114,6 +114,26 @@ def test_extract_paths_rejects_bad_patterns(inv):
     bad_compound = ingest_lexicon("x\tk æ1 + t ə0\n", inv).entries[0]
     with pytest.raises(UnsupportedStressPattern):
         extract_paths(bad_compound, frozenset({()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 30))
+def test_extract_paths_match_syllabify(seed, size):
+    inventory = load_inventory(INVENTORY_TEXT)
+    entries = ingest_lexicon(random_lexicon(random.Random(seed), size), inventory).entries
+    onsets = collect_word_onsets([e.transcription for e in entries])
+    for entry in entries:
+        assert entry.pattern == stress_pattern(entry.transcription)
+        for policy in MedialSplitPolicy:
+            try:
+                paths = extract_paths(entry, onsets, policy)
+            except UnsupportedStressPattern:
+                continue
+            syllables = [syl for word in syllabify(entry.transcription, onsets, policy)
+                         for syl in word]
+            runs = [run for syl in syllables for run in (syl.onset_symbols, syl.rhyme_symbols)]
+            assert [p.terminal for p in paths] == runs
+            assert [p.syllable.stress for p in paths[::2]] == [syl.stress for syl in syllables]
 
 
 def test_tabulate_invariants(inv):
@@ -220,6 +240,46 @@ def test_load_model_version_and_corruption(toy_model):
     # duplicate record
     with pytest.raises(ModelFormatError):
         load_model(doc + target + "\n")
+
+
+def _replace_line(doc: str, prefix: str, new: str) -> str:
+    (line,) = [l for l in doc.splitlines() if l.startswith(prefix)]
+    return doc.replace(line + "\n", new + "\n")
+
+
+def test_load_model_rederives_probabilities(toy_model):
+    doc = save_model(toy_model)
+    # Osi holds s and k at 0.25 each beside p0 0.5; move a whole unit of mass
+    # from p0 to one record, so the cell still sums to 1
+    assert "p0\tOsi\t0.5\tN\t2\tN1\t2\n" in doc and "Osi\tk\t1\t0.25\n" in doc
+    shifted = _replace_line(doc, "p0\tOsi\t", "p0\tOsi\t-0.5\tN\t2\tN1\t2")
+    shifted = _replace_line(shifted, "Osi\tk\t", "Osi\tk\t1\t1.25")
+    with pytest.raises(ModelFormatError, match="Osi"):
+        load_model(shifted)
+    with pytest.raises(ModelFormatError, match="Osi"):
+        load_model(_replace_line(doc, "p0\tOsi\t", "p0\tOsi\tnan\tN\t2\tN1\t2"))
+
+
+@pytest.mark.parametrize("low, high", [(0, 4), (-1, 5)])
+def test_load_model_rejects_counts_below_one(low, high):
+    doc = save_model(good_turing(_table_with({("a",): 2, ("b",): 2}), CONFIG))
+    # N, N1, the total and every probability stay as they were
+    moved = _replace_line(doc, "Osif\ta\t2\t", f"Osif\ta\t{low}\t0.4375")
+    moved = _replace_line(moved, "Osif\tb\t2\t", f"Osif\tb\t{high}\t0.4375")
+    with pytest.raises(ModelFormatError, match="count below 1"):
+        load_model(moved)
+
+
+def test_load_model_keeps_the_files_floats(toy_model):
+    doc = save_model(toy_model)
+    line = next(l for l in doc.splitlines() if l.startswith("Osif\tk\t"))
+    count, prob = line.split("\t")[2:]
+    nudged = float(prob) + 1e-15  # inside the re-derivation tolerance
+    assert nudged != float(prob)
+    doc = doc.replace(line, f"Osif\tk\t{count}\t{nudged!r}")
+    loaded = load_model(doc)
+    assert loaded.probabilities[OSIF][("k",)] == nudged
+    assert save_model(loaded) == doc
 
 
 @pytest.mark.parametrize("epsilon", [1e-75, 1e-9, 1e-3])
