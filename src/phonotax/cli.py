@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import PhonotaxError
+from .errors import BadEncoding, PhonotaxError
 from .grammar import ALL_CELLS, ConstituentKind, cell_label
 from .mitton import convert_mitton
 from .phonology import PhonemeInventory, load_inventory
@@ -58,11 +58,19 @@ def _config(args: argparse.Namespace) -> Config:
     )
 
 
+def _read(path: Path) -> str:
+    """An input file's text; a file that is not UTF-8 is bad data, not a crash."""
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as err:
+        raise BadEncoding(f"{path}: not valid UTF-8 ({err.reason})") from None
+
+
 def _load_inventory(config: Config) -> PhonemeInventory:
     if config.inventory_path is None:
         text = resources.files("phonotax").joinpath("data/inventory_ipa.tsv").read_text("utf-8")
     else:
-        text = config.inventory_path.read_text("utf-8")
+        text = _read(config.inventory_path)
     return load_inventory(text)
 
 
@@ -85,7 +93,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _config(args)
     inv = _load_inventory(config)
     result = train_model(
-        args.lexicon.read_text("utf-8"), inv,
+        _read(args.lexicon), inv,
         policy=config.medial_split, gt_mode=config.gt_mode, epsilon=config.epsilon,
     )
     model_path = _write(config.out_dir, "model.tsv", save_model(result.model))
@@ -131,9 +139,9 @@ def _score_rows(model: TrainedModel, inv: PhonemeInventory, stimuli_text: str) -
 def cmd_score(args: argparse.Namespace) -> int:
     config = _config(args)
     inv = _load_inventory(config)
-    model = load_model(args.model.read_text("utf-8"))
+    model = load_model(_read(args.model))
     _check_inventory(model, inv)
-    lines = _score_rows(model, inv, args.stimuli.read_text("utf-8"))
+    lines = _score_rows(model, inv, _read(args.stimuli))
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if config.out_dir is not None:
@@ -144,9 +152,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config(args)
     inv = _load_inventory(config)
-    model = load_model(args.model.read_text("utf-8"))
+    model = load_model(_read(args.model))
     _check_inventory(model, inv)
-    batch = score_batch(model, parse_stimuli(args.stimuli.read_text("utf-8")), inv)
+    batch = score_batch(model, parse_stimuli(_read(args.stimuli)), inv)
     failed = [row for row in batch if row.report is None]
     if failed:
         print(f"warning: {len(failed)} stimuli failed to score and are excluded", file=sys.stderr)
@@ -154,7 +162,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"  {row.word_id}: {row.error}", file=sys.stderr)
     reports = [(row.word_id, row.report) for row in batch if row.report is not None]
     if args.judgments is not None:
-        judgments = load_judgments(args.judgments.read_text("utf-8"))
+        judgments = load_judgments(_read(args.judgments))
         print(f"judgments: {args.judgments} ({len(judgments)} records)")
     else:
         judgments = synthetic_judgments(reports, config.seed)
@@ -176,7 +184,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     config = _config(args)
-    model = load_model(args.model.read_text("utf-8"))
+    model = load_model(_read(args.model))
     for kind, title in ((ConstituentKind.ONSET, "Onsets"), (ConstituentKind.RHYME, "Rhymes")):
         cells = [cell for cell in ALL_CELLS if cell[1] is kind]
         columns = []

@@ -10,6 +10,11 @@ class PhonotaxError(Exception):
     """Base class for all data and validation errors."""
 
 
+# input files
+class BadEncoding(PhonotaxError):
+    """An input file that is not valid UTF-8."""
+
+
 # inventory documents
 class DuplicateSymbol(PhonotaxError):
     pass

@@ -5,15 +5,19 @@ split of the medial cluster is a candidate segmentation. Each
 segmentation is scored under every word template its stress pattern
 generates; the parse probability is the product of its path
 probabilities, and the forest is ordered best first. Exact product
-ties break on the rendered path text so the ordering is reproducible;
-path text is rendered only to break such ties.
+ties break on the rendered path text so the ordering is reproducible.
+
+A forest entry stores only numbers: the template, the symbol runs, the
+per-path probabilities and their product. Paths, the unified parse,
+the seen flags and the path text are built when they are read, so
+scoring builds them only for the winner and to break exact ties.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import NoNucleus, ThreePlusNuclei, UnsupportedStressPattern
@@ -56,37 +60,47 @@ def enumerate_segmentations(t: Transcription) -> list[Segmentation]:
     return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*per_word)]
 
 
+# symbol runs of one segmentation: onset, rhyme, onset, rhyme ...
+Runs = tuple[tuple[str, ...], ...]
+# per path slot: the cell's seen-terminal probabilities and its unseen answer
+Tables = tuple[tuple[dict[tuple[str, ...], float], float], ...]
+
+
 @dataclass(frozen=True)
 class ScoredParse:
-    """A unified parse with its per-path probabilities and their product."""
+    """One (template, segmentation) pair: per-path probabilities and their product.
 
-    parse: UnifiedParse
+    Only the numbers are stored; ``paths``, ``parse``, ``seen`` and
+    ``path_text`` are built on every read. ``tables`` is the template's
+    per-slot lookup, shared by every parse under that template.
+    """
+
+    template: WordTemplate
+    runs: Runs
     probabilities: tuple[float, ...]
-    seen: tuple[bool, ...]
     product: float
+    tables: Tables = field(repr=False, compare=False)
 
     @property
     def paths(self) -> tuple[PathType, ...]:
-        return self.parse.paths
+        return tuple([PathType(cat, kind, run)
+                      for (cat, kind), run in zip(self.template.slots, self.runs, strict=True)])
+
+    @property
+    def parse(self) -> UnifiedParse:
+        return UnifiedParse(self.template, self.paths)  # checks the paths fill the slots in order
+
+    @property
+    def seen(self) -> tuple[bool, ...]:
+        return tuple([run in table for (table, _), run in zip(self.tables, self.runs, strict=True)])
 
     @property
     def path_text(self) -> str:
         return " ; ".join(map(format_path, self.paths))
 
 
-# symbol runs of one segmentation: onset, rhyme, onset, rhyme ...
-Runs = tuple[tuple[str, ...], ...]
-
-
 def _runs(seg: Segmentation) -> Runs:
     return tuple(tuple([tok.symbol for tok in run]) for syllable in seg for run in syllable)
-
-
-def _score(template: WordTemplate, runs: Runs, model: TrainedModel) -> ScoredParse:
-    paths = tuple([PathType(cat, kind, run) for (cat, kind), run in zip(template.slots, runs)])
-    parse = UnifiedParse(template, paths)  # checks the paths fill the slots in order
-    probs, seen = zip(*map(model.prob_by_label, template.labels, runs))
-    return ScoredParse(parse, probs, seen, math.prod(probs))
 
 
 _PRODUCT = attrgetter("product")
@@ -112,11 +126,13 @@ def parse_all(t: Transcription, model: TrainedModel) -> list[ScoredParse]:
                 "a compound boundary needs two strong monosyllables"
             )
     segmentations = [_runs(seg) for seg in enumerate_segmentations(t)]
-    forest = [
-        _score(template, runs, model)
-        for template in templates
-        for runs in segmentations
-    ]
+    forest: list[ScoredParse] = []
+    for template in templates:
+        tables = tuple([model.lookup[label] for label in template.labels])
+        for runs in segmentations:
+            probs = tuple([table.get(run, unseen)
+                           for (table, unseen), run in zip(tables, runs, strict=True)])
+            forest.append(ScoredParse(template, runs, probs, math.prod(probs), tables))
     forest.sort(key=_PRODUCT, reverse=True)
     ranked: list[ScoredParse] = []
     for _, group in itertools.groupby(forest, key=_PRODUCT):

@@ -247,10 +247,7 @@ class TrainedModel:
 
     def prob(self, cell: Cell, terminal: tuple[str, ...]) -> tuple[float, bool]:
         """Probability of a terminal in a cell, plus whether it was seen."""
-        return self.prob_by_label(cell_label(cell), terminal)
-
-    def prob_by_label(self, label: str, terminal: tuple[str, ...]) -> tuple[float, bool]:
-        seen, unseen = self.lookup[label]
+        seen, unseen = self.lookup[cell_label(cell)]
         p = seen.get(terminal)
         return (unseen, False) if p is None else (p, True)
 
@@ -339,7 +336,8 @@ def _bad(msg: str) -> ModelFormatError:
 def load_model(document: str) -> TrainedModel:
     """Parse and cross-check a model document.
 
-    Counts must be positive and sum to the declared total, and every
+    Terminal text must be written as format_terminal writes it, counts
+    must be positive and sum to the declared total, and every
     cell must carry a p0 line whose N, N1 and all_unseen flag agree with
     its records. p0 and every seen probability are then re-derived from
     the counts with good_turing under the file's config and must match
@@ -392,6 +390,9 @@ def load_model(document: str) -> TrainedModel:
                 cell = parse_cell(parts[0])
                 text = parts[1]
                 terminal = () if text == NULL_TERMINAL else tuple(text.split())
+                if format_terminal(terminal) != text:
+                    raise _bad(f"line {lineno}: terminal {text!r} is not written "
+                               f"{format_terminal(terminal)!r}")
                 bucket = counts.setdefault(cell, {})
                 if terminal in bucket:
                     raise _bad(f"line {lineno}: duplicate record for {parts[0]} {text}")

@@ -69,6 +69,20 @@ def test_empty_lexicon_is_a_domain_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_non_utf8_input_is_a_domain_error(command, model_path, tmp_path, capsys):
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes("w1\tk æ1 t\n".encode("latin-1"))
+    if command == "train":
+        argv = ["train", str(bad), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["score", str(model_path), str(bad)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad}: not valid UTF-8")
+
+
 def test_bad_epsilon_rejected(tmp_path, capsys):
     lex = tmp_path / "lexicon.tsv"
     lex.write_text(TOY_LEXICON, encoding="utf-8")

@@ -6,10 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phonotax import parse as parse_module
 from phonotax.errors import OutOfScope, UnsupportedStressPattern
 from phonotax.grammar import SyllableCategory, sequential_unify
 from phonotax.parse import best_parse, enumerate_segmentations, parse_all
 from phonotax.phonology import load_inventory, tokenize
+from phonotax.score import score_word
 from phonotax.train import train_model
 
 from conftest import INVENTORY_TEXT
@@ -66,6 +68,15 @@ def test_parse_all_error_propagation(inv, toy_model):
         parse_all(tokenize("ə0 z ə0", inv), toy_model)
     with pytest.raises(OutOfScope):
         parse_all(tokenize("b ə0 n æ1 n ə0", inv), toy_model)
+
+
+def test_segmentation_longer_than_its_template_raises(inv, toy_model, monkeypatch):
+    # one syllable too many must not be cut to the template's length in silence
+    real = parse_module.enumerate_segmentations
+    monkeypatch.setattr(parse_module, "enumerate_segmentations",
+                        lambda t: [seg + seg for seg in real(t)])
+    with pytest.raises(ValueError):
+        parse_all(tokenize("k æ1 t", inv), toy_model)
 
 
 def test_unseen_terminals_flagged(inv, toy_model):
@@ -132,3 +143,21 @@ def test_forest_order_is_product_then_text(seed):
         assert forest == sorted(forest, key=lambda sp: (-sp.product, sp.path_text))
         for sp in forest:
             assert sequential_unify(sp.parse.template, sp.paths) == sp.parse
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_every_parse_carries_its_paths_lookups(seed):
+    rng = random.Random(seed)
+    inventory = load_inventory(INVENTORY_TEXT)
+    model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
+    for _ in range(5):
+        t = tokenize(random_transcription_text(rng), inventory)
+        forest = parse_all(t, model)
+        for sp in forest:
+            paths = sp.paths
+            assert [p.constituent_label for p in paths] == list(sp.parse.template.labels)
+            for i, path in enumerate(paths):
+                assert (sp.probabilities[i], sp.seen[i]) == model.prob(path.cell, path.terminal)
+            assert sp.product == math.prod(sp.probabilities)
+        assert score_word(model, t).best == forest[0]

@@ -282,6 +282,18 @@ def test_load_model_keeps_the_files_floats(toy_model):
     assert save_model(loaded) == doc
 
 
+@pytest.mark.parametrize("record, text", [
+    ("Osif\t∅\t", ""), ("Osif\ts t\t", "s  t"), ("Osif\tk\t", " k"),
+], ids=["empty", "doubled-space", "leading-space"])
+def test_load_model_rejects_non_canonical_terminal_text(toy_model, record, text):
+    doc = save_model(toy_model)
+    (line,) = [l for l in doc.splitlines() if l.startswith(record)]
+    edited = doc.replace(line, line.replace(record, f"Osif\t{text}\t"))
+    assert edited != doc
+    with pytest.raises(ModelFormatError, match="terminal"):
+        load_model(edited)
+
+
 @pytest.mark.parametrize("epsilon", [1e-75, 1e-9, 1e-3])
 def test_epsilon_range_accepts(epsilon):
     assert ModelConfig("x" * 64, epsilon=epsilon).epsilon == epsilon
