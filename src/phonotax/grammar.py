@@ -157,10 +157,12 @@ class WordTemplate:
     """
 
     words: tuple[tuple[SyllableCategory, ...], ...]
-    # per path slot, onset then rhyme per syllable: the cell it fills and its label
+    # per path slot, onset then rhyme per syllable: the cell it fills, its
+    # label and the rendered path up to its terminal ('U : W : Ssi : Osi : ')
     slots: tuple[tuple[SyllableCategory, ConstituentKind], ...] = field(
         init=False, repr=False, compare=False)
     labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    prefixes: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = sum(len(w) for w in self.words)
@@ -180,6 +182,7 @@ class WordTemplate:
         slots = tuple((cat, kind) for cat in self.categories for kind in ConstituentKind)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "labels", tuple(map(cell_label, slots)))
+        object.__setattr__(self, "prefixes", tuple(map(_PATH_PREFIX.__getitem__, slots)))
 
     @property
     def categories(self) -> tuple[SyllableCategory, ...]:

@@ -7,30 +7,36 @@ generates; the parse probability is the product of its path
 probabilities, and the forest is ordered best first. Exact product
 ties break on the rendered path text so the ordering is reproducible.
 
-A forest entry stores only numbers: the template, the symbol runs, the
-per-path probabilities and their product. Paths, the unified parse,
-the seen flags and the path text are built when they are read, so
-scoring builds them only for the winner and to break exact ties.
+``parse_all`` makes one pass that stores each parse as a plain tuple of
+numbers and returns a ``Forest``. Its first entry, the winner, is built
+from the parses tied at the highest product alone; any other read ranks
+the whole forest once. A forest entry stores only the template, the
+symbol runs, the per-path probabilities and their product; paths, the
+unified parse, the seen flags and the path text are built when they are
+read, so scoring renders path text only for the winner and its ties.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import NoNucleus, ThreePlusNuclei, UnsupportedStressPattern
-from .grammar import PathType, UnifiedParse, WordTemplate, format_path, templates_for
-from .phonology import Token, Transcription, stress_pattern
+from .grammar import PathType, UnifiedParse, WordTemplate, format_terminal, templates_for
+from .phonology import Transcription, stress_pattern
 from .train import TrainedModel
 
-# one word's candidate split: (onset, rhyme) token runs per syllable
-Segmentation = tuple[tuple[tuple[Token, ...], tuple[Token, ...]], ...]
+# symbol runs of one segmentation: onset, rhyme, onset, rhyme ...
+Runs = tuple[tuple[str, ...], ...]
+# per path slot: the cell's seen-terminal probabilities and its unseen answer
+Tables = tuple[tuple[dict[tuple[str, ...], float], float], ...]
 
 
-def enumerate_segmentations(t: Transcription) -> list[Segmentation]:
-    """All candidate onset/rhyme splits, flattened across words.
+def enumerate_segmentations(t: Transcription) -> list[Runs]:
+    """All candidate onset/rhyme splits as symbol runs, flattened across words.
 
     A monosyllabic word has exactly one split. A disyllabic word with m
     medial consonants has m+1, ordered by how many of them the second
@@ -38,32 +44,23 @@ def enumerate_segmentations(t: Transcription) -> list[Segmentation]:
     product, so a marked compound of two monosyllables still yields one
     candidate.
     """
-    per_word: list[list[Segmentation]] = []
+    per_word: list[list[Runs]] = []
     for word in t.words():
         nuclei = [i for i, tok in enumerate(word) if tok.is_vowel]
         if not nuclei:
             raise NoNucleus("word has no vowel")
         if len(nuclei) > 2:
             raise ThreePlusNuclei(f"word has {len(nuclei)} nuclei; at most two are supported")
+        symbols = tuple([tok.symbol for tok in word])
         if len(nuclei) == 1:
             n = nuclei[0]
-            per_word.append([((word[:n], word[n:]),)])
+            per_word.append([(symbols[:n], symbols[n:])])
             continue
         n0, n1 = nuclei
-        cluster = word[n0 + 1 : n1]
-        candidates: list[Segmentation] = []
-        for keep in range(len(cluster) + 1):  # consonants kept by the first rhyme
-            first = (word[:n0], word[n0 : n0 + 1 + keep])
-            second = (cluster[keep:], word[n1:])
-            candidates.append((first, second))
-        per_word.append(candidates)
-    return [tuple(itertools.chain.from_iterable(combo)) for combo in itertools.product(*per_word)]
-
-
-# symbol runs of one segmentation: onset, rhyme, onset, rhyme ...
-Runs = tuple[tuple[str, ...], ...]
-# per path slot: the cell's seen-terminal probabilities and its unseen answer
-Tables = tuple[tuple[dict[tuple[str, ...], float], float], ...]
+        onset, rhyme = symbols[:n0], symbols[n1:]
+        per_word.append([(onset, symbols[n0:cut], symbols[cut:n1], rhyme)
+                         for cut in range(n0 + 1, n1 + 1)])  # cut: where the second onset starts
+    return [sum(combo, ()) for combo in itertools.product(*per_word)]
 
 
 @dataclass(frozen=True)
@@ -96,18 +93,61 @@ class ScoredParse:
 
     @property
     def path_text(self) -> str:
-        return " ; ".join(map(format_path, self.paths))
+        return " ; ".join([prefix + format_terminal(run)
+                           for prefix, run in zip(self.template.prefixes, self.runs, strict=True)])
 
 
-def _runs(seg: Segmentation) -> Runs:
-    return tuple(tuple([tok.symbol for tok in run]) for syllable in seg for run in syllable)
-
-
-_PRODUCT = attrgetter("product")
+_PRODUCT = itemgetter(3)  # of a parse tuple, laid out as ScoredParse's fields
 _PATH_TEXT = attrgetter("path_text")
 
 
-def parse_all(t: Transcription, model: TrainedModel) -> list[ScoredParse]:
+class Forest(Sequence):
+    """A word's parses, best first by the key (-product, path_text).
+
+    ``forest[0]`` builds only the parses tied at the highest product.
+    Any other index, a slice or iteration ranks the whole forest once
+    and keeps that ranking. A forest equals any sequence holding the
+    same parses in the same order.
+    """
+
+    __slots__ = ("_parses", "_ranked")
+
+    def __init__(self, parses: list[tuple]) -> None:
+        self._parses = parses  # (template, runs, probabilities, product, tables)
+        self._ranked: list[ScoredParse] | None = None
+
+    def __len__(self) -> int:
+        return len(self._parses)
+
+    def __getitem__(self, index: int | slice) -> ScoredParse | list[ScoredParse]:
+        if index == 0 and self._ranked is None and self._parses:
+            best = max(map(_PRODUCT, self._parses))
+            tied = [ScoredParse(*p) for p in self._parses if p[3] == best]
+            return tied[0] if len(tied) == 1 else min(tied, key=_PATH_TEXT)
+        return self._rank()[index]
+
+    def __iter__(self) -> Iterator[ScoredParse]:
+        return iter(self._rank())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _rank(self) -> list[ScoredParse]:
+        if self._ranked is None:
+            ranked: list[ScoredParse] = []
+            for _, group in itertools.groupby(sorted(self._parses, key=_PRODUCT, reverse=True),
+                                              key=_PRODUCT):
+                tied = [ScoredParse(*p) for p in group]
+                if len(tied) > 1:
+                    tied.sort(key=_PATH_TEXT)
+                ranked += tied
+            self._ranked = ranked
+        return self._ranked
+
+
+def parse_all(t: Transcription, model: TrainedModel) -> Forest:
     """Score every (template, segmentation) pair, best first.
 
     An explicit compound boundary commits the parse to a two-word
@@ -125,25 +165,18 @@ def parse_all(t: Transcription, model: TrainedModel) -> list[ScoredParse]:
             raise UnsupportedStressPattern(
                 "a compound boundary needs two strong monosyllables"
             )
-    segmentations = [_runs(seg) for seg in enumerate_segmentations(t)]
-    forest: list[ScoredParse] = []
+    segmentations = enumerate_segmentations(t)
+    parses: list[tuple] = []
     for template in templates:
         tables = tuple([model.lookup[label] for label in template.labels])
         for runs in segmentations:
             probs = tuple([table.get(run, unseen)
                            for (table, unseen), run in zip(tables, runs, strict=True)])
-            forest.append(ScoredParse(template, runs, probs, math.prod(probs), tables))
-    forest.sort(key=_PRODUCT, reverse=True)
-    ranked: list[ScoredParse] = []
-    for _, group in itertools.groupby(forest, key=_PRODUCT):
-        tied = list(group)
-        if len(tied) > 1:
-            tied.sort(key=_PATH_TEXT)
-        ranked += tied
-    return ranked
+            parses.append((template, runs, probs, math.prod(probs), tables))
+    return Forest(parses)
 
 
-def best_parse(forest: list[ScoredParse]) -> ScoredParse:
+def best_parse(forest: Sequence[ScoredParse]) -> ScoredParse:
     if not forest:
         raise ValueError("empty parse forest")
     return forest[0]

@@ -98,8 +98,10 @@ class Transcription:
             return (self.tokens,)
         return (self.tokens[: self.boundary], self.tokens[self.boundary :])
 
-    def vowel_count(self) -> int:
-        return sum(1 for t in self.tokens if t.is_vowel)
+
+def is_reserved(symbol: str) -> bool:
+    """Whether a symbol collides with the notation: a mark, or a trailing stress digit."""
+    return symbol in RESERVED_SYMBOLS or symbol[-1].isdigit()
 
 
 def load_inventory(document: str) -> PhonemeInventory:
@@ -121,7 +123,7 @@ def load_inventory(document: str) -> PhonemeInventory:
         symbol, cls = parts
         if cls not in (VOWEL, CONSONANT):
             raise UnknownClass(f"line {lineno}: class must be V or C, got {cls!r}")
-        if symbol in RESERVED_SYMBOLS or symbol[-1].isdigit():
+        if is_reserved(symbol):
             raise ReservedSymbol(f"line {lineno}: symbol {symbol!r} collides with the notation")
         if symbol in classes:
             raise DuplicateSymbol(f"line {lineno}: symbol {symbol!r} declared twice")

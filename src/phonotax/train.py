@@ -44,7 +44,15 @@ from .grammar import (
     format_terminal,
     templates_for,
 )
-from .phonology import PhonemeInventory, Stress, Token, Transcription, nuclei_stresses, tokenize
+from .phonology import (
+    PhonemeInventory,
+    Stress,
+    Token,
+    Transcription,
+    is_reserved,
+    nuclei_stresses,
+    tokenize,
+)
 from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_points
 
 Cell = tuple[SyllableCategory, ConstituentKind]
@@ -336,7 +344,8 @@ def _bad(msg: str) -> ModelFormatError:
 def load_model(document: str) -> TrainedModel:
     """Parse and cross-check a model document.
 
-    Terminal text must be written as format_terminal writes it, counts
+    Terminal text must be written as format_terminal writes it, with no
+    symbol an inventory may not hold (see is_reserved), counts
     must be positive and sum to the declared total, and every
     cell must carry a p0 line whose N, N1 and all_unseen flag agree with
     its records. p0 and every seen probability are then re-derived from
@@ -359,6 +368,7 @@ def load_model(document: str) -> TrainedModel:
     meta: dict[Cell, tuple[int, int, bool]] = {}  # N, N1, all_unseen
     counts: dict[Cell, dict[tuple[str, ...], int]] = {}
     probabilities: dict[Cell, dict[tuple[str, ...], float]] = {cell: {} for cell in ALL_CELLS}
+    symbols: set[str] = set()  # terminal symbols already checked against the notation
 
     def parse_cell(label: str) -> Cell:
         try:
@@ -393,6 +403,11 @@ def load_model(document: str) -> TrainedModel:
                 if format_terminal(terminal) != text:
                     raise _bad(f"line {lineno}: terminal {text!r} is not written "
                                f"{format_terminal(terminal)!r}")
+                if not symbols.issuperset(terminal):  # check each symbol once
+                    if any(map(is_reserved, terminal)):
+                        raise _bad(f"line {lineno}: terminal {text!r} holds a symbol "
+                                   "that collides with the notation")
+                    symbols.update(terminal)
                 bucket = counts.setdefault(cell, {})
                 if terminal in bucket:
                     raise _bad(f"line {lineno}: duplicate record for {parts[0]} {text}")

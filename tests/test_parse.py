@@ -8,20 +8,28 @@ from hypothesis import given, settings, strategies as st
 
 from phonotax import parse as parse_module
 from phonotax.errors import OutOfScope, UnsupportedStressPattern
-from phonotax.grammar import SyllableCategory, sequential_unify
+from phonotax.grammar import SyllableCategory, format_path, sequential_unify
 from phonotax.parse import best_parse, enumerate_segmentations, parse_all
 from phonotax.phonology import load_inventory, tokenize
 from phonotax.score import score_word
 from phonotax.train import train_model
 
 from conftest import INVENTORY_TEXT
-from oracles import oracle_best, random_lexicon, random_transcription_text
+from oracles import (
+    ORACLE_TEMPLATES,
+    _oracle_stress,
+    _oracle_word_splits,
+    oracle_best,
+    random_lexicon,
+    random_transcription_text,
+)
 
 SC = SyllableCategory
 
 
-def _texts(seg):
-    return [(" ".join(t.symbol for t in o), " ".join(t.symbol for t in r)) for o, r in seg]
+def _texts(runs):
+    texts = [" ".join(run) for run in runs]
+    return list(zip(texts[::2], texts[1::2]))  # (onset, rhyme) per syllable
 
 
 def test_enumerate_monosyllable(inv):
@@ -161,3 +169,23 @@ def test_every_parse_carries_its_paths_lookups(seed):
                 assert (sp.probabilities[i], sp.seen[i]) == model.prob(path.cell, path.terminal)
             assert sp.product == math.prod(sp.probabilities)
         assert score_word(model, t).best == forest[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_winner_read_first_is_the_ranked_first(seed):
+    rng = random.Random(seed)
+    inventory = load_inventory(INVENTORY_TEXT)
+    model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
+    for _ in range(5):
+        t = tokenize(random_transcription_text(rng), inventory)
+        winner = parse_all(t, model)[0]  # a fresh forest: nothing ranked yet
+        forest = parse_all(t, model)
+        assert list(forest)[0] == winner == forest[0]
+        words = t.words()
+        templates = ORACLE_TEMPLATES[tuple(s for w in words for s in _oracle_stress(w))]
+        if t.boundary is not None:
+            templates = [tpl for tpl in templates if tpl[0] == 2]
+        assert len(forest) == len(templates) * math.prod(len(_oracle_word_splits(w)) for w in words)
+        for sp in forest:
+            assert sp.path_text == " ; ".join(map(format_path, sp.paths))

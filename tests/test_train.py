@@ -10,10 +10,11 @@ from phonotax.errors import (
     BadConfig,
     EmptyCorpus,
     ModelFormatError,
+    ReservedSymbol,
     UnsupportedStressPattern,
     VersionMismatch,
 )
-from phonotax.grammar import ALL_CELLS, ConstituentKind, SyllableCategory
+from phonotax.grammar import ALL_CELLS, ConstituentKind, SyllableCategory, cell_from_label
 from phonotax.phonology import Stress, load_inventory, stress_pattern
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
 from phonotax.train import (
@@ -292,6 +293,25 @@ def test_load_model_rejects_non_canonical_terminal_text(toy_model, record, text)
     assert edited != doc
     with pytest.raises(ModelFormatError, match="terminal"):
         load_model(edited)
+
+
+@pytest.mark.parametrize("text", ["∅ k", "k1", "+", ";", ":", "k;"])
+def test_load_model_takes_only_symbols_an_inventory_may_hold(toy_model, text):
+    def declarable(symbol):
+        try:
+            load_inventory(INVENTORY_TEXT + f"{symbol}\tC\n")
+        except ReservedSymbol:
+            return False
+        return True
+
+    doc = save_model(toy_model)
+    (line,) = [l for l in doc.splitlines() if l.startswith("Osif\tk\t")]
+    edited = doc.replace(line, line.replace("Osif\tk\t", f"Osif\t{text}\t"))
+    if all(map(declarable, text.split())):
+        assert tuple(text.split()) in load_model(edited).probabilities[cell_from_label("Osif")]
+    else:
+        with pytest.raises(ModelFormatError, match=r"line \d+: terminal"):
+            load_model(edited)
 
 
 @pytest.mark.parametrize("epsilon", [1e-75, 1e-9, 1e-3])
