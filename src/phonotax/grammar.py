@@ -83,13 +83,15 @@ def cell_label(cell: tuple[SyllableCategory, ConstituentKind]) -> str:
     return kind.value + cat.tags
 
 
+# the 12 constituent labels, in ALL_CELLS order, each to its cell
+CELL_OF_LABEL = {cell_label(cell): cell for cell in ALL_CELLS}
+
+
 def cell_from_label(label: str) -> tuple[SyllableCategory, ConstituentKind]:
     try:
-        kind = ConstituentKind(label[:1])
-        cat = SyllableCategory("S" + label[1:])
-    except ValueError:
+        return CELL_OF_LABEL[label]
+    except KeyError:
         raise MalformedPath(f"unknown constituent label {label!r}") from None
-    return (cat, kind)
 
 
 def format_terminal(terminal: tuple[str, ...]) -> str:

@@ -72,7 +72,7 @@ class PhonemeInventory:
         return tuple(s for s in self.symbols if self.classes[s] == CONSONANT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One transcription token: a symbol plus an optional stress digit."""
 
@@ -81,7 +81,7 @@ class Token:
     is_vowel: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transcription:
     """Token sequence with an optional compound boundary.
 

@@ -1,13 +1,13 @@
 """Train path probabilities from a pronunciation lexicon.
 
 The pipeline is: ingest lexicon lines, collect the word-onset set,
-syllabify each entry against its stress template, emit one path per
-onset and rhyme constituent, tabulate counts per category cell, and
-smooth each cell into a probability table. Probability mass is
-reserved for unseen terminals per cell: a cell with N tokens of which
-N1 are singletons keeps p0 = N1/N (clamped to [1/(2N), 0.5]) aside,
-and every unseen terminal in that cell is quoted p0 whole, not a
-share of it.
+cut each entry into onset and rhyme runs against its stress template,
+emit one (cell label, terminal) pair per run, tabulate counts per
+category cell, and smooth each cell into a probability table.
+Probability mass is reserved for unseen terminals per cell: a cell
+with N tokens of which N1 are singletons keeps p0 = N1/N (clamped to
+[1/(2N), 0.5]) aside, and every unseen terminal in that cell is quoted
+p0 whole, not a share of it.
 
 Lexicon documents are line-oriented: ``orthography<TAB>transcription``,
 with ``#`` comments and blank lines ignored. Bad entries are skipped
@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable
 
 from .errors import (
@@ -35,11 +33,10 @@ from .errors import (
 )
 from .grammar import (
     ALL_CELLS,
+    CELL_OF_LABEL,
     NULL_TERMINAL,
     ConstituentKind,
-    PathType,
     SyllableCategory,
-    cell_from_label,
     cell_label,
     format_terminal,
     templates_for,
@@ -56,6 +53,7 @@ from .phonology import (
 from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_points
 
 Cell = tuple[SyllableCategory, ConstituentKind]
+PathPair = tuple[str, tuple[str, ...]]  # (cell label, terminal), e.g. ('Osi', ('s', 't'))
 
 GT_MODES = ("simple", "full")
 # an all-unseen cell answers epsilon; four of them in one parse still
@@ -63,7 +61,7 @@ GT_MODES = ("simple", "full")
 EPSILON_MIN, EPSILON_MAX = 1e-75, 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexiconEntry:
     orthography: str
     transcription: Transcription
@@ -79,31 +77,6 @@ class IngestResult:
 
     def skip_counts(self) -> dict[str, int]:
         return dict(Counter(reason for _, reason, _ in self.skipped))
-
-
-def _downgrade_secondary(t: Transcription) -> tuple[Transcription, bool]:
-    """Fold a secondary stress adjacent to a primary into unstressed.
-
-    Within a word, a 1-2 or 2-1 nucleus sequence is one foot: the
-    digit-2 vowel is subordinate and trains as weak. A digit 2 with no
-    neighbouring primary keeps its strong reading.
-    """
-    new_tokens = list(t.tokens)
-    changed = False
-    offset = 0
-    for word in t.words():
-        nuclei = [(offset + i, tok) for i, tok in enumerate(word) if tok.is_vowel]
-        for j, (idx, tok) in enumerate(nuclei):
-            if tok.stress != 2:
-                continue
-            neighbours = nuclei[max(0, j - 1) : j] + nuclei[j + 1 : j + 2]
-            if any(n.stress == 1 for _, n in neighbours):
-                new_tokens[idx] = Token(tok.symbol, 0, True)
-                changed = True
-        offset += len(word)
-    if not changed:
-        return t, False
-    return Transcription(tuple(new_tokens), t.boundary), True
 
 
 def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
@@ -129,22 +102,27 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
         orthography = orthography.strip()
         try:
             t = tokenize(raw, inv)
-            nuclei = [[tok for tok in word if tok.is_vowel] for word in t.words()]
-            if not all(nuclei):
+            tokens, boundary = t.tokens, t.boundary
+            vowels = [i for i, tok in enumerate(tokens) if tok.is_vowel]
+            if not vowels or boundary is not None and not vowels[0] < boundary <= vowels[-1]:
                 raise NoNucleus("phonological word has no vowel")
-            if sum(map(len, nuclei)) > 2:
+            if len(vowels) > 2:
                 raise OutOfScope("more than two nuclei")
-            changed = False
-            if "2" in raw:  # only a secondary stress can be downgraded
-                t, changed = _downgrade_secondary(t)
-            if changed:
-                nuclei = [[tok for tok in word if tok.is_vowel] for word in t.words()]
-            pattern = tuple(chain.from_iterable(map(nuclei_stresses, nuclei)))
+            nuclei = [tokens[i] for i in vowels]
+            if boundary is None and len(nuclei) == 2 and {tok.stress for tok in nuclei} == {1, 2}:
+                # a 1-2 or 2-1 nucleus pair in one word is one foot: the digit-2
+                # vowel is subordinate and trains as weak (a lone 2 stays strong)
+                j = 0 if nuclei[0].stress == 2 else 1
+                nuclei[j] = Token(nuclei[j].symbol, 0, True)
+                t = Transcription(tokens[: vowels[j]] + (nuclei[j],) + tokens[vowels[j] + 1 :])
+                downgraded += 1
+            if boundary is None:
+                pattern = tuple(nuclei_stresses(nuclei))
+            else:  # one nucleus per word, each read on its own
+                pattern = (*nuclei_stresses(nuclei[:1]), *nuclei_stresses(nuclei[1:]))
         except PhonotaxError as err:
             skipped.append((lineno, type(err).__name__, orthography))
             continue
-        if changed:
-            downgraded += 1
         entries.append(LexiconEntry(orthography, t, lineno, pattern))
     if not entries:
         raise EmptyCorpus("no usable lexicon entries")
@@ -155,14 +133,16 @@ def extract_paths(
     entry: LexiconEntry,
     onsets: WordOnsetSet,
     policy: MedialSplitPolicy = MedialSplitPolicy.MAX_ONSET,
-) -> list[PathType]:
-    """Emit the onset and rhyme paths of an entry's unique analysis.
+) -> list[PathPair]:
+    """The onset and rhyme paths of an entry's unique analysis.
 
-    Training trusts the lexicon: an entry with a compound boundary uses
-    the two-word template, anything else the single-word template for
-    its stress pattern. Raises UnsupportedStressPattern when no such
-    template exists (weak-weak words; a boundary without two strong
-    monosyllables).
+    Each path is a (cell label, terminal) pair: the labels are the
+    template's, in slot order, and each terminal is the run of symbols
+    ``cut_points`` slices for that slot. Training trusts the lexicon:
+    an entry with a compound boundary uses the two-word template,
+    anything else the single-word template for its stress pattern.
+    Raises UnsupportedStressPattern when no such template exists
+    (weak-weak words; a boundary without two strong monosyllables).
     """
     t = entry.transcription
     want_words = 2 if t.boundary is not None else 1
@@ -174,13 +154,7 @@ def extract_paths(
         )
     symbols = tuple([tok.symbol for tok in t.tokens])
     cuts = cut_points(t, onsets, policy)
-    return [
-        PathType(cat, kind, symbols[a:b])
-        for (cat, kind), a, b in zip(template.slots, cuts, cuts[1:])
-    ]
-
-
-_PATH_KEY = attrgetter("syllable", "kind", "terminal")
+    return [(label, symbols[a:b]) for label, a, b in zip(template.labels, cuts, cuts[1:])]
 
 
 @dataclass
@@ -191,12 +165,14 @@ class PathTable:
     total: int
 
     @classmethod
-    def from_paths(cls, paths: Iterable[PathType]) -> "PathTable":
-        tally = Counter(map(_PATH_KEY, paths))
-        counts: dict[Cell, dict[tuple[str, ...], int]] = {}
-        for (syllable, kind, terminal), c in tally.items():
-            counts.setdefault((syllable, kind), {})[terminal] = c
-        return cls(counts, sum(tally.values()))
+    def from_paths(cls, paths: Iterable[PathPair]) -> "PathTable":
+        """Count (label, terminal) pairs in one pass, then key each label's counts by its cell."""
+        tally = Counter(paths)
+        by_label: dict[str, dict[tuple[str, ...], int]] = {}
+        for (label, terminal), c in tally.items():
+            by_label.setdefault(label, {})[terminal] = c
+        counts = {CELL_OF_LABEL[label]: bucket for label, bucket in by_label.items()}
+        return cls(counts, tally.total())
 
     def n(self, cell: Cell) -> int:
         return sum(self.counts.get(cell, {}).values())
@@ -209,8 +185,8 @@ class PathTable:
         return dict(Counter(self.counts.get(cell, {}).values()))
 
 
-def tabulate(paths: Iterable[PathType]) -> PathTable:
-    """Count paths per cell in one pass; ``paths`` may be a generator."""
+def tabulate(paths: Iterable[PathPair]) -> PathTable:
+    """Count (label, terminal) paths per cell in one pass; ``paths`` may be a generator."""
     table = PathTable.from_paths(paths)
     if not table.total:
         raise EmptyCorpus("no paths to tabulate")
@@ -364,17 +340,18 @@ def load_model(document: str) -> TrainedModel:
     config_fields: dict[str, str] = {}
     total: int | None = None
     declared_records: int | None = None
-    p0: dict[Cell, float] = {}
-    meta: dict[Cell, tuple[int, int, bool]] = {}  # N, N1, all_unseen
-    counts: dict[Cell, dict[tuple[str, ...], int]] = {}
-    probabilities: dict[Cell, dict[tuple[str, ...], float]] = {cell: {} for cell in ALL_CELLS}
+    # keyed by cell label until the model is assembled
+    p0_of: dict[str, float] = {}
+    meta: dict[str, tuple[int, int, bool]] = {}  # N, N1, all_unseen
+    counts_of: dict[str, dict[tuple[str, ...], int]] = {}
+    probabilities_of: dict[str, dict[tuple[str, ...], float]] = {
+        label: {} for label in CELL_OF_LABEL}
     symbols: set[str] = set()  # terminal symbols already checked against the notation
 
-    def parse_cell(label: str) -> Cell:
-        try:
-            return cell_from_label(label)
-        except PhonotaxError:
-            raise _bad(f"unknown cell label {label!r}") from None
+    def check_label(label: str) -> str:
+        if label not in CELL_OF_LABEL:
+            raise _bad(f"unknown cell label {label!r}")
+        return label
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -389,15 +366,15 @@ def load_model(document: str) -> TrainedModel:
             elif kind == "records" and len(parts) == 2:
                 declared_records = int(parts[1])
             elif kind == "p0" and len(parts) in (7, 8) and parts[3] == "N" and parts[5] == "N1":
-                cell = parse_cell(parts[1])
-                if cell in p0:
-                    raise _bad(f"line {lineno}: duplicate p0 for {parts[1]}")
+                label = check_label(parts[1])
+                if label in p0_of:
+                    raise _bad(f"line {lineno}: duplicate p0 for {label}")
                 if len(parts) == 8 and parts[7] != "all_unseen":
                     raise _bad(f"line {lineno}: unknown p0 flag {parts[7]!r}")
-                p0[cell] = float(parts[2])
-                meta[cell] = (int(parts[4]), int(parts[6]), len(parts) == 8)
+                p0_of[label] = float(parts[2])
+                meta[label] = (int(parts[4]), int(parts[6]), len(parts) == 8)
             elif len(parts) == 4:
-                cell = parse_cell(parts[0])
+                label = check_label(parts[0])
                 text = parts[1]
                 terminal = () if text == NULL_TERMINAL else tuple(text.split())
                 if format_terminal(terminal) != text:
@@ -408,13 +385,13 @@ def load_model(document: str) -> TrainedModel:
                         raise _bad(f"line {lineno}: terminal {text!r} holds a symbol "
                                    "that collides with the notation")
                     symbols.update(terminal)
-                bucket = counts.setdefault(cell, {})
+                bucket = counts_of.setdefault(label, {})
                 if terminal in bucket:
-                    raise _bad(f"line {lineno}: duplicate record for {parts[0]} {text}")
+                    raise _bad(f"line {lineno}: duplicate record for {label} {text}")
                 bucket[terminal] = int(parts[2])
                 if bucket[terminal] < 1:
                     raise _bad(f"line {lineno}: count below 1 in {line!r}")
-                probabilities[cell][terminal] = float(parts[3])
+                probabilities_of[label][terminal] = float(parts[3])
             else:
                 raise _bad(f"line {lineno}: unrecognized line {line!r}")
         except ValueError:
@@ -425,29 +402,29 @@ def load_model(document: str) -> TrainedModel:
             raise _bad(f"missing config {key}")
     if total is None or declared_records is None:
         raise _bad("missing total or records line")
-    if set(p0) != set(ALL_CELLS):
+    if len(p0_of) != len(CELL_OF_LABEL):
         raise _bad("model must carry a p0 line for each of the 12 cells")
 
-    record_count = sum(len(b) for b in counts.values())
+    record_count = sum(len(b) for b in counts_of.values())
     if record_count != declared_records:
         raise _bad(f"declared {declared_records} records, found {record_count}")
-    if sum(c for b in counts.values() for c in b.values()) != total:
+    if sum(c for b in counts_of.values() for c in b.values()) != total:
         raise _bad("record counts do not sum to the declared total")
 
     all_unseen: set[Cell] = set()
-    for cell in ALL_CELLS:
-        n_declared, n1_declared, flagged = meta[cell]
-        bucket = counts.get(cell, {})
+    for label, cell in CELL_OF_LABEL.items():
+        n_declared, n1_declared, flagged = meta[label]
+        bucket = counts_of.get(label, {})
         n = sum(bucket.values())
         if n != n_declared or sum(1 for c in bucket.values() if c == 1) != n1_declared:
-            raise _bad(f"cell {cell_label(cell)}: N/N1 disagree with its records")
+            raise _bad(f"cell {label}: N/N1 disagree with its records")
         if flagged:
             if bucket:
-                raise _bad(f"cell {cell_label(cell)}: flagged all_unseen but has records")
+                raise _bad(f"cell {label}: flagged all_unseen but has records")
             all_unseen.add(cell)
             continue
         if n == 0:
-            raise _bad(f"cell {cell_label(cell)}: empty but not flagged all_unseen")
+            raise _bad(f"cell {label}: empty but not flagged all_unseen")
 
     try:
         policy = MedialSplitPolicy(config_fields["medial_split"])
@@ -458,17 +435,19 @@ def load_model(document: str) -> TrainedModel:
     except (ValueError, BadConfig) as err:
         raise _bad(f"bad config: {err}") from None
 
-    table = PathTable(counts, total)
+    p0 = {cell: p0_of[label] for label, cell in CELL_OF_LABEL.items()}
+    probabilities = {cell: probabilities_of[label] for label, cell in CELL_OF_LABEL.items()}
+    table = PathTable({CELL_OF_LABEL[label]: b for label, b in counts_of.items()}, total)
     derived = good_turing(table, config)
-    for cell in ALL_CELLS:
+    for label, cell in CELL_OF_LABEL.items():
         # written as "not <=" so that a NaN fails too
         if not abs(p0[cell] - derived.p0[cell]) <= 1e-12:
-            raise _bad(f"cell {cell_label(cell)}: p0 {p0[cell]!r} is not the "
+            raise _bad(f"cell {label}: p0 {p0[cell]!r} is not the "
                        f"{derived.p0[cell]!r} its counts imply")
         expected = derived.probabilities[cell]
         for terminal, prob in probabilities[cell].items():
             if not abs(prob - expected[terminal]) <= 1e-12:
-                raise _bad(f"cell {cell_label(cell)}: p({format_terminal(terminal)}) {prob!r} "
+                raise _bad(f"cell {label}: p({format_terminal(terminal)}) {prob!r} "
                            f"is not the {expected[terminal]!r} its counts imply")
     return TrainedModel(table, p0, probabilities, frozenset(all_unseen), config)
 
@@ -496,7 +475,7 @@ def train_model(
     onsets = collect_word_onsets([e.transcription for e in ingest.entries])
     unsupported: list[tuple[int, str]] = []
 
-    def trained_paths() -> Iterable[PathType]:
+    def trained_paths() -> Iterable[PathPair]:
         # streamed into the count, so no corpus-sized list of paths is built
         for entry in ingest.entries:
             try:

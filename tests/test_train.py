@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,14 @@ from phonotax.errors import (
     UnsupportedStressPattern,
     VersionMismatch,
 )
-from phonotax.grammar import ALL_CELLS, ConstituentKind, SyllableCategory, cell_from_label
+from phonotax.grammar import (
+    ALL_CELLS,
+    ConstituentKind,
+    PathType,
+    SyllableCategory,
+    cell_from_label,
+    templates_for,
+)
 from phonotax.phonology import Stress, load_inventory, stress_pattern
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
 from phonotax.train import (
@@ -101,7 +109,7 @@ def test_extract_paths_compound(inv):
     result = ingest_lexicon("busboy\tb ʌ1 s + b ɔɪ1\n", inv)
     onsets = collect_word_onsets([e.transcription for e in result.entries])
     paths = extract_paths(result.entries[0], onsets)
-    assert [(p.constituent_label, p.terminal) for p in paths] == [
+    assert paths == [
         ("Osif", ("b",)), ("Rsif", ("ʌ", "s")),
         ("Osif", ("b",)), ("Rsif", ("ɔɪ",)),
     ]
@@ -133,8 +141,41 @@ def test_extract_paths_match_syllabify(seed, size):
             syllables = [syl for word in syllabify(entry.transcription, onsets, policy)
                          for syl in word]
             runs = [run for syl in syllables for run in (syl.onset_symbols, syl.rhyme_symbols)]
-            assert [p.terminal for p in paths] == runs
-            assert [p.syllable.stress for p in paths[::2]] == [syl.stress for syl in syllables]
+            assert [terminal for _, terminal in paths] == runs
+            assert [cell_from_label(label)[0].stress for label, _ in paths[::2]] == [
+                syl.stress for syl in syllables]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from(MedialSplitPolicy))
+def test_trained_counts_match_a_path_type_recount(seed, size, policy):
+    # the reference counts PathType objects built from syllabify()'s
+    # syllables and each template's slots, with no label in sight
+    inventory = load_inventory(INVENTORY_TEXT)
+    doc = random_lexicon(random.Random(seed), size)
+    entries = ingest_lexicon(doc, inventory).entries
+    onsets = collect_word_onsets([e.transcription for e in entries])
+    recount = Counter()
+    for entry in entries:
+        words = syllabify(entry.transcription, onsets, policy)
+        syllables = [syl for word in words for syl in word]
+        pattern = tuple(syl.stress for syl in syllables)
+        try:
+            (template,) = [c for c in templates_for(pattern) if len(c.words) == len(words)]
+        except (UnsupportedStressPattern, ValueError):
+            continue
+        runs = [run for syl in syllables for run in (syl.onset_symbols, syl.rhyme_symbols)]
+        recount.update(PathType(cat, kind, run) for (cat, kind), run in zip(template.slots, runs))
+    expected = {}
+    for path, c in recount.items():
+        expected.setdefault(path.cell, {})[path.terminal] = c
+    if not expected:
+        with pytest.raises(EmptyCorpus):
+            train_model(doc, inventory, policy)
+        return
+    table = train_model(doc, inventory, policy).model.table
+    assert table.counts == expected
+    assert table.total == recount.total()
 
 
 def test_tabulate_invariants(inv):
@@ -312,6 +353,16 @@ def test_load_model_takes_only_symbols_an_inventory_may_hold(toy_model, text):
     else:
         with pytest.raises(ModelFormatError, match=r"line \d+: terminal"):
             load_model(edited)
+
+
+def test_load_model_rejects_unknown_cell_label(toy_model):
+    doc = save_model(toy_model)
+    bad_p0 = _replace_line(doc, "p0\tOsi\t", "p0\tOsx\t0.5\tN\t2\tN1\t2")
+    with pytest.raises(ModelFormatError, match="unknown cell label 'Osx'"):
+        load_model(bad_p0)
+    bad_record = _replace_line(doc, "Osi\tk\t", "Xsi\tk\t1\t0.25")
+    with pytest.raises(ModelFormatError, match="unknown cell label 'Xsi'"):
+        load_model(bad_record)
 
 
 @pytest.mark.parametrize("epsilon", [1e-75, 1e-9, 1e-3])
