@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -27,37 +26,6 @@ from .train import EPSILON_MAX, EPSILON_MIN, TrainedModel, load_model, save_mode
 SCORE_COLUMNS = ("word_id", "p_word", "ln_p_word", "p_worst", "p_best", "best_parse_paths", "error")
 
 
-@dataclass
-class Config:
-    inventory_path: Path | None
-    medial_split: MedialSplitPolicy
-    gt_mode: str
-    epsilon: float
-    out_dir: Path | None
-    seed: int
-    top: int
-
-    def __post_init__(self) -> None:
-        if self.top < 1:
-            raise PhonotaxError("--top must be at least 1")
-        if self.inventory_path is not None:
-            self.inventory_path = self.inventory_path.resolve()
-        if self.out_dir is not None:
-            self.out_dir = self.out_dir.resolve()
-
-
-def _config(args: argparse.Namespace) -> Config:
-    return Config(
-        inventory_path=getattr(args, "inventory", None),
-        medial_split=MedialSplitPolicy(getattr(args, "medial_split", "max-onset")),
-        gt_mode=getattr(args, "gt", "simple"),
-        epsilon=getattr(args, "epsilon", 1e-9),
-        out_dir=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
-        top=getattr(args, "top", 10),
-    )
-
-
 def _read(path: Path) -> str:
     """An input file's text; a file that is not UTF-8 is bad data, not a crash."""
     try:
@@ -66,15 +34,17 @@ def _read(path: Path) -> str:
         raise BadEncoding(f"{path}: not valid UTF-8 ({err.reason})") from None
 
 
-def _load_inventory(config: Config) -> PhonemeInventory:
-    if config.inventory_path is None:
+def _load_inventory(args: argparse.Namespace) -> PhonemeInventory:
+    if args.inventory is None:
         text = resources.files("phonotax").joinpath("data/inventory_ipa.tsv").read_text("utf-8")
     else:
-        text = _read(config.inventory_path)
+        text = _read(args.inventory.resolve())
     return load_inventory(text)
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
+    """Write a file under the out directory; the returned path is absolute."""
+    out_dir = out_dir.resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     path.write_text(text, encoding="utf-8")
@@ -90,13 +60,12 @@ def _check_inventory(model: TrainedModel, inv: PhonemeInventory) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _config(args)
-    inv = _load_inventory(config)
+    inv = _load_inventory(args)
     result = train_model(
         _read(args.lexicon), inv,
-        policy=config.medial_split, gt_mode=config.gt_mode, epsilon=config.epsilon,
+        policy=MedialSplitPolicy(args.medial_split), gt_mode=args.gt, epsilon=args.epsilon,
     )
-    model_path = _write(config.out_dir, "model.tsv", save_model(result.model))
+    model_path = _write(args.out, "model.tsv", save_model(result.model))
     ingest = result.ingest
     print(f"lexicon entries: retained {len(ingest.entries)}, skipped {len(ingest.skipped)}, "
           f"downgraded {ingest.downgraded}")
@@ -137,21 +106,19 @@ def _score_rows(model: TrainedModel, inv: PhonemeInventory, stimuli_text: str) -
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    config = _config(args)
-    inv = _load_inventory(config)
+    inv = _load_inventory(args)
     model = load_model(_read(args.model))
     _check_inventory(model, inv)
     lines = _score_rows(model, inv, _read(args.stimuli))
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if config.out_dir is not None:
-        _write(config.out_dir, "scores.tsv", text)
+    if args.out is not None:
+        _write(args.out, "scores.tsv", text)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _config(args)
-    inv = _load_inventory(config)
+    inv = _load_inventory(args)
     model = load_model(_read(args.model))
     _check_inventory(model, inv)
     batch = score_batch(model, parse_stimuli(_read(args.stimuli)), inv)
@@ -165,8 +132,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         judgments = load_judgments(_read(args.judgments))
         print(f"judgments: {args.judgments} ({len(judgments)} records)")
     else:
-        judgments = synthetic_judgments(reports, config.seed)
-        print(f"judgments: synthetic (seed {config.seed}, {len(judgments)} records)")
+        judgments = synthetic_judgments(reports, args.seed)
+        print(f"judgments: synthetic (seed {args.seed}, {len(judgments)} records)")
     results, scatter = evaluate(reports, judgments)
     print(f"n = {results[0].n}, df = {results[0].df}")
     for i, res in enumerate(results, start=1):
@@ -175,21 +142,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"{name:<18} r = undefined (zero variance)")
             continue
         print(f"{name:<18} r = {res.r:+.4f}   t = {res.t:+.3f}   p = {res.p:.4g}   {res.significant_at}")
-    if config.out_dir is not None:
-        csv_path = _write(config.out_dir, "scatter.csv", scatter_csv(scatter))
-        svg_path = _write(config.out_dir, "scatter.svg", scatter_svg(scatter))
+    if args.out is not None:
+        csv_path = _write(args.out, "scatter.csv", scatter_csv(scatter))
+        svg_path = _write(args.out, "scatter.svg", scatter_svg(scatter))
         print(f"scatter: {csv_path}, {svg_path}")
     return 0
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    config = _config(args)
+    if args.top < 1:
+        raise PhonotaxError("--top must be at least 1")
     model = load_model(_read(args.model))
     for kind, title in ((ConstituentKind.ONSET, "Onsets"), (ConstituentKind.RHYME, "Rhymes")):
         cells = [cell for cell in ALL_CELLS if cell[1] is kind]
         columns = []
         for cell in cells:
-            rows = top_k(model, cell, config.top)
+            rows = top_k(model, cell, args.top)
             columns.append([cell_label(cell)] + [f"{t} {c}" for t, c in rows])
         height = max(len(col) for col in columns)
         widths = [max(len(entry) for entry in col) for col in columns]
@@ -204,9 +172,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_import_mitton(args: argparse.Namespace) -> int:
-    config = _config(args)
     result = convert_mitton(args.dictionary.read_text("utf-8", errors="replace"))
-    path = _write(config.out_dir, "lexicon.tsv", result.lexicon_text)
+    path = _write(args.out, "lexicon.tsv", result.lexicon_text)
     print(f"converted entries: {result.converted}")
     if result.skipped:
         reasons = ", ".join(f"{r} {c}" for r, c in sorted(result.skip_counts().items()))

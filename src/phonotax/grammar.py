@@ -191,9 +191,6 @@ class WordTemplate:
         """Flattened syllable categories across word slots."""
         return tuple(cat for word in self.words for cat in word)
 
-    def describe(self) -> str:
-        return " ".join("[" + " ".join(c.label for c in w) + "]" for w in self.words)
-
 
 _CAT = SyllableCategory
 

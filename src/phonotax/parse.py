@@ -24,9 +24,10 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 
-from .errors import NoNucleus, ThreePlusNuclei, UnsupportedStressPattern
+from .errors import UnsupportedStressPattern
 from .grammar import PathType, UnifiedParse, WordTemplate, format_terminal, templates_for
-from .phonology import Transcription, stress_pattern
+from .phonology import Transcription, nucleus_indices, stress_pattern
+from .syllabify import candidate_cuts, cut_runs
 from .train import TrainedModel
 
 # symbol runs of one segmentation: onset, rhyme, onset, rhyme ...
@@ -35,32 +36,16 @@ Runs = tuple[tuple[str, ...], ...]
 Tables = tuple[tuple[dict[tuple[str, ...], float], float], ...]
 
 
-def enumerate_segmentations(t: Transcription) -> list[Runs]:
-    """All candidate onset/rhyme splits as symbol runs, flattened across words.
+def enumerate_segmentations(t: Transcription, nuclei: tuple[int, ...]) -> list[Runs]:
+    """All candidate onset/rhyme splits of an in-scope word as symbol runs.
 
-    A monosyllabic word has exactly one split. A disyllabic word with m
-    medial consonants has m+1, ordered by how many of them the second
-    onset takes: all of them first, none last. Words combine by cross
-    product, so a marked compound of two monosyllables still yields one
-    candidate.
+    ``nuclei`` is ``nucleus_indices(t)``. A monosyllable and a marked
+    compound of two monosyllables have one split each. A disyllable
+    with m medial consonants has m+1, ordered by how many of them the
+    second onset takes: all of them first, none last.
     """
-    per_word: list[list[Runs]] = []
-    for word in t.words():
-        nuclei = [i for i, tok in enumerate(word) if tok.is_vowel]
-        if not nuclei:
-            raise NoNucleus("word has no vowel")
-        if len(nuclei) > 2:
-            raise ThreePlusNuclei(f"word has {len(nuclei)} nuclei; at most two are supported")
-        symbols = tuple([tok.symbol for tok in word])
-        if len(nuclei) == 1:
-            n = nuclei[0]
-            per_word.append([(symbols[:n], symbols[n:])])
-            continue
-        n0, n1 = nuclei
-        onset, rhyme = symbols[:n0], symbols[n1:]
-        per_word.append([(onset, symbols[n0:cut], symbols[cut:n1], rhyme)
-                         for cut in range(n0 + 1, n1 + 1)])  # cut: where the second onset starts
-    return [sum(combo, ()) for combo in itertools.product(*per_word)]
+    symbols = tuple([tok.symbol for tok in t.tokens])
+    return [cut_runs(symbols, nuclei, cut) for cut in candidate_cuts(t, nuclei)]
 
 
 @dataclass(frozen=True)
@@ -157,15 +142,15 @@ def parse_all(t: Transcription, model: TrainedModel) -> Forest:
     and OutOfScope as the stress pattern dictates. The order is that of
     the key (-product, path_text).
     """
-    pattern = stress_pattern(t)
-    templates = templates_for(pattern)
+    nuclei = nucleus_indices(t)
+    templates = templates_for(stress_pattern(t, nuclei))  # the scope check, before any cut
     if t.boundary is not None:
         templates = tuple(tpl for tpl in templates if len(tpl.words) == 2)
         if not templates:
             raise UnsupportedStressPattern(
                 "a compound boundary needs two strong monosyllables"
             )
-    segmentations = enumerate_segmentations(t)
+    segmentations = enumerate_segmentations(t, nuclei)
     parses: list[tuple] = []
     for template in templates:
         tables = tuple([model.lookup[label] for label in template.labels])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -62,14 +63,6 @@ class PhonemeInventory:
 
     def is_vowel(self, symbol: str) -> bool:
         return self.classes[symbol] == VOWEL
-
-    @property
-    def vowels(self) -> tuple[str, ...]:
-        return tuple(s for s in self.symbols if self.classes[s] == VOWEL)
-
-    @property
-    def consonants(self) -> tuple[str, ...]:
-        return tuple(s for s in self.symbols if self.classes[s] == CONSONANT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,30 +186,37 @@ def format_transcription(t: Transcription) -> str:
     return " ".join(fields)
 
 
-def nuclei_stresses(nuclei: list[Token]) -> list[Stress]:
-    """Per-syllable stress of one phonological word, from its vowel tokens."""
+def nucleus_indices(t: Transcription) -> tuple[int, ...]:
+    """Where the nuclei (vowel tokens) sit in ``t.tokens``, across both words."""
+    return tuple([i for i, tok in enumerate(t.tokens) if tok.is_vowel])
+
+
+def _word_stresses(tokens: tuple[Token, ...], nuclei: tuple[int, ...]) -> tuple[Stress, ...]:
+    """Per-syllable stress of one phonological word, read at its nuclei."""
     if not nuclei:
         raise NoNucleus("phonological word has no vowel")
-    if len(nuclei) == 1 and nuclei[0].stress is None:
+    if len(nuclei) == 1 and tokens[nuclei[0]].stress is None:
         # dictionaries leave monosyllables unmarked; they carry main stress
-        return [Stress.STRONG]
+        return (Stress.STRONG,)
     out = []
-    for tok in nuclei:
+    for i in nuclei:
+        tok = tokens[i]
         if tok.stress is None:
             raise MissingStress(f"vowel {tok.symbol!r} lacks a stress digit")
         out.append(Stress.WEAK if tok.stress == 0 else Stress.STRONG)
-    return out
+    return tuple(out)
 
 
-def stress_pattern(t: Transcription) -> tuple[Stress, ...]:
-    """Per-syllable stress, one entry per vowel token.
+def stress_pattern(t: Transcription, nuclei: tuple[int, ...]) -> tuple[Stress, ...]:
+    """Per-syllable stress, one entry per nucleus.
 
-    Digits 1 and 2 map to STRONG, 0 to WEAK. A word with a single
-    undigited vowel defaults to STRONG; a polysyllabic word with any
-    undigited vowel raises MissingStress. Rules apply per phonological
-    word, so both halves of an unmarked compound default independently.
+    ``nuclei`` is ``nucleus_indices(t)``. Digits 1 and 2 map to STRONG,
+    0 to WEAK. A word with a single undigited vowel defaults to STRONG;
+    a polysyllabic word with any undigited vowel raises MissingStress,
+    and a word with no vowel NoNucleus. Rules apply word by word, so
+    both halves of an unmarked compound default independently.
     """
-    pattern: list[Stress] = []
-    for word in t.words():
-        pattern.extend(nuclei_stresses([tok for tok in word if tok.is_vowel]))
-    return tuple(pattern)
+    if t.boundary is None:
+        return _word_stresses(t.tokens, nuclei)
+    first = bisect_left(nuclei, t.boundary)  # how many nuclei the first word holds
+    return _word_stresses(t.tokens, nuclei[:first]) + _word_stresses(t.tokens, nuclei[first:])

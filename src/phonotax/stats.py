@@ -43,16 +43,27 @@ JUDGMENT_HEADER = ("word_id", "votes_against")
 
 
 def load_judgments(document: str) -> list[JudgmentRecord]:
-    """Parse the judgments CSV: header ``word_id,votes_against``."""
+    """Parse the judgments CSV: header ``word_id,votes_against``.
+
+    Errors name the line a row ends on, so blank lines and quoted
+    fields that span lines are counted.
+    """
     reader = csv.reader(io.StringIO(document))
-    rows = [row for row in reader if row]
+    rows: list[tuple[int, list[str]]] = []  # (line the row ends on, fields)
+    try:
+        for row in reader:
+            if row:
+                rows.append((reader.line_num, row))
+    except csv.Error as err:  # e.g. a field past csv's size limit
+        raise BadJudgment(f"line {reader.line_num}: {err}") from None
     if not rows:
         raise EmptyDocument("judgments document is empty")
-    if tuple(f.strip() for f in rows[0]) != JUDGMENT_HEADER:
-        raise BadJudgment(f"header must read {','.join(JUDGMENT_HEADER)!r}, got {rows[0]!r}")
+    header = rows[0][1]
+    if tuple(f.strip() for f in header) != JUDGMENT_HEADER:
+        raise BadJudgment(f"header must read {','.join(JUDGMENT_HEADER)!r}, got {header!r}")
     records: list[JudgmentRecord] = []
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 2:
             raise BadJudgment(f"line {lineno}: expected 2 fields, got {len(row)}")
         word_id = row[0].strip()

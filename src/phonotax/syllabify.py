@@ -5,19 +5,21 @@ Every syllable is one onset (zero or more consonants) plus one rhyme
 word edge). For a disyllable the only open question is how to split
 the medial consonant cluster; the default policy hands the longest
 cluster suffix attested as a word onset in the training corpus to the
-second syllable. Tokens are carried through whole, so segments are
-conserved and stress digits survive into the output.
+second syllable. Scoring tries every candidate cut, training the one
+its policy picks, and both slice their runs with ``cut_runs``. Tokens
+are carried through whole, so segments are conserved and stress digits
+survive into the output.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
-from .errors import NoNucleus, ThreePlusNuclei
-from .phonology import Stress, Token, Transcription, stress_pattern
+from .errors import ThreePlusNuclei
+from .phonology import Stress, Token, Transcription, nucleus_indices, stress_pattern
 
 logger = logging.getLogger(__name__)
 
@@ -92,33 +94,41 @@ def _split_cluster(
     return 0
 
 
-def cut_points(
-    t: Transcription, onsets: WordOnsetSet, policy: MedialSplitPolicy
-) -> list[int]:
-    """Where each onset and rhyme run starts in ``t.tokens``, plus the end.
+def candidate_cuts(t: Transcription, nuclei: tuple[int, ...]) -> Sequence[int | None]:
+    """Where an in-scope word's second syllable may start, in ``t.tokens``.
 
-    Runs alternate onset, rhyme per syllable across both words, so run i
-    is ``t.tokens[cuts[i]:cuts[i + 1]]``. Raises NoNucleus for a
-    vowel-less word and ThreePlusNuclei past two vowels in one word.
+    ``nuclei`` is ``nucleus_indices(t)``. A monosyllable has no cut
+    (None), a compound cuts at its boundary, and a disyllable anywhere
+    from just after its first nucleus to its second: the second onset
+    takes the whole medial cluster first, none of it last. The caller
+    has checked the scope, one or two nuclei with one per compound half.
     """
-    cuts: list[int] = []
-    start = 0
-    for word in t.words():
-        nuclei = [start + i for i, tok in enumerate(word) if tok.is_vowel]
-        if not nuclei:
-            raise NoNucleus("word has no vowel")
-        if len(nuclei) > 2:
-            raise ThreePlusNuclei(f"word has {len(nuclei)} nuclei; at most two are supported")
-        cuts.append(start)
-        if len(nuclei) == 1:
-            cuts.append(nuclei[0])
-        else:
-            n0, n1 = nuclei
-            cluster = tuple([tok.symbol for tok in t.tokens[n0 + 1 : n1]])
-            cuts += (n0, n1 - _split_cluster(cluster, onsets, policy), n1)
-        start += len(word)
-    cuts.append(start)
-    return cuts
+    if len(nuclei) == 1:
+        return (None,)
+    if t.boundary is not None:
+        return (t.boundary,)
+    return range(nuclei[0] + 1, nuclei[1] + 1)
+
+
+def policy_cut(
+    t: Transcription, nuclei: tuple[int, ...], onsets: WordOnsetSet, policy: MedialSplitPolicy
+) -> int | None:
+    """The one candidate cut the medial-split policy picks for training."""
+    cuts = candidate_cuts(t, nuclei)
+    if len(cuts) == 1:
+        return cuts[0]
+    n0, n1 = nuclei
+    cluster = tuple([tok.symbol for tok in t.tokens[n0 + 1 : n1]])
+    return n1 - _split_cluster(cluster, onsets, policy)
+
+
+def cut_runs(seq: tuple, nuclei: tuple[int, ...], cut: int | None) -> tuple[tuple, ...]:
+    """Slice a token or symbol sequence into onset, rhyme (, onset, rhyme) runs at a cut."""
+    if cut is None:
+        n = nuclei[0]
+        return (seq[:n], seq[n:])
+    n0, n1 = nuclei
+    return (seq[:n0], seq[n0:cut], seq[cut:n1], seq[n1:])
 
 
 def syllabify(
@@ -129,14 +139,15 @@ def syllabify(
     """Split a transcription into syllables, one tuple per word.
 
     Raises NoNucleus for a vowel-less word and ThreePlusNuclei past two
-    vowels in one word. The output conserves the input tokens exactly:
+    vowels. The output conserves the input tokens exactly:
     concatenating onset+rhyme across syllables and words restores them.
     """
-    pattern = stress_pattern(t)
-    cuts = cut_points(t, onsets, policy)
-    runs = [t.tokens[a:b] for a, b in zip(cuts, cuts[1:])]
+    nuclei = nucleus_indices(t)
+    pattern = stress_pattern(t, nuclei)
+    if len(nuclei) > 2:
+        raise ThreePlusNuclei(f"{len(nuclei)} nuclei; at most two are supported")
+    runs = cut_runs(t.tokens, nuclei, policy_cut(t, nuclei, onsets, policy))
     syllables = tuple(map(Syllable, runs[::2], runs[1::2], pattern))
     if t.boundary is None:
         return (syllables,)
-    first = sum(1 for tok in t.tokens[: t.boundary] if tok.is_vowel)
-    return (syllables[:first], syllables[first:])
+    return (syllables[:1], syllables[1:])

@@ -47,10 +47,11 @@ from .phonology import (
     Token,
     Transcription,
     is_reserved,
-    nuclei_stresses,
+    nucleus_indices,
+    stress_pattern,
     tokenize,
 )
-from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_points
+from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_runs, policy_cut
 
 Cell = tuple[SyllableCategory, ConstituentKind]
 PathPair = tuple[str, tuple[str, ...]]  # (cell label, terminal), e.g. ('Osi', ('s', 't'))
@@ -66,7 +67,8 @@ class LexiconEntry:
     orthography: str
     transcription: Transcription
     lineno: int
-    pattern: tuple[Stress, ...]  # stress_pattern(transcription), read once at ingest
+    pattern: tuple[Stress, ...]  # stress_pattern(transcription, nuclei), read once at ingest
+    nuclei: tuple[int, ...]  # nucleus_indices(transcription), scanned once at ingest
 
 
 @dataclass
@@ -102,28 +104,23 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
         orthography = orthography.strip()
         try:
             t = tokenize(raw, inv)
+            nuclei = nucleus_indices(t)
             tokens, boundary = t.tokens, t.boundary
-            vowels = [i for i, tok in enumerate(tokens) if tok.is_vowel]
-            if not vowels or boundary is not None and not vowels[0] < boundary <= vowels[-1]:
+            if not nuclei or boundary is not None and not nuclei[0] < boundary <= nuclei[-1]:
                 raise NoNucleus("phonological word has no vowel")
-            if len(vowels) > 2:
+            if len(nuclei) > 2:
                 raise OutOfScope("more than two nuclei")
-            nuclei = [tokens[i] for i in vowels]
-            if boundary is None and len(nuclei) == 2 and {tok.stress for tok in nuclei} == {1, 2}:
+            if boundary is None and len(nuclei) == 2 and {tokens[i].stress for i in nuclei} == {1, 2}:
                 # a 1-2 or 2-1 nucleus pair in one word is one foot: the digit-2
                 # vowel is subordinate and trains as weak (a lone 2 stays strong)
-                j = 0 if nuclei[0].stress == 2 else 1
-                nuclei[j] = Token(nuclei[j].symbol, 0, True)
-                t = Transcription(tokens[: vowels[j]] + (nuclei[j],) + tokens[vowels[j] + 1 :])
+                j = nuclei[0] if tokens[nuclei[0]].stress == 2 else nuclei[1]
+                t = Transcription(tokens[:j] + (Token(tokens[j].symbol, 0, True),) + tokens[j + 1 :])
                 downgraded += 1
-            if boundary is None:
-                pattern = tuple(nuclei_stresses(nuclei))
-            else:  # one nucleus per word, each read on its own
-                pattern = (*nuclei_stresses(nuclei[:1]), *nuclei_stresses(nuclei[1:]))
+            pattern = stress_pattern(t, nuclei)
         except PhonotaxError as err:
             skipped.append((lineno, type(err).__name__, orthography))
             continue
-        entries.append(LexiconEntry(orthography, t, lineno, pattern))
+        entries.append(LexiconEntry(orthography, t, lineno, pattern, nuclei))
     if not entries:
         raise EmptyCorpus("no usable lexicon entries")
     return IngestResult(entries, skipped, downgraded)
@@ -138,9 +135,10 @@ def extract_paths(
 
     Each path is a (cell label, terminal) pair: the labels are the
     template's, in slot order, and each terminal is the run of symbols
-    ``cut_points`` slices for that slot. Training trusts the lexicon:
-    an entry with a compound boundary uses the two-word template,
-    anything else the single-word template for its stress pattern.
+    ``cut_runs`` slices for that slot at the cut the policy picks.
+    Training trusts the lexicon: an entry with a compound boundary uses
+    the two-word template, anything else the single-word template for
+    its stress pattern.
     Raises UnsupportedStressPattern when no such template exists
     (weak-weak words; a boundary without two strong monosyllables).
     """
@@ -153,8 +151,8 @@ def extract_paths(
             f"{entry.orthography}: a compound boundary needs two strong monosyllables"
         )
     symbols = tuple([tok.symbol for tok in t.tokens])
-    cuts = cut_points(t, onsets, policy)
-    return [(label, symbols[a:b]) for label, a, b in zip(template.labels, cuts, cuts[1:])]
+    runs = cut_runs(symbols, entry.nuclei, policy_cut(t, entry.nuclei, onsets, policy))
+    return list(zip(template.labels, runs))
 
 
 @dataclass
@@ -179,10 +177,6 @@ class PathTable:
 
     def n1(self, cell: Cell) -> int:
         return sum(1 for c in self.counts.get(cell, {}).values() if c == 1)
-
-    def freq_of_freqs(self, cell: Cell) -> dict[int, int]:
-        """How many terminal types occur r times, per r."""
-        return dict(Counter(self.counts.get(cell, {}).values()))
 
 
 def tabulate(paths: Iterable[PathPair]) -> PathTable:

@@ -227,6 +227,17 @@ def test_evaluate_with_judgment_file(model_path, tmp_path, capsys):
     assert "n = 4, df = 2" in captured.out
 
 
+def test_evaluate_overlong_judgment_field_is_a_domain_error(model_path, tmp_path, capsys):
+    # past csv's field size limit: an error line and exit 2, not a traceback
+    stim = tmp_path / "stimuli.tsv"
+    stim.write_text(STIMULI, encoding="utf-8")
+    judge = tmp_path / "judgments.csv"
+    judge.write_text("word_id,votes_against\nw1,0\nw2," + "9" * 131_073 + "\n", encoding="utf-8")
+    rc = main(["evaluate", str(model_path), str(stim), str(judge)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
 def test_evaluate_reports_a_flat_score_column_as_undefined(model_path, tmp_path, capsys):
     # under the toy model all four words' worst path has p = 1/12
     stim = tmp_path / "stimuli.tsv"
@@ -275,6 +286,12 @@ def test_tables_layout(model_path, capsys):
     # --top 2 caps each block at header + 2 terminal rows
     block = lines[lines.index("Onsets") + 1 : lines.index("")]
     assert len(block) <= 3
+
+
+def test_tables_top_below_one_is_a_domain_error(model_path, capsys):
+    rc = main(["tables", str(model_path), "--top", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --top must be at least 1\n"
 
 
 def test_import_mitton(tmp_path, capsys):

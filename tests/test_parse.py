@@ -10,9 +10,10 @@ from phonotax import parse as parse_module
 from phonotax.errors import OutOfScope, UnsupportedStressPattern
 from phonotax.grammar import SyllableCategory, format_path, sequential_unify
 from phonotax.parse import best_parse, enumerate_segmentations, parse_all
-from phonotax.phonology import load_inventory, tokenize
-from phonotax.score import score_word
-from phonotax.train import train_model
+from phonotax.phonology import load_inventory, nucleus_indices, tokenize
+from phonotax.score import score_batch, score_word
+from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets
+from phonotax.train import extract_paths, ingest_lexicon, train_model
 
 from conftest import INVENTORY_TEXT
 from oracles import (
@@ -32,13 +33,18 @@ def _texts(runs):
     return list(zip(texts[::2], texts[1::2]))  # (onset, rhyme) per syllable
 
 
+def _segmentations(raw, inv):
+    t = tokenize(raw, inv)
+    return enumerate_segmentations(t, nucleus_indices(t))
+
+
 def test_enumerate_monosyllable(inv):
-    segs = enumerate_segmentations(tokenize("s t ɪ1 l", inv))
+    segs = _segmentations("s t ɪ1 l", inv)
     assert [_texts(s) for s in segs] == [[("s t", "ɪ l")]]
 
 
 def test_enumerate_disyllable_order(inv):
-    segs = enumerate_segmentations(tokenize("k æ1 n d ə0", inv))
+    segs = _segmentations("k æ1 n d ə0", inv)
     # the second onset takes the whole cluster first, nothing last
     assert [_texts(s) for s in segs] == [
         [("k", "æ"), ("n d", "ə")],
@@ -48,7 +54,7 @@ def test_enumerate_disyllable_order(inv):
 
 
 def test_enumerate_compound_is_single(inv):
-    segs = enumerate_segmentations(tokenize("b ʌ1 s + b ɔɪ1", inv))
+    segs = _segmentations("b ʌ1 s + b ɔɪ1", inv)
     assert [_texts(s) for s in segs] == [[("b", "ʌ s"), ("b", "ɔɪ")]]
 
 
@@ -82,7 +88,7 @@ def test_segmentation_longer_than_its_template_raises(inv, toy_model, monkeypatc
     # one syllable too many must not be cut to the template's length in silence
     real = parse_module.enumerate_segmentations
     monkeypatch.setattr(parse_module, "enumerate_segmentations",
-                        lambda t: [seg + seg for seg in real(t)])
+                        lambda t, nuclei: [seg + seg for seg in real(t, nuclei)])
     with pytest.raises(ValueError):
         parse_all(tokenize("k æ1 t", inv), toy_model)
 
@@ -189,3 +195,51 @@ def test_winner_read_first_is_the_ranked_first(seed):
         assert len(forest) == len(templates) * math.prod(len(_oracle_word_splits(w)) for w in words)
         for sp in forest:
             assert sp.path_text == " ; ".join(map(format_path, sp.paths))
+
+
+# per input: the score command's error column and the train command's skip reason
+EDGE_INPUTS = [
+    ("k æ n ə + t", "MissingStress: vowel 'æ' lacks a stress digit", "NoNucleus"),
+    ("b ə n æ1 n ə0", "MissingStress: vowel 'ə' lacks a stress digit", "OutOfScope"),
+    ("b ə0 n æ1 n ə0", "OutOfScope: 3 syllables; only one or two are supported", "OutOfScope"),
+    ("k æ1 + t ɪ1 n æ1", "OutOfScope: 3 syllables; only one or two are supported", "OutOfScope"),
+    ("k + æ1", "NoNucleus: phonological word has no vowel", "NoNucleus"),
+    ("t", "NoNucleus: phonological word has no vowel", "NoNucleus"),
+    ("k æ2 n ɪ1 + t", "NoNucleus: phonological word has no vowel", "NoNucleus"),
+    ("æ ɪ", "MissingStress: vowel 'æ' lacks a stress digit", "MissingStress"),
+]
+
+
+@pytest.mark.parametrize("raw, score_error, skip_reason", EDGE_INPUTS)
+def test_edge_inputs_fail_as_pinned_in_both_commands(inv, toy_model, raw, score_error, skip_reason):
+    (row,) = score_batch(toy_model, [("x", raw)], inv)
+    assert row.error == score_error
+    assert ingest_lexicon(f"cat\tk æ1 t\nx\t{raw}\n", inv).skipped == [(2, skip_reason, "x")]
+
+
+def test_vowel_initial_second_word_is_cut_at_the_boundary(inv, toy_model):
+    # the second word's nucleus sits at the boundary index, so its onset is empty
+    runs = ((), ("æ",), (), ("ɪ",))
+    (row,) = score_batch(toy_model, [("x", "æ1 + ɪ1")], inv)
+    assert row.error is None and row.report.best.runs == runs
+    result = ingest_lexicon("x\tæ1 + ɪ1\n", inv)
+    assert result.skipped == []
+    paths = extract_paths(result.entries[0], frozenset({()}))
+    assert tuple(terminal for _, terminal in paths) == runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 30))
+def test_training_cut_is_one_of_the_scoring_cuts(seed, size):
+    inventory = load_inventory(INVENTORY_TEXT)
+    entries = ingest_lexicon(random_lexicon(random.Random(seed), size), inventory).entries
+    onsets = collect_word_onsets([e.transcription for e in entries])
+    for entry in entries:
+        t = entry.transcription
+        candidates = enumerate_segmentations(t, nucleus_indices(t))
+        for policy in MedialSplitPolicy:
+            try:
+                paths = extract_paths(entry, onsets, policy)
+            except UnsupportedStressPattern:
+                continue
+            assert tuple(terminal for _, terminal in paths) in candidates

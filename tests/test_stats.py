@@ -160,6 +160,20 @@ def test_load_judgments():
         load_judgments("word_id,votes_against\nw1,3\nw1,4\n")
 
 
+def test_load_judgments_names_the_line_a_row_ends_on():
+    with pytest.raises(BadJudgment, match=r"^line 3: "):
+        load_judgments("word_id,votes_against\n\nw1,13\n")  # after a blank line
+    with pytest.raises(BadJudgment, match=r"^line 3: "):
+        load_judgments('word_id,votes_against\n"w\n1",13\n')  # a quoted id spans two lines
+    with pytest.raises(DuplicateWordId, match=r"^line 4: "):
+        load_judgments("word_id,votes_against\nw1,3\n\nw1,4\n")
+
+
+def test_load_judgments_rejects_a_field_past_the_csv_limit():
+    with pytest.raises(BadJudgment, match=r"^line 3: "):
+        load_judgments("word_id,votes_against\nw1,3\nw2," + "9" * 131_073 + "\n")
+
+
 def test_judgment_record_range():
     with pytest.raises(ValueError):
         JudgmentRecord("w", 13)
