@@ -15,7 +15,7 @@ from .grammar import (
     sequential_unify,
     templates_for,
 )
-from .parse import best_parse, parse_all
+from .parse import parse_all
 from .phonology import PhonemeInventory, Stress, Transcription, load_inventory, tokenize
 from .score import ScoreReport, score_batch, score_word
 from .stats import evaluate, pearson_r, p_two_tailed, synthetic_judgments, t_from_r
@@ -37,7 +37,7 @@ __all__ = [
     "PhonotaxError",
     "ConstituentKind", "PathType", "SyllableCategory",
     "format_path", "parse_path", "sequential_unify", "templates_for",
-    "best_parse", "parse_all",
+    "parse_all",
     "PhonemeInventory", "Stress", "Transcription", "load_inventory", "tokenize",
     "ScoreReport", "score_batch", "score_word",
     "evaluate", "pearson_r", "p_two_tailed", "synthetic_judgments", "t_from_r",

@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BadEncoding, PhonotaxError
-from .grammar import ALL_CELLS, ConstituentKind, cell_label
+from .grammar import CELL_OF_LABEL
 from .mitton import convert_mitton
 from .phonology import PhonemeInventory, load_inventory
 from .plot import scatter_csv, scatter_svg
@@ -78,10 +78,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"path instances: {result.path_count}")
     print(f"word onsets: {len(result.onsets)}")
     print("per-cell totals:")
-    for kind in ConstituentKind:
+    for kind in "OR":
         row = "  ".join(
-            f"{cell_label(cell)} {result.model.table.n(cell)}"
-            for cell in ALL_CELLS if cell[1] is kind
+            f"{label} {result.model.table.n(label)}" for label in CELL_OF_LABEL if label[0] == kind
         )
         print(f"  {row}")
     print(f"model: {model_path}")
@@ -153,12 +152,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
     if args.top < 1:
         raise PhonotaxError("--top must be at least 1")
     model = load_model(_read(args.model))
-    for kind, title in ((ConstituentKind.ONSET, "Onsets"), (ConstituentKind.RHYME, "Rhymes")):
-        cells = [cell for cell in ALL_CELLS if cell[1] is kind]
+    for kind, title in (("O", "Onsets"), ("R", "Rhymes")):
         columns = []
-        for cell in cells:
-            rows = top_k(model, cell, args.top)
-            columns.append([cell_label(cell)] + [f"{t} {c}" for t, c in rows])
+        for label in CELL_OF_LABEL:
+            if label[0] == kind:
+                columns.append([label] + [f"{t} {c}" for t, c in top_k(model, label, args.top)])
         height = max(len(col) for col in columns)
         widths = [max(len(entry) for entry in col) for col in columns]
         print(title)

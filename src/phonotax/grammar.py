@@ -61,10 +61,6 @@ class SyllableCategory(enum.Enum):
         """The s/w + i/f tag string, e.g. 'si' for Ssi."""
         return self.value[1:]
 
-    @staticmethod
-    def from_parts(stress: Stress, position: Position) -> "SyllableCategory":
-        return SyllableCategory("S" + stress.value + position.value)
-
 
 class ConstituentKind(enum.Enum):
     ONSET = "O"

@@ -138,8 +138,9 @@ def parse_all(t: Transcription, model: TrainedModel) -> Forest:
     An explicit compound boundary commits the parse to a two-word
     template; unmarked input is tried under every template its stress
     pattern generates, so an unmarked strong-strong word competes as
-    one word and as a closed compound. Raises UnsupportedStressPattern
-    and OutOfScope as the stress pattern dictates. The order is that of
+    one word and as a closed compound. Raises what ``stress_pattern``
+    and ``templates_for`` raise, and UnsupportedStressPattern for a
+    boundary without two strong monosyllables. The order is that of
     the key (-product, path_text).
     """
     nuclei = nucleus_indices(t)
@@ -159,9 +160,3 @@ def parse_all(t: Transcription, model: TrainedModel) -> Forest:
                            for (table, unseen), run in zip(tables, runs, strict=True)])
             parses.append((template, runs, probs, math.prod(probs), tables))
     return Forest(parses)
-
-
-def best_parse(forest: Sequence[ScoredParse]) -> ScoredParse:
-    if not forest:
-        raise ValueError("empty parse forest")
-    return forest[0]

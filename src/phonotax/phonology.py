@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
     EmptyTranscription,
     MissingStress,
     NoNucleus,
+    OutOfScope,
     ReservedSymbol,
     TooManyBoundaries,
     UnknownClass,
@@ -193,8 +193,6 @@ def nucleus_indices(t: Transcription) -> tuple[int, ...]:
 
 def _word_stresses(tokens: tuple[Token, ...], nuclei: tuple[int, ...]) -> tuple[Stress, ...]:
     """Per-syllable stress of one phonological word, read at its nuclei."""
-    if not nuclei:
-        raise NoNucleus("phonological word has no vowel")
     if len(nuclei) == 1 and tokens[nuclei[0]].stress is None:
         # dictionaries leave monosyllables unmarked; they carry main stress
         return (Stress.STRONG,)
@@ -208,15 +206,22 @@ def _word_stresses(tokens: tuple[Token, ...], nuclei: tuple[int, ...]) -> tuple[
 
 
 def stress_pattern(t: Transcription, nuclei: tuple[int, ...]) -> tuple[Stress, ...]:
-    """Per-syllable stress, one entry per nucleus.
+    """Per-syllable stress, one entry per nucleus; the scope check of both commands.
 
-    ``nuclei`` is ``nucleus_indices(t)``. Digits 1 and 2 map to STRONG,
-    0 to WEAK. A word with a single undigited vowel defaults to STRONG;
-    a polysyllabic word with any undigited vowel raises MissingStress,
-    and a word with no vowel NoNucleus. Rules apply word by word, so
-    both halves of an unmarked compound default independently.
+    ``nuclei`` is ``nucleus_indices(t)``. The word structure is checked
+    before any stress digit is read: a phonological word with no vowel
+    raises NoNucleus, then more than two nuclei raise OutOfScope. Digits
+    1 and 2 map to STRONG, 0 to WEAK. A word with a single undigited
+    vowel defaults to STRONG; a polysyllabic word with any undigited
+    vowel raises MissingStress. Rules apply word by word, so both halves
+    of an unmarked compound default independently.
     """
-    if t.boundary is None:
+    boundary = t.boundary
+    if not nuclei or boundary is not None and not nuclei[0] < boundary <= nuclei[-1]:
+        raise NoNucleus("phonological word has no vowel")
+    if len(nuclei) > 2:
+        raise OutOfScope(f"{len(nuclei)} syllables; only one or two are supported")
+    if boundary is None:
         return _word_stresses(t.tokens, nuclei)
-    first = bisect_left(nuclei, t.boundary)  # how many nuclei the first word holds
-    return _word_stresses(t.tokens, nuclei[:first]) + _word_stresses(t.tokens, nuclei[first:])
+    # in scope, each half of a compound holds exactly one nucleus
+    return _word_stresses(t.tokens, nuclei[:1]) + _word_stresses(t.tokens, nuclei[1:])

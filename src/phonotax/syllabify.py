@@ -13,15 +13,16 @@ survive into the output.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import ThreePlusNuclei
 from .phonology import Stress, Token, Transcription, nucleus_indices, stress_pattern
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .train import LexiconEntry
 
 # onsets attested word-initially, as tuples of symbols; () is always a member
 WordOnsetSet = frozenset
@@ -38,36 +39,23 @@ class Syllable:
     rhyme: tuple[Token, ...]
     stress: Stress
 
-    @property
-    def onset_symbols(self) -> tuple[str, ...]:
-        return tuple(t.symbol for t in self.onset)
 
-    @property
-    def rhyme_symbols(self) -> tuple[str, ...]:
-        return tuple(t.symbol for t in self.rhyme)
+def collect_word_onsets(entries: Iterable[LexiconEntry]) -> WordOnsetSet:
+    """Gather every word-initial consonant run of the ingested entries.
 
-
-def collect_word_onsets(corpus: Iterable[Transcription]) -> WordOnsetSet:
-    """Gather every word-initial consonant run in the corpus.
-
-    Each phonological word contributes its prefix up to the first
-    vowel; vowel-initial words contribute the empty onset. Words with
-    no vowel at all are skipped (and logged), never guessed at.
+    Each phonological word contributes its prefix up to its first
+    nucleus, read from the entry's stored ``nuclei``; a compound's two
+    onsets are the runs ``cut_runs`` slices at its boundary.
+    Vowel-initial words contribute the empty onset.
     """
     onsets: set[tuple[str, ...]] = {()}
-    skipped = 0
-    for t in corpus:
-        for word in t.words():
-            prefix: list[str] = []
-            for tok in word:
-                if tok.is_vowel:
-                    onsets.add(tuple(prefix))
-                    break
-                prefix.append(tok.symbol)
-            else:
-                skipped += 1
-    if skipped:
-        logger.warning("skipped %d vowel-less words while collecting onsets", skipped)
+    for e in entries:
+        t = e.transcription
+        if t.boundary is None:
+            onsets.add(tuple([tok.symbol for tok in t.tokens[: e.nuclei[0]]]))
+            continue
+        for run in cut_runs(t.tokens, e.nuclei, t.boundary)[::2]:
+            onsets.add(tuple([tok.symbol for tok in run]))
     return frozenset(onsets)
 
 
@@ -138,14 +126,15 @@ def syllabify(
 ) -> tuple[tuple[Syllable, ...], ...]:
     """Split a transcription into syllables, one tuple per word.
 
-    Raises NoNucleus for a vowel-less word and ThreePlusNuclei past two
-    vowels. The output conserves the input tokens exactly:
-    concatenating onset+rhyme across syllables and words restores them.
+    Raises ThreePlusNuclei past two vowels, then whatever
+    ``stress_pattern`` raises (NoNucleus for a vowel-less word). The
+    output conserves the input tokens exactly: concatenating
+    onset+rhyme across syllables and words restores them.
     """
     nuclei = nucleus_indices(t)
-    pattern = stress_pattern(t, nuclei)
     if len(nuclei) > 2:
         raise ThreePlusNuclei(f"{len(nuclei)} nuclei; at most two are supported")
+    pattern = stress_pattern(t, nuclei)
     runs = cut_runs(t.tokens, nuclei, policy_cut(t, nuclei, onsets, policy))
     syllables = tuple(map(Syllable, runs[::2], runs[1::2], pattern))
     if t.boundary is None:

@@ -3,7 +3,9 @@
 The pipeline is: ingest lexicon lines, collect the word-onset set,
 cut each entry into onset and rhyme runs against its stress template,
 emit one (cell label, terminal) pair per run, tabulate counts per
-category cell, and smooth each cell into a probability table.
+cell label, and smooth each cell into a probability table. Every cell
+is keyed by its constituent label (``Osi`` ... ``Rwif``), as the paper
+names it and the model file writes it.
 Probability mass is reserved for unseen terminals per cell: a cell
 with N tokens of which N1 are singletons keeps p0 = N1/N (clamped to
 [1/(2N), 0.5]) aside, and every unseen terminal in that cell is quoted
@@ -25,22 +27,11 @@ from .errors import (
     BadConfig,
     EmptyCorpus,
     ModelFormatError,
-    NoNucleus,
-    OutOfScope,
     PhonotaxError,
     UnsupportedStressPattern,
     VersionMismatch,
 )
-from .grammar import (
-    ALL_CELLS,
-    CELL_OF_LABEL,
-    NULL_TERMINAL,
-    ConstituentKind,
-    SyllableCategory,
-    cell_label,
-    format_terminal,
-    templates_for,
-)
+from .grammar import CELL_OF_LABEL, NULL_TERMINAL, format_terminal, templates_for
 from .phonology import (
     PhonemeInventory,
     Stress,
@@ -53,7 +44,6 @@ from .phonology import (
 )
 from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_runs, policy_cut
 
-Cell = tuple[SyllableCategory, ConstituentKind]
 PathPair = tuple[str, tuple[str, ...]]  # (cell label, terminal), e.g. ('Osi', ('s', 't'))
 
 GT_MODES = ("simple", "full")
@@ -84,11 +74,11 @@ class IngestResult:
 def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
     """Read lexicon lines, keeping entries of one or two syllables.
 
-    An entry survives only if it tokenizes, every phonological word has
-    a nucleus, the total nucleus count is one or two, and its stress
-    digits are complete. Everything else lands in ``skipped`` with the
-    offending line number and a reason. Raises EmptyCorpus when nothing
-    survives.
+    An entry survives only if it tokenizes and ``stress_pattern`` reads
+    it: every phonological word has a nucleus, the total nucleus count
+    is one or two, and its stress digits are complete. Everything else
+    lands in ``skipped`` with the offending line number and a reason.
+    Raises EmptyCorpus when nothing survives.
     """
     entries: list[LexiconEntry] = []
     skipped: list[tuple[int, str, str]] = []
@@ -105,12 +95,8 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
         try:
             t = tokenize(raw, inv)
             nuclei = nucleus_indices(t)
-            tokens, boundary = t.tokens, t.boundary
-            if not nuclei or boundary is not None and not nuclei[0] < boundary <= nuclei[-1]:
-                raise NoNucleus("phonological word has no vowel")
-            if len(nuclei) > 2:
-                raise OutOfScope("more than two nuclei")
-            if boundary is None and len(nuclei) == 2 and {tokens[i].stress for i in nuclei} == {1, 2}:
+            tokens = t.tokens
+            if t.boundary is None and len(nuclei) == 2 and {tokens[i].stress for i in nuclei} == {1, 2}:
                 # a 1-2 or 2-1 nucleus pair in one word is one foot: the digit-2
                 # vowel is subordinate and trains as weak (a lone 2 stays strong)
                 j = nuclei[0] if tokens[nuclei[0]].stress == 2 else nuclei[1]
@@ -157,26 +143,27 @@ def extract_paths(
 
 @dataclass
 class PathTable:
-    """Per-cell terminal counts over a corpus of paths."""
+    """Per-cell terminal counts over a corpus of paths, keyed by cell label."""
 
-    counts: dict[Cell, dict[tuple[str, ...], int]]
+    counts: dict[str, dict[tuple[str, ...], int]]
     total: int
 
     @classmethod
     def from_paths(cls, paths: Iterable[PathPair]) -> "PathTable":
-        """Count (label, terminal) pairs in one pass, then key each label's counts by its cell."""
+        """Count (label, terminal) pairs in one pass."""
         tally = Counter(paths)
-        by_label: dict[str, dict[tuple[str, ...], int]] = {}
+        counts: dict[str, dict[tuple[str, ...], int]] = {}
         for (label, terminal), c in tally.items():
-            by_label.setdefault(label, {})[terminal] = c
-        counts = {CELL_OF_LABEL[label]: bucket for label, bucket in by_label.items()}
+            counts.setdefault(label, {})[terminal] = c
         return cls(counts, tally.total())
 
-    def n(self, cell: Cell) -> int:
-        return sum(self.counts.get(cell, {}).values())
+    def n(self, label: str) -> int:
+        """N: the cell's token count."""
+        return sum(self.counts.get(label, {}).values())
 
-    def n1(self, cell: Cell) -> int:
-        return sum(1 for c in self.counts.get(cell, {}).values() if c == 1)
+    def n1(self, label: str) -> int:
+        """N1: how many of the cell's terminals were seen once."""
+        return sum(1 for c in self.counts.get(label, {}).values() if c == 1)
 
 
 def tabulate(paths: Iterable[PathPair]) -> PathTable:
@@ -203,10 +190,12 @@ class ModelConfig:
 
 @dataclass
 class TrainedModel:
+    """Smoothed probabilities per cell; every mapping is keyed by cell label."""
+
     table: PathTable
-    p0: dict[Cell, float]
-    probabilities: dict[Cell, dict[tuple[str, ...], float]]
-    all_unseen: frozenset[Cell]
+    p0: dict[str, float]
+    probabilities: dict[str, dict[tuple[str, ...], float]]
+    all_unseen: frozenset[str]
     config: ModelConfig
     # per cell label: the seen terminals' probabilities and the unseen answer
     lookup: dict[str, tuple[dict[tuple[str, ...], float], float]] = field(
@@ -216,16 +205,16 @@ class TrainedModel:
         # unseen terminals get the cell's whole reserved mass p0; a cell
         # with no training data at all answers epsilon
         self.lookup = {
-            cell_label(cell): (
-                ({}, self.config.epsilon) if cell in self.all_unseen
-                else (self.probabilities[cell], self.p0[cell])
+            label: (
+                ({}, self.config.epsilon) if label in self.all_unseen
+                else (self.probabilities[label], self.p0[label])
             )
-            for cell in ALL_CELLS
+            for label in CELL_OF_LABEL
         }
 
-    def prob(self, cell: Cell, terminal: tuple[str, ...]) -> tuple[float, bool]:
+    def prob(self, label: str, terminal: tuple[str, ...]) -> tuple[float, bool]:
         """Probability of a terminal in a cell, plus whether it was seen."""
-        seen, unseen = self.lookup[cell_label(cell)]
+        seen, unseen = self.lookup[label]
         p = seen.get(terminal)
         return (unseen, False) if p is None else (p, True)
 
@@ -238,22 +227,21 @@ def good_turing(table: PathTable, config: ModelConfig) -> TrainedModel:
     r -> (r+1) * N_{r+1} / N_r where the next frequency class is
     populated (left alone otherwise), then renormalized to 1 - p0.
     """
-    p0: dict[Cell, float] = {}
-    probabilities: dict[Cell, dict[tuple[str, ...], float]] = {}
-    all_unseen: set[Cell] = set()
-    for cell in ALL_CELLS:
-        counts = table.counts.get(cell, {})
-        n = sum(counts.values())
+    p0: dict[str, float] = {}
+    probabilities: dict[str, dict[tuple[str, ...], float]] = {}
+    all_unseen: set[str] = set()
+    for label in CELL_OF_LABEL:
+        counts = table.counts.get(label, {})
+        n = table.n(label)
         if n == 0:
-            all_unseen.add(cell)
-            p0[cell] = 1.0
-            probabilities[cell] = {}
+            all_unseen.add(label)
+            p0[label] = 1.0
+            probabilities[label] = {}
             continue
-        n1 = sum(1 for c in counts.values() if c == 1)
-        reserved = min(0.5, max(n1 / n, 1.0 / (2 * n)))
-        p0[cell] = reserved
+        reserved = min(0.5, max(table.n1(label) / n, 1.0 / (2 * n)))
+        p0[label] = reserved
         if config.gt_mode == "simple":
-            probabilities[cell] = {t: (1.0 - reserved) * c / n for t, c in counts.items()}
+            probabilities[label] = {t: (1.0 - reserved) * c / n for t, c in counts.items()}
         else:
             nr = Counter(counts.values())
             masses = {
@@ -261,13 +249,13 @@ def good_turing(table: PathTable, config: ModelConfig) -> TrainedModel:
                 for t, c in counts.items()
             }
             scale = (1.0 - reserved) / math.fsum(masses.values())
-            probabilities[cell] = {t: m * scale for t, m in masses.items()}
+            probabilities[label] = {t: m * scale for t, m in masses.items()}
     return TrainedModel(table, p0, probabilities, frozenset(all_unseen), config)
 
 
-def top_k(model: TrainedModel, cell: Cell, k: int) -> list[tuple[str, int]]:
+def top_k(model: TrainedModel, label: str, k: int) -> list[tuple[str, int]]:
     """Most frequent terminals of a cell: count descending, text ascending."""
-    counts = model.table.counts.get(cell, {})
+    counts = model.table.counts.get(label, {})
     ranked = sorted(counts.items(), key=lambda item: (-item[1], format_terminal(item[0])))
     return [(format_terminal(t), c) for t, c in ranked[:k]]
 
@@ -291,17 +279,17 @@ def save_model(model: TrainedModel) -> str:
         f"total\t{model.table.total}",
     ]
     records = []
-    for cell in ALL_CELLS:
-        for terminal in sorted(model.table.counts.get(cell, {}), key=format_terminal):
-            count = model.table.counts[cell][terminal]
-            prob = model.probabilities[cell][terminal]
-            records.append(f"{cell_label(cell)}\t{format_terminal(terminal)}\t{count}\t{prob!r}")
+    for label in CELL_OF_LABEL:
+        counts, probabilities = model.table.counts.get(label, {}), model.probabilities[label]
+        for terminal in sorted(counts, key=format_terminal):
+            records.append(f"{label}\t{format_terminal(terminal)}\t{counts[terminal]}"
+                           f"\t{probabilities[terminal]!r}")
     lines.append(f"records\t{len(records)}")
-    for cell in ALL_CELLS:
-        flag = "\tall_unseen" if cell in model.all_unseen else ""
+    for label in CELL_OF_LABEL:
+        flag = "\tall_unseen" if label in model.all_unseen else ""
         lines.append(
-            f"p0\t{cell_label(cell)}\t{model.p0[cell]!r}"
-            f"\tN\t{model.table.n(cell)}\tN1\t{model.table.n1(cell)}{flag}"
+            f"p0\t{label}\t{model.p0[label]!r}"
+            f"\tN\t{model.table.n(label)}\tN1\t{model.table.n1(label)}{flag}"
         )
     lines.extend(records)
     return "\n".join(lines) + "\n"
@@ -334,12 +322,10 @@ def load_model(document: str) -> TrainedModel:
     config_fields: dict[str, str] = {}
     total: int | None = None
     declared_records: int | None = None
-    # keyed by cell label until the model is assembled
-    p0_of: dict[str, float] = {}
+    p0: dict[str, float] = {}
     meta: dict[str, tuple[int, int, bool]] = {}  # N, N1, all_unseen
-    counts_of: dict[str, dict[tuple[str, ...], int]] = {}
-    probabilities_of: dict[str, dict[tuple[str, ...], float]] = {
-        label: {} for label in CELL_OF_LABEL}
+    counts: dict[str, dict[tuple[str, ...], int]] = {}
+    probabilities: dict[str, dict[tuple[str, ...], float]] = {label: {} for label in CELL_OF_LABEL}
     symbols: set[str] = set()  # terminal symbols already checked against the notation
 
     def check_label(label: str) -> str:
@@ -361,11 +347,11 @@ def load_model(document: str) -> TrainedModel:
                 declared_records = int(parts[1])
             elif kind == "p0" and len(parts) in (7, 8) and parts[3] == "N" and parts[5] == "N1":
                 label = check_label(parts[1])
-                if label in p0_of:
+                if label in p0:
                     raise _bad(f"line {lineno}: duplicate p0 for {label}")
                 if len(parts) == 8 and parts[7] != "all_unseen":
                     raise _bad(f"line {lineno}: unknown p0 flag {parts[7]!r}")
-                p0_of[label] = float(parts[2])
+                p0[label] = float(parts[2])
                 meta[label] = (int(parts[4]), int(parts[6]), len(parts) == 8)
             elif len(parts) == 4:
                 label = check_label(parts[0])
@@ -379,13 +365,13 @@ def load_model(document: str) -> TrainedModel:
                         raise _bad(f"line {lineno}: terminal {text!r} holds a symbol "
                                    "that collides with the notation")
                     symbols.update(terminal)
-                bucket = counts_of.setdefault(label, {})
+                bucket = counts.setdefault(label, {})
                 if terminal in bucket:
                     raise _bad(f"line {lineno}: duplicate record for {label} {text}")
                 bucket[terminal] = int(parts[2])
                 if bucket[terminal] < 1:
                     raise _bad(f"line {lineno}: count below 1 in {line!r}")
-                probabilities_of[label][terminal] = float(parts[3])
+                probabilities[label][terminal] = float(parts[3])
             else:
                 raise _bad(f"line {lineno}: unrecognized line {line!r}")
         except ValueError:
@@ -396,28 +382,26 @@ def load_model(document: str) -> TrainedModel:
             raise _bad(f"missing config {key}")
     if total is None or declared_records is None:
         raise _bad("missing total or records line")
-    if len(p0_of) != len(CELL_OF_LABEL):
+    if len(p0) != len(CELL_OF_LABEL):
         raise _bad("model must carry a p0 line for each of the 12 cells")
 
-    record_count = sum(len(b) for b in counts_of.values())
+    table = PathTable(counts, total)
+    record_count = sum(len(b) for b in counts.values())
     if record_count != declared_records:
         raise _bad(f"declared {declared_records} records, found {record_count}")
-    if sum(c for b in counts_of.values() for c in b.values()) != total:
+    if sum(map(table.n, CELL_OF_LABEL)) != total:
         raise _bad("record counts do not sum to the declared total")
 
-    all_unseen: set[Cell] = set()
-    for label, cell in CELL_OF_LABEL.items():
+    all_unseen: set[str] = set()
+    for label in CELL_OF_LABEL:
         n_declared, n1_declared, flagged = meta[label]
-        bucket = counts_of.get(label, {})
-        n = sum(bucket.values())
-        if n != n_declared or sum(1 for c in bucket.values() if c == 1) != n1_declared:
+        if table.n(label) != n_declared or table.n1(label) != n1_declared:
             raise _bad(f"cell {label}: N/N1 disagree with its records")
         if flagged:
-            if bucket:
+            if label in counts:
                 raise _bad(f"cell {label}: flagged all_unseen but has records")
-            all_unseen.add(cell)
-            continue
-        if n == 0:
+            all_unseen.add(label)
+        elif not n_declared:
             raise _bad(f"cell {label}: empty but not flagged all_unseen")
 
     try:
@@ -429,17 +413,14 @@ def load_model(document: str) -> TrainedModel:
     except (ValueError, BadConfig) as err:
         raise _bad(f"bad config: {err}") from None
 
-    p0 = {cell: p0_of[label] for label, cell in CELL_OF_LABEL.items()}
-    probabilities = {cell: probabilities_of[label] for label, cell in CELL_OF_LABEL.items()}
-    table = PathTable({CELL_OF_LABEL[label]: b for label, b in counts_of.items()}, total)
     derived = good_turing(table, config)
-    for label, cell in CELL_OF_LABEL.items():
+    for label in CELL_OF_LABEL:
         # written as "not <=" so that a NaN fails too
-        if not abs(p0[cell] - derived.p0[cell]) <= 1e-12:
-            raise _bad(f"cell {label}: p0 {p0[cell]!r} is not the "
-                       f"{derived.p0[cell]!r} its counts imply")
-        expected = derived.probabilities[cell]
-        for terminal, prob in probabilities[cell].items():
+        if not abs(p0[label] - derived.p0[label]) <= 1e-12:
+            raise _bad(f"cell {label}: p0 {p0[label]!r} is not the "
+                       f"{derived.p0[label]!r} its counts imply")
+        expected = derived.probabilities[label]
+        for terminal, prob in probabilities[label].items():
             if not abs(prob - expected[terminal]) <= 1e-12:
                 raise _bad(f"cell {label}: p({format_terminal(terminal)}) {prob!r} "
                            f"is not the {expected[terminal]!r} its counts imply")
@@ -466,7 +447,7 @@ def train_model(
     """Run the whole training pipeline over a lexicon document."""
     config = ModelConfig(inv.digest, policy, gt_mode, epsilon)
     ingest = ingest_lexicon(document, inv)
-    onsets = collect_word_onsets([e.transcription for e in ingest.entries])
+    onsets = collect_word_onsets(ingest.entries)
     unsupported: list[tuple[int, str]] = []
 
     def trained_paths() -> Iterable[PathPair]:

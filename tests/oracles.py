@@ -62,7 +62,7 @@ def _oracle_word_splits(word) -> list[list[tuple[tuple, tuple]]]:
 
 
 def _oracle_prob(model, cat: SyllableCategory, kind: ConstituentKind, terminal) -> float:
-    cell = (cat, kind)
+    cell = kind.value + cat.value[1:]  # the cell label, e.g. 'O' + 'si'
     if cell in model.all_unseen:
         return model.config.epsilon
     seen = model.probabilities[cell].get(terminal)

@@ -31,7 +31,6 @@ def test_category_parts():
     assert SC.STRONG_INITIAL.label == "Ssi"
     assert SC.WEAK_INITIAL_FINAL.stress is W
     assert SC.STRONG_FINAL.position is Position.FINAL
-    assert SC.from_parts(S, Position.INITIAL_FINAL) is SC.STRONG_INITIAL_FINAL
     assert len(ALL_CELLS) == 12
     assert [cell_label(c) for c in ALL_CELLS[:6]] == ["Osi", "Osf", "Osif", "Owi", "Owf", "Owif"]
 

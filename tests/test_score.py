@@ -4,19 +4,16 @@ import math
 
 import pytest
 
-from phonotax.grammar import ALL_CELLS, ConstituentKind, SyllableCategory
+from phonotax.grammar import CELL_OF_LABEL
 from phonotax.phonology import tokenize
 from phonotax.score import parse_stimuli, score_batch, score_word
 from phonotax.train import ModelConfig, PathTable, TrainedModel, train_model
 
-SC = SyllableCategory
-ON, RH = ConstituentKind.ONSET, ConstituentKind.RHYME
-
 
 def _hand_model(probabilities, p0_default=1e-4):
     """Model with hand-set probabilities; untouched cells share one p0."""
-    p0 = {cell: p0_default for cell in ALL_CELLS}
-    probs = {cell: {} for cell in ALL_CELLS}
+    p0 = {cell: p0_default for cell in CELL_OF_LABEL}
+    probs = {cell: {} for cell in CELL_OF_LABEL}
     for cell, table in probabilities.items():
         probs[cell] = dict(table)
     return TrainedModel(PathTable({}, 0), p0, probs, frozenset(), ModelConfig("y" * 64))
@@ -24,8 +21,8 @@ def _hand_model(probabilities, p0_default=1e-4):
 
 def test_score_word_equal_constituents(inv):
     model = _hand_model({
-        (SC.STRONG_INITIAL_FINAL, ON): {("k",): 0.2},
-        (SC.STRONG_INITIAL_FINAL, RH): {("æ", "t"): 0.2},
+        "Osif": {("k",): 0.2},
+        "Rsif": {("æ", "t"): 0.2},
     })
     rep = score_word(model, tokenize("k æ1 t", inv))
     assert rep.p_word == pytest.approx(0.04, abs=1e-15)
@@ -37,10 +34,10 @@ def test_score_word_equal_constituents(inv):
 def test_score_word_worst_and_best(inv):
     # no medial consonant, so the segmentation is forced
     model = _hand_model({
-        (SC.STRONG_INITIAL, ON): {("k",): 0.5},
-        (SC.STRONG_INITIAL, RH): {("æ",): 0.01},
-        (SC.WEAK_FINAL, ON): {(): 0.5},
-        (SC.WEAK_FINAL, RH): {("ə",): 0.5},
+        "Osi": {("k",): 0.5},
+        "Rsi": {("æ",): 0.01},
+        "Owf": {(): 0.5},
+        "Rwf": {("ə",): 0.5},
     })
     rep = score_word(model, tokenize("k æ1 ə0", inv))
     assert rep.p_word == pytest.approx(0.00125, abs=1e-15)
@@ -60,8 +57,8 @@ def test_exp_ln_inverse(inv, toy_model):
 
 def test_degrading_one_constituent_is_monotone(inv):
     base = {
-        (SC.STRONG_INITIAL_FINAL, ON): {("k",): 0.3, ("s",): 0.1},
-        (SC.STRONG_INITIAL_FINAL, RH): {("æ", "t"): 0.4},
+        "Osif": {("k",): 0.3, ("s",): 0.1},
+        "Rsif": {("æ", "t"): 0.4},
     }
     model = _hand_model(base)
     good = score_word(model, tokenize("k æ1 t", inv))

@@ -7,6 +7,7 @@ import pytest
 from phonotax.errors import NoNucleus, ThreePlusNuclei
 from phonotax.phonology import Stress, load_inventory, tokenize
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
+from phonotax.train import ingest_lexicon
 
 from conftest import INVENTORY_TEXT
 from oracles import random_transcription_text
@@ -23,27 +24,20 @@ def _shape(t, onsets, policy=MAX):
     """Render syllables as 'onset|rhyme' strings per word."""
     words = syllabify(t, onsets, policy)
     return [
-        [" ".join(s.onset_symbols) + "|" + " ".join(s.rhyme_symbols) for s in word]
+        [" ".join(tok.symbol for tok in s.onset) + "|" + " ".join(tok.symbol for tok in s.rhyme)
+         for s in word]
         for word in words
     ]
 
 
 def test_collect_word_onsets(inv):
-    corpus = [tokenize(raw, inv) for raw in ("k æ1 t", "s t ɪ1 l", "æ1 t", "b ʌ1 s + b ɔɪ1")]
-    onsets = collect_word_onsets(corpus)
+    doc = "".join(f"w\t{raw}\n" for raw in ("k æ1 t", "s t ɪ1 l", "æ1 t", "b ʌ1 s + b ɔɪ1"))
+    onsets = collect_word_onsets(ingest_lexicon(doc, inv).entries)
     assert ("k",) in onsets
     assert ("s", "t") in onsets
     assert () in onsets
     assert ("b",) in onsets
     assert ("s",) not in onsets  # only whole prefixes count
-
-
-def test_collect_skips_vowelless_words(inv, caplog):
-    corpus = [tokenize("k + æ1", inv)]
-    with caplog.at_level("WARNING"):
-        onsets = collect_word_onsets(corpus)
-    assert () in onsets
-    assert "vowel-less" in caplog.text
 
 
 def test_vcv_splits_before_consonant(inv):

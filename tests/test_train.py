@@ -15,17 +15,11 @@ from phonotax.errors import (
     UnsupportedStressPattern,
     VersionMismatch,
 )
-from phonotax.grammar import (
-    ALL_CELLS,
-    ConstituentKind,
-    PathType,
-    SyllableCategory,
-    cell_from_label,
-    templates_for,
-)
+from phonotax.grammar import CELL_OF_LABEL, PathType, templates_for
 from phonotax.phonology import Stress, load_inventory, nucleus_indices, stress_pattern
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
 from phonotax.train import (
+    GT_MODES,
     ModelConfig,
     PathTable,
     extract_paths,
@@ -41,9 +35,7 @@ from phonotax.train import (
 from conftest import INVENTORY_TEXT
 from oracles import random_lexicon
 
-SC = SyllableCategory
-ON, RH = ConstituentKind.ONSET, ConstituentKind.RHYME
-OSIF, RSIF = (SC.STRONG_INITIAL_FINAL, ON), (SC.STRONG_INITIAL_FINAL, RH)
+OSIF, RSIF = "Osif", "Rsif"
 
 
 def test_ingest_retains_and_skips(inv):
@@ -98,7 +90,7 @@ def test_ingest_downgrades_secondary_next_to_primary(inv):
 
 def test_extract_paths_monosyllables(inv):
     result = ingest_lexicon("cat\tk æ1 t\nat\tæ1 t\n", inv)
-    onsets = collect_word_onsets([e.transcription for e in result.entries])
+    onsets = collect_word_onsets(result.entries)
     paths = [p for e in result.entries for p in extract_paths(e, onsets)]
     table = tabulate(paths)
     assert table.counts[OSIF] == {("k",): 1, (): 1}
@@ -109,7 +101,7 @@ def test_extract_paths_monosyllables(inv):
 
 def test_extract_paths_compound(inv):
     result = ingest_lexicon("busboy\tb ʌ1 s + b ɔɪ1\n", inv)
-    onsets = collect_word_onsets([e.transcription for e in result.entries])
+    onsets = collect_word_onsets(result.entries)
     paths = extract_paths(result.entries[0], onsets)
     assert paths == [
         ("Osif", ("b",)), ("Rsif", ("ʌ", "s")),
@@ -132,7 +124,7 @@ def test_extract_paths_rejects_bad_patterns(inv):
 def test_extract_paths_match_syllabify(seed, size):
     inventory = load_inventory(INVENTORY_TEXT)
     entries = ingest_lexicon(random_lexicon(random.Random(seed), size), inventory).entries
-    onsets = collect_word_onsets([e.transcription for e in entries])
+    onsets = collect_word_onsets(entries)
     for entry in entries:
         assert entry.pattern == stress_pattern(entry.transcription,
                                                nucleus_indices(entry.transcription))
@@ -143,9 +135,9 @@ def test_extract_paths_match_syllabify(seed, size):
                 continue
             syllables = [syl for word in syllabify(entry.transcription, onsets, policy)
                          for syl in word]
-            runs = [run for syl in syllables for run in (syl.onset_symbols, syl.rhyme_symbols)]
+            runs = [tuple(tok.symbol for tok in run) for syl in syllables for run in (syl.onset, syl.rhyme)]
             assert [terminal for _, terminal in paths] == runs
-            assert [cell_from_label(label)[0].stress for label, _ in paths[::2]] == [
+            assert [CELL_OF_LABEL[label][0].stress for label, _ in paths[::2]] == [
                 syl.stress for syl in syllables]
 
 
@@ -157,7 +149,7 @@ def test_trained_counts_match_a_path_type_recount(seed, size, policy):
     inventory = load_inventory(INVENTORY_TEXT)
     doc = random_lexicon(random.Random(seed), size)
     entries = ingest_lexicon(doc, inventory).entries
-    onsets = collect_word_onsets([e.transcription for e in entries])
+    onsets = collect_word_onsets(entries)
     recount = Counter()
     for entry in entries:
         words = syllabify(entry.transcription, onsets, policy)
@@ -167,11 +159,11 @@ def test_trained_counts_match_a_path_type_recount(seed, size, policy):
             (template,) = [c for c in templates_for(pattern) if len(c.words) == len(words)]
         except (UnsupportedStressPattern, ValueError):
             continue
-        runs = [run for syl in syllables for run in (syl.onset_symbols, syl.rhyme_symbols)]
+        runs = [tuple(tok.symbol for tok in run) for syl in syllables for run in (syl.onset, syl.rhyme)]
         recount.update(PathType(cat, kind, run) for (cat, kind), run in zip(template.slots, runs))
     expected = {}
     for path, c in recount.items():
-        expected.setdefault(path.cell, {})[path.terminal] = c
+        expected.setdefault(path.constituent_label, {})[path.terminal] = c
     if not expected:
         with pytest.raises(EmptyCorpus):
             train_model(doc, inventory, policy)
@@ -186,8 +178,8 @@ def test_tabulate_invariants(inv):
     inventory = load_inventory(INVENTORY_TEXT)
     result = train_model(random_lexicon(rng, 25), inventory)
     table = result.model.table
-    assert sum(table.n(c) for c in ALL_CELLS) == table.total
-    for cell in ALL_CELLS:
+    assert sum(table.n(c) for c in CELL_OF_LABEL) == table.total
+    for cell in CELL_OF_LABEL:
         assert table.n(cell) == sum(table.counts.get(cell, {}).values())
         fof = Counter(table.counts.get(cell, {}).values())  # types per count r
         assert sum(r * k for r, k in fof.items()) == table.n(cell)
@@ -249,11 +241,16 @@ def test_top_k_ordering():
     assert top_k(m, RSIF, 3) == []
 
 
-def test_model_round_trip(inv):
-    model = train_model(
-        "cat\tk æ1 t\nat\tæ1 t\nsandal\ts æ1 n d ə0 l\nbusboy\tb ʌ1 s + b ɔɪ1\n",
-        inv, gt_mode="full", epsilon=1e-6,
-    ).model
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 30), st.sampled_from(MedialSplitPolicy),
+       st.sampled_from(GT_MODES), st.sampled_from([1e-75, 1e-9, 1e-6, 1e-3]))
+def test_model_round_trip(seed, size, policy, gt_mode, epsilon):
+    inventory = load_inventory(INVENTORY_TEXT)
+    doc = random_lexicon(random.Random(seed), size)
+    model = train_model(doc, inventory, policy, gt_mode, epsilon).model
+    labels = set(CELL_OF_LABEL)
+    assert set(model.p0) == set(model.probabilities) == labels
+    assert set(model.table.counts) <= labels and model.all_unseen <= labels
     doc = save_model(model)
     loaded = load_model(doc)
     assert save_model(loaded) == doc  # byte-stable
@@ -352,7 +349,7 @@ def test_load_model_takes_only_symbols_an_inventory_may_hold(toy_model, text):
     (line,) = [l for l in doc.splitlines() if l.startswith("Osif\tk\t")]
     edited = doc.replace(line, line.replace("Osif\tk\t", f"Osif\t{text}\t"))
     if all(map(declarable, text.split())):
-        assert tuple(text.split()) in load_model(edited).probabilities[cell_from_label("Osif")]
+        assert tuple(text.split()) in load_model(edited).probabilities["Osif"]
     else:
         with pytest.raises(ModelFormatError, match=r"line \d+: terminal"):
             load_model(edited)
@@ -400,7 +397,7 @@ def test_train_model_reports_unsupported(inv):
 def test_training_normalizes_every_cell(seed, size):
     inventory = load_inventory(INVENTORY_TEXT)
     model = train_model(random_lexicon(random.Random(seed), size), inventory).model
-    for cell in ALL_CELLS:
+    for cell in CELL_OF_LABEL:
         if cell in model.all_unseen:
             assert model.probabilities[cell] == {}
             continue
