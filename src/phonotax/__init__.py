@@ -6,15 +6,7 @@ templates, and score how English-like a nonsense word is.
 """
 
 from .errors import PhonotaxError
-from .grammar import (
-    ConstituentKind,
-    PathType,
-    SyllableCategory,
-    format_path,
-    parse_path,
-    sequential_unify,
-    templates_for,
-)
+from .grammar import LABELS, PathType, format_path, sequential_unify, templates_for
 from .parse import parse_all
 from .phonology import PhonemeInventory, Stress, Transcription, load_inventory, tokenize
 from .score import ScoreReport, score_batch, score_word
@@ -35,8 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhonotaxError",
-    "ConstituentKind", "PathType", "SyllableCategory",
-    "format_path", "parse_path", "sequential_unify", "templates_for",
+    "LABELS", "PathType", "format_path", "sequential_unify", "templates_for",
     "parse_all",
     "PhonemeInventory", "Stress", "Transcription", "load_inventory", "tokenize",
     "ScoreReport", "score_batch", "score_word",

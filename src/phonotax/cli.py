@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BadEncoding, PhonotaxError
-from .grammar import CELL_OF_LABEL
+from .grammar import LABELS
 from .mitton import convert_mitton
 from .phonology import PhonemeInventory, load_inventory
 from .plot import scatter_csv, scatter_svg
@@ -80,7 +80,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print("per-cell totals:")
     for kind in "OR":
         row = "  ".join(
-            f"{label} {result.model.table.n(label)}" for label in CELL_OF_LABEL if label[0] == kind
+            f"{label} {result.model.table.n(label)}" for label in LABELS if label[0] == kind
         )
         print(f"  {row}")
     print(f"model: {model_path}")
@@ -154,7 +154,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     model = load_model(_read(args.model))
     for kind, title in (("O", "Onsets"), ("R", "Rhymes")):
         columns = []
-        for label in CELL_OF_LABEL:
+        for label in LABELS:
             if label[0] == kind:
                 columns.append([label] + [f"{t} {c}" for t, c in top_k(model, label, args.top)])
         height = max(len(col) for col in columns)

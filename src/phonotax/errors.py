@@ -66,19 +66,6 @@ class OutOfScope(PhonotaxError):
     pass
 
 
-class ThreePlusNuclei(OutOfScope):
-    pass
-
-
-# path text
-class MalformedPath(PhonotaxError):
-    pass
-
-
-class TagMismatch(MalformedPath):
-    pass
-
-
 # training and model files
 class EmptyCorpus(PhonotaxError):
     pass

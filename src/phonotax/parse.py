@@ -65,8 +65,8 @@ class ScoredParse:
 
     @property
     def paths(self) -> tuple[PathType, ...]:
-        return tuple([PathType(cat, kind, run)
-                      for (cat, kind), run in zip(self.template.slots, self.runs, strict=True)])
+        return tuple([PathType(label, run)
+                      for label, run in zip(self.template.labels, self.runs, strict=True)])
 
     @property
     def parse(self) -> UnifiedParse:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import ThreePlusNuclei
 from .phonology import Stress, Token, Transcription, nucleus_indices, stress_pattern
 
 if TYPE_CHECKING:
@@ -126,14 +125,12 @@ def syllabify(
 ) -> tuple[tuple[Syllable, ...], ...]:
     """Split a transcription into syllables, one tuple per word.
 
-    Raises ThreePlusNuclei past two vowels, then whatever
-    ``stress_pattern`` raises (NoNucleus for a vowel-less word). The
-    output conserves the input tokens exactly: concatenating
-    onset+rhyme across syllables and words restores them.
+    Raises what ``stress_pattern`` raises, the scope check of both
+    commands: NoNucleus for a vowel-less word, then OutOfScope past two
+    nuclei. The output conserves the input tokens exactly:
+    concatenating onset+rhyme across syllables and words restores them.
     """
     nuclei = nucleus_indices(t)
-    if len(nuclei) > 2:
-        raise ThreePlusNuclei(f"{len(nuclei)} nuclei; at most two are supported")
     pattern = stress_pattern(t, nuclei)
     runs = cut_runs(t.tokens, nuclei, policy_cut(t, nuclei, onsets, policy))
     syllables = tuple(map(Syllable, runs[::2], runs[1::2], pattern))

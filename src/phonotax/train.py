@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedStressPattern,
     VersionMismatch,
 )
-from .grammar import CELL_OF_LABEL, NULL_TERMINAL, format_terminal, templates_for
+from .grammar import LABELS, NULL_TERMINAL, format_terminal, templates_for
 from .phonology import (
     PhonemeInventory,
     Stress,
@@ -209,7 +209,7 @@ class TrainedModel:
                 ({}, self.config.epsilon) if label in self.all_unseen
                 else (self.probabilities[label], self.p0[label])
             )
-            for label in CELL_OF_LABEL
+            for label in LABELS
         }
 
     def prob(self, label: str, terminal: tuple[str, ...]) -> tuple[float, bool]:
@@ -230,7 +230,7 @@ def good_turing(table: PathTable, config: ModelConfig) -> TrainedModel:
     p0: dict[str, float] = {}
     probabilities: dict[str, dict[tuple[str, ...], float]] = {}
     all_unseen: set[str] = set()
-    for label in CELL_OF_LABEL:
+    for label in LABELS:
         counts = table.counts.get(label, {})
         n = table.n(label)
         if n == 0:
@@ -279,13 +279,13 @@ def save_model(model: TrainedModel) -> str:
         f"total\t{model.table.total}",
     ]
     records = []
-    for label in CELL_OF_LABEL:
+    for label in LABELS:
         counts, probabilities = model.table.counts.get(label, {}), model.probabilities[label]
         for terminal in sorted(counts, key=format_terminal):
             records.append(f"{label}\t{format_terminal(terminal)}\t{counts[terminal]}"
                            f"\t{probabilities[terminal]!r}")
     lines.append(f"records\t{len(records)}")
-    for label in CELL_OF_LABEL:
+    for label in LABELS:
         flag = "\tall_unseen" if label in model.all_unseen else ""
         lines.append(
             f"p0\t{label}\t{model.p0[label]!r}"
@@ -325,11 +325,11 @@ def load_model(document: str) -> TrainedModel:
     p0: dict[str, float] = {}
     meta: dict[str, tuple[int, int, bool]] = {}  # N, N1, all_unseen
     counts: dict[str, dict[tuple[str, ...], int]] = {}
-    probabilities: dict[str, dict[tuple[str, ...], float]] = {label: {} for label in CELL_OF_LABEL}
+    probabilities: dict[str, dict[tuple[str, ...], float]] = {label: {} for label in LABELS}
     symbols: set[str] = set()  # terminal symbols already checked against the notation
 
     def check_label(label: str) -> str:
-        if label not in CELL_OF_LABEL:
+        if label not in probabilities:  # keyed by every label
             raise _bad(f"unknown cell label {label!r}")
         return label
 
@@ -382,18 +382,18 @@ def load_model(document: str) -> TrainedModel:
             raise _bad(f"missing config {key}")
     if total is None or declared_records is None:
         raise _bad("missing total or records line")
-    if len(p0) != len(CELL_OF_LABEL):
+    if len(p0) != len(LABELS):
         raise _bad("model must carry a p0 line for each of the 12 cells")
 
     table = PathTable(counts, total)
     record_count = sum(len(b) for b in counts.values())
     if record_count != declared_records:
         raise _bad(f"declared {declared_records} records, found {record_count}")
-    if sum(map(table.n, CELL_OF_LABEL)) != total:
+    if sum(map(table.n, LABELS)) != total:
         raise _bad("record counts do not sum to the declared total")
 
     all_unseen: set[str] = set()
-    for label in CELL_OF_LABEL:
+    for label in LABELS:
         n_declared, n1_declared, flagged = meta[label]
         if table.n(label) != n_declared or table.n1(label) != n1_declared:
             raise _bad(f"cell {label}: N/N1 disagree with its records")
@@ -414,7 +414,7 @@ def load_model(document: str) -> TrainedModel:
         raise _bad(f"bad config: {err}") from None
 
     derived = good_turing(table, config)
-    for label in CELL_OF_LABEL:
+    for label in LABELS:
         # written as "not <=" so that a NaN fails too
         if not abs(p0[label] - derived.p0[label]) <= 1e-12:
             raise _bad(f"cell {label}: p0 {p0[label]!r} is not the "

@@ -14,21 +14,18 @@ import random
 from functools import reduce
 from operator import mul
 
-from phonotax.grammar import ConstituentKind, PathType, SyllableCategory, format_path
+from phonotax.grammar import PathType, format_path
 from phonotax.phonology import Transcription
 
-SC = SyllableCategory
-ON, RH = ConstituentKind.ONSET, ConstituentKind.RHYME
-
-# (word count, flattened categories) per stress pattern; literal tables
+# (word count, flattened syllable categories) per stress pattern; literal tables
 ORACLE_TEMPLATES = {
-    ("s",): [(1, [SC.STRONG_INITIAL_FINAL])],
-    ("w",): [(1, [SC.WEAK_INITIAL_FINAL])],
-    ("w", "s"): [(1, [SC.WEAK_INITIAL, SC.STRONG_FINAL])],
-    ("s", "w"): [(1, [SC.STRONG_INITIAL, SC.WEAK_FINAL])],
+    ("s",): [(1, ["Ssif"])],
+    ("w",): [(1, ["Swif"])],
+    ("w", "s"): [(1, ["Swi", "Ssf"])],
+    ("s", "w"): [(1, ["Ssi", "Swf"])],
     ("s", "s"): [
-        (1, [SC.STRONG_INITIAL, SC.STRONG_FINAL]),
-        (2, [SC.STRONG_INITIAL_FINAL, SC.STRONG_INITIAL_FINAL]),
+        (1, ["Ssi", "Ssf"]),
+        (2, ["Ssif", "Ssif"]),
     ],
 }
 
@@ -61,8 +58,7 @@ def _oracle_word_splits(word) -> list[list[tuple[tuple, tuple]]]:
     return splits
 
 
-def _oracle_prob(model, cat: SyllableCategory, kind: ConstituentKind, terminal) -> float:
-    cell = kind.value + cat.value[1:]  # the cell label, e.g. 'O' + 'si'
+def _oracle_prob(model, cell: str, terminal) -> float:
     if cell in model.all_unseen:
         return model.config.epsilon
     seen = model.probabilities[cell].get(terminal)
@@ -91,10 +87,11 @@ def oracle_best(t: Transcription, model) -> tuple[float, list[str]]:
             probs = []
             texts = []
             for cat, (onset, rhyme) in zip(cats, syllables):
-                for kind, run in ((ON, onset), (RH, rhyme)):
+                for kind, run in (("O", onset), ("R", rhyme)):
+                    cell = kind + cat[1:]  # the cell label, e.g. 'O' + 'si'
                     terminal = tuple(tok.symbol for tok in run)
-                    probs.append(_oracle_prob(model, cat, kind, terminal))
-                    texts.append(format_path(PathType(cat, kind, terminal)))
+                    probs.append(_oracle_prob(model, cell, terminal))
+                    texts.append(format_path(PathType(cell, terminal)))
             product = reduce(mul, probs, 1.0)
             text = " ; ".join(texts)
             if (

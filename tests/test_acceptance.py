@@ -14,7 +14,7 @@ import time
 import pytest
 from scipy import stats as sps
 
-from phonotax.grammar import CELL_OF_LABEL
+from phonotax.grammar import LABELS
 from phonotax.mitton import convert_mitton
 from phonotax.parse import parse_all
 from phonotax.phonology import tokenize
@@ -37,7 +37,7 @@ def test_criterion_1_normalization_over_random_lexica(inv):
         lexicon = random_lexicon(rng, rng.randint(3, 20))
         mode = "simple" if trial % 2 == 0 else "full"
         model = train_model(lexicon, inv, gt_mode=mode).model
-        for cell in CELL_OF_LABEL:
+        for cell in LABELS:
             if cell in model.all_unseen:
                 assert model.p0[cell] == 1.0
                 assert model.probabilities[cell] == {}
@@ -192,12 +192,12 @@ def test_criterion_8_dictionary_reproduction(default_inv, capsys):
         ("retained entries", retained, 48_580),
         ("path instances", result.path_count, 98_697),
     ]
-    for label, cell_label_, terminal, want in (
+    for label, cell, terminal, want in (
         ("Osf s", "Osf", ("s",), 234),
         ("Osi null", "Osi", (), 1_180),
         ("Owf l", "Owf", ("l",), 979),
     ):
-        got = result.model.table.counts.get(cell_label_, {}).get(terminal, 0)
+        got = result.model.table.counts.get(cell, {}).get(terminal, 0)
         lines.append((label, got, want))
 
     with capsys.disabled():

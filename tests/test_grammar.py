@@ -1,42 +1,40 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import random
 
-from phonotax.errors import MalformedPath, OutOfScope, TagMismatch, UnsupportedStressPattern
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from phonotax.errors import UnsupportedStressPattern
 from phonotax.grammar import (
-    ALL_CELLS,
-    ConstituentKind,
+    LABELS,
     PathType,
-    Position,
-    SyllableCategory,
     UnifiedParse,
     UnifyFailure,
-    WordTemplate,
-    cell_from_label,
-    cell_label,
     format_path,
-    parse_path,
+    path_prefix,
     sequential_unify,
     templates_for,
 )
-from phonotax.phonology import Stress
+from phonotax.parse import parse_all
+from phonotax.phonology import Stress, load_inventory, tokenize
+from phonotax.train import train_model
 
-SC = SyllableCategory
-ON, RH = ConstituentKind.ONSET, ConstituentKind.RHYME
+from conftest import INVENTORY_TEXT
+from oracles import random_lexicon, random_transcription_text
+
 S, W = Stress.STRONG, Stress.WEAK
 
 
 def test_category_parts():
-    assert SC.STRONG_INITIAL.label == "Ssi"
-    assert SC.WEAK_INITIAL_FINAL.stress is W
-    assert SC.STRONG_FINAL.position is Position.FINAL
-    assert len(ALL_CELLS) == 12
-    assert [cell_label(c) for c in ALL_CELLS[:6]] == ["Osi", "Osf", "Osif", "Owi", "Owf", "Owif"]
+    assert len(LABELS) == len(set(LABELS)) == 12
+    assert LABELS[:6] == ("Osi", "Osf", "Osif", "Owi", "Owf", "Owif")
+    assert LABELS[6:] == tuple("R" + label[1:] for label in LABELS[:6])
+    assert path_prefix("Rwif") == "U : W : Swif : Rwif : "
 
 
 def _describe(template):
-    return " ".join("[" + " ".join(c.label for c in w) + "]" for w in template.words)
+    return " ".join("[" + " ".join(w) + "]" for w in template.words)
 
 
 def test_templates_for_all_patterns():
@@ -48,78 +46,25 @@ def test_templates_for_all_patterns():
     assert [_describe(t) for t in templates_for((S, S))] == ["[Ssi Ssf]", "[Ssif] [Ssif]"]
     with pytest.raises(UnsupportedStressPattern):
         templates_for((W, W))
-    with pytest.raises(OutOfScope):
-        templates_for((S, W, S))
-
-
-def test_template_validation():
-    with pytest.raises(ValueError):
-        WordTemplate(((SC.STRONG_INITIAL,),))  # monosyllable must carry 'if'
-    with pytest.raises(ValueError):
-        WordTemplate(((SC.STRONG_FINAL, SC.STRONG_INITIAL),))  # order reversed
-    with pytest.raises(ValueError):
-        WordTemplate(((SC.STRONG_INITIAL_FINAL,), (SC.WEAK_INITIAL_FINAL,)))  # weak half
-    with pytest.raises(ValueError):
-        WordTemplate(())
 
 
 def test_template_slots():
     iamb = templates_for((W, S))[0]
     assert iamb.labels == ("Owi", "Rwi", "Osf", "Rsf")
-    assert iamb.slots == tuple(cell_from_label(label) for label in iamb.labels)
+    assert iamb.prefixes == tuple(map(path_prefix, iamb.labels))
+    assert iamb.prefixes[0] == "U : W : Swi : Owi : "
     compound = templates_for((S, S))[1]
     assert compound.labels == ("Osif", "Rsif", "Osif", "Rsif")
 
 
 def test_format_path():
-    p = PathType(SC.STRONG_INITIAL, ON, ("k",))
-    assert format_path(p) == "U : W : Ssi : Osi : k"
-    empty = PathType(SC.STRONG_INITIAL, ON, ())
-    assert format_path(empty) == "U : W : Ssi : Osi : ∅"
-    rhyme = PathType(SC.WEAK_FINAL, RH, ("ə", "l"))
-    assert format_path(rhyme) == "U : W : Swf : Rwf : ə l"
-
-
-def test_parse_path_round_trip():
-    for text in (
-        "U : W : Ssi : Osi : k",
-        "U : W : Ssif : Rsif : æ t",
-        "U : W : Swif : Owif : ∅",
-    ):
-        assert format_path(parse_path(text)) == text
-
-
-def test_parse_path_errors():
-    with pytest.raises(TagMismatch):
-        parse_path("U : W : Ssi : Owf : d")  # constituent tags disagree
-    with pytest.raises(MalformedPath):
-        parse_path("U : Ssi : Osi : k")
-    with pytest.raises(MalformedPath):
-        parse_path("X : W : Ssi : Osi : k")
-    with pytest.raises(MalformedPath):
-        parse_path("U : W : Sxx : Oxx : k")
-    with pytest.raises(MalformedPath):
-        parse_path("U : W : Ssi : Xsi : k")
-    with pytest.raises(MalformedPath):
-        parse_path("U : W : Ssi : Osi : ")
-
-
-@given(
-    st.sampled_from(list(SyllableCategory)),
-    st.sampled_from(list(ConstituentKind)),
-    st.lists(st.sampled_from(["p", "t", "æ", "ɪ", "s"]), max_size=4).map(tuple),
-)
-def test_path_text_inverse(cat, kind, terminal):
-    p = PathType(cat, kind, terminal)
-    assert parse_path(format_path(p)) == p
+    assert format_path(PathType("Osi", ("k",))) == "U : W : Ssi : Osi : k"
+    assert format_path(PathType("Osi", ())) == "U : W : Ssi : Osi : ∅"
+    assert format_path(PathType("Rwf", ("ə", "l"))) == "U : W : Swf : Rwf : ə l"
 
 
 def _paths_for(template):
-    out = []
-    for cat in template.categories:
-        out.append(PathType(cat, ON, ("t",)))
-        out.append(PathType(cat, RH, ("æ",)))
-    return out
+    return [PathType(label, ("t",) if label[0] == "O" else ("æ",)) for label in template.labels]
 
 
 def test_unify_success():
@@ -134,7 +79,7 @@ def test_unify_rejects_tag_mismatch():
     template = templates_for((S, W))[0]
     paths = _paths_for(template)
     # swap the second rhyme for one with the wrong tags
-    paths[3] = PathType(SC.STRONG_FINAL, RH, ("æ",))
+    paths[3] = PathType("Rsf", ("æ",))
     result = sequential_unify(template, paths)
     assert isinstance(result, UnifyFailure)
     assert result.index == 3
@@ -145,7 +90,7 @@ def test_unify_rejects_tag_mismatch():
 
 def test_unify_rejects_wrong_order():
     template = templates_for((S,))[0]
-    onset = PathType(SC.STRONG_INITIAL_FINAL, ON, ("k",))
+    onset = PathType("Osif", ("k",))
     result = sequential_unify(template, [onset, onset])
     assert isinstance(result, UnifyFailure)
     assert result.index == 1
@@ -168,7 +113,7 @@ def test_unify_rejects_wrong_lengths():
 def test_unify_reports_first_offending_pair():
     template = templates_for((S, S))[0]
     good = _paths_for(template)
-    bad = [good[0], PathType(SC.WEAK_FINAL, RH, ("æ",)), good[2], good[3]]
+    bad = [good[0], PathType("Rwf", ("æ",)), good[2], good[3]]
     result = sequential_unify(template, bad)
     assert isinstance(result, UnifyFailure)
     assert result.index == 1
@@ -178,4 +123,21 @@ def test_unify_reports_first_offending_pair():
 def test_unified_parse_validates():
     template = templates_for((S,))[0]
     with pytest.raises(ValueError):
-        UnifiedParse(template, (PathType(SC.STRONG_INITIAL_FINAL, RH, ("æ",)),))
+        UnifiedParse(template, (PathType("Rsif", ("æ",)),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_every_parse_unifies_and_a_swapped_label_fails_there(seed):
+    rng = random.Random(seed)
+    inventory = load_inventory(INVENTORY_TEXT)
+    model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
+    for _ in range(5):
+        for sp in parse_all(tokenize(random_transcription_text(rng), inventory), model):
+            assert sequential_unify(sp.template, sp.paths) == sp.parse
+            paths = list(sp.paths)
+            i = rng.randrange(len(paths))
+            paths[i] = paths[i]._replace(label=rng.choice([x for x in LABELS if x != paths[i].label]))
+            failure = sequential_unify(sp.template, paths)
+            assert isinstance(failure, UnifyFailure)
+            assert (failure.index, failure.right) == (i, paths[i])

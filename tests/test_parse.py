@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from phonotax import parse as parse_module
 from phonotax.errors import OutOfScope, UnsupportedStressPattern
-from phonotax.grammar import SyllableCategory, format_path, sequential_unify
+from phonotax.grammar import format_path
 from phonotax.parse import enumerate_segmentations, parse_all
 from phonotax.phonology import load_inventory, nucleus_indices, tokenize
 from phonotax.score import score_batch, score_word
@@ -24,8 +24,6 @@ from oracles import (
     random_lexicon,
     random_transcription_text,
 )
-
-SC = SyllableCategory
 
 
 def _texts(runs):
@@ -107,7 +105,7 @@ def test_all_unseen_product_is_p0_product(inv, toy_model):
     forest = parse_all(tokenize("ʃ ɔɪ1 ʃ", inv), toy_model)
     top = forest[0]
     assert all(flag is False for flag in top.seen)
-    cells = [p.constituent_label for p in top.paths]
+    cells = [p.label for p in top.paths]
     assert top.product == math.prod(toy_model.p0[c] for c in cells)
 
 
@@ -150,8 +148,6 @@ def test_forest_order_is_product_then_text(seed):
     for _ in range(5):
         forest = parse_all(tokenize(random_transcription_text(rng), inventory), model)
         assert forest == sorted(forest, key=lambda sp: (-sp.product, sp.path_text))
-        for sp in forest:
-            assert sequential_unify(sp.parse.template, sp.paths) == sp.parse
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,9 +161,9 @@ def test_every_parse_carries_its_paths_lookups(seed):
         forest = parse_all(t, model)
         for sp in forest:
             paths = sp.paths
-            assert [p.constituent_label for p in paths] == list(sp.parse.template.labels)
+            assert [p.label for p in paths] == list(sp.parse.template.labels)
             for i, path in enumerate(paths):
-                assert (sp.probabilities[i], sp.seen[i]) == model.prob(path.constituent_label, path.terminal)
+                assert (sp.probabilities[i], sp.seen[i]) == model.prob(path.label, path.terminal)
             assert sp.product == math.prod(sp.probabilities)
         assert score_word(model, t).best == forest[0]
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from phonotax.grammar import CELL_OF_LABEL
+from phonotax.grammar import LABELS
 from phonotax.phonology import tokenize
 from phonotax.score import parse_stimuli, score_batch, score_word
 from phonotax.train import ModelConfig, PathTable, TrainedModel, train_model
@@ -12,8 +12,8 @@ from phonotax.train import ModelConfig, PathTable, TrainedModel, train_model
 
 def _hand_model(probabilities, p0_default=1e-4):
     """Model with hand-set probabilities; untouched cells share one p0."""
-    p0 = {cell: p0_default for cell in CELL_OF_LABEL}
-    probs = {cell: {} for cell in CELL_OF_LABEL}
+    p0 = {cell: p0_default for cell in LABELS}
+    probs = {cell: {} for cell in LABELS}
     for cell, table in probabilities.items():
         probs[cell] = dict(table)
     return TrainedModel(PathTable({}, 0), p0, probs, frozenset(), ModelConfig("y" * 64))

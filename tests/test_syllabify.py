@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from phonotax.errors import NoNucleus, ThreePlusNuclei
+from phonotax.errors import NoNucleus, OutOfScope
 from phonotax.phonology import Stress, load_inventory, tokenize
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
 from phonotax.train import ingest_lexicon
@@ -84,7 +84,7 @@ def test_syllable_stress_assignment(inv):
 def test_syllabify_errors(inv):
     with pytest.raises(NoNucleus):
         syllabify(tokenize("k + æ1", inv), _onsets())
-    with pytest.raises(ThreePlusNuclei):
+    with pytest.raises(OutOfScope, match="3 syllables"):
         syllabify(tokenize("b ə0 n æ1 n ə0", inv), _onsets())
 
 

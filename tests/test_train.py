@@ -15,7 +15,7 @@ from phonotax.errors import (
     UnsupportedStressPattern,
     VersionMismatch,
 )
-from phonotax.grammar import CELL_OF_LABEL, PathType, templates_for
+from phonotax.grammar import LABELS, PathType, templates_for
 from phonotax.phonology import Stress, load_inventory, nucleus_indices, stress_pattern
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
 from phonotax.train import (
@@ -137,7 +137,7 @@ def test_extract_paths_match_syllabify(seed, size):
                          for syl in word]
             runs = [tuple(tok.symbol for tok in run) for syl in syllables for run in (syl.onset, syl.rhyme)]
             assert [terminal for _, terminal in paths] == runs
-            assert [CELL_OF_LABEL[label][0].stress for label, _ in paths[::2]] == [
+            assert [Stress(label[1]) for label, _ in paths[::2]] == [
                 syl.stress for syl in syllables]
 
 
@@ -145,7 +145,7 @@ def test_extract_paths_match_syllabify(seed, size):
 @given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from(MedialSplitPolicy))
 def test_trained_counts_match_a_path_type_recount(seed, size, policy):
     # the reference counts PathType objects built from syllabify()'s
-    # syllables and each template's slots, with no label in sight
+    # syllables and each template's labels, not from extract_paths
     inventory = load_inventory(INVENTORY_TEXT)
     doc = random_lexicon(random.Random(seed), size)
     entries = ingest_lexicon(doc, inventory).entries
@@ -160,10 +160,10 @@ def test_trained_counts_match_a_path_type_recount(seed, size, policy):
         except (UnsupportedStressPattern, ValueError):
             continue
         runs = [tuple(tok.symbol for tok in run) for syl in syllables for run in (syl.onset, syl.rhyme)]
-        recount.update(PathType(cat, kind, run) for (cat, kind), run in zip(template.slots, runs))
+        recount.update(PathType(label, run) for label, run in zip(template.labels, runs))
     expected = {}
     for path, c in recount.items():
-        expected.setdefault(path.constituent_label, {})[path.terminal] = c
+        expected.setdefault(path.label, {})[path.terminal] = c
     if not expected:
         with pytest.raises(EmptyCorpus):
             train_model(doc, inventory, policy)
@@ -178,8 +178,8 @@ def test_tabulate_invariants(inv):
     inventory = load_inventory(INVENTORY_TEXT)
     result = train_model(random_lexicon(rng, 25), inventory)
     table = result.model.table
-    assert sum(table.n(c) for c in CELL_OF_LABEL) == table.total
-    for cell in CELL_OF_LABEL:
+    assert sum(table.n(c) for c in LABELS) == table.total
+    for cell in LABELS:
         assert table.n(cell) == sum(table.counts.get(cell, {}).values())
         fof = Counter(table.counts.get(cell, {}).values())  # types per count r
         assert sum(r * k for r, k in fof.items()) == table.n(cell)
@@ -248,7 +248,7 @@ def test_model_round_trip(seed, size, policy, gt_mode, epsilon):
     inventory = load_inventory(INVENTORY_TEXT)
     doc = random_lexicon(random.Random(seed), size)
     model = train_model(doc, inventory, policy, gt_mode, epsilon).model
-    labels = set(CELL_OF_LABEL)
+    labels = set(LABELS)
     assert set(model.p0) == set(model.probabilities) == labels
     assert set(model.table.counts) <= labels and model.all_unseen <= labels
     doc = save_model(model)
@@ -397,7 +397,7 @@ def test_train_model_reports_unsupported(inv):
 def test_training_normalizes_every_cell(seed, size):
     inventory = load_inventory(INVENTORY_TEXT)
     model = train_model(random_lexicon(random.Random(seed), size), inventory).model
-    for cell in CELL_OF_LABEL:
+    for cell in LABELS:
         if cell in model.all_unseen:
             assert model.probabilities[cell] == {}
             continue
