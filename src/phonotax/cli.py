@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 I/O trouble, 2 bad data or configuration.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from importlib import resources
 from pathlib import Path
@@ -87,19 +88,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Reprs(dict):
+    """Each distinct float's repr, rendered once."""
+
+    def __missing__(self, value: float) -> str:
+        self[value] = text = repr(value)
+        return text
+
+
 def _score_rows(model: TrainedModel, inv: PhonemeInventory, stimuli_text: str) -> list[str]:
     rows = parse_stimuli(stimuli_text)
     if not rows:
         print("warning: stimuli file holds no rows", file=sys.stderr)
     lines = ["\t".join(SCORE_COLUMNS)]
-    for row in score_batch(model, rows, inv):
-        if row.report is None:
-            lines.append("\t".join((row.word_id, "", "", "", "", "", row.error or "")))
+    part = _Reprs()  # part probabilities are model probabilities: few distinct values
+    for word_id, rep, error in score_batch(model, rows, inv):
+        if rep is None:
+            lines.append("\t".join((word_id, "", "", "", "", "", error or "")))
             continue
-        rep = row.report
         lines.append("\t".join((
-            row.word_id, repr(rep.p_word), repr(rep.ln_p_word),
-            repr(rep.p_worst), repr(rep.p_best), rep.best.path_text, "",
+            word_id, repr(rep.p_word), repr(rep.ln_p_word),
+            part[rep.p_worst], part[rep.p_best], rep.best.path_text, "",
         )))
     return lines
 
@@ -108,7 +117,15 @@ def cmd_score(args: argparse.Namespace) -> int:
     inv = _load_inventory(args)
     model = load_model(_read(args.model))
     _check_inventory(model, inv)
-    lines = _score_rows(model, inv, _read(args.stimuli))
+    stimuli_text = _read(args.stimuli)
+    # scoring makes no reference cycles: collector passes over the batch would find nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        lines = _score_rows(model, inv, stimuli_text)
+    finally:
+        if collecting:
+            gc.enable()
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out is not None:

@@ -7,13 +7,15 @@ generates; the parse probability is the product of its path
 probabilities, and the forest is ordered best first. Exact product
 ties break on the rendered path text so the ordering is reproducible.
 
-``parse_all`` makes one pass that stores each parse as a plain tuple of
-numbers and returns a ``Forest``. Its first entry, the winner, is built
-from the parses tied at the highest product alone; any other read ranks
-the whole forest once. A forest entry stores only the template, the
-symbol runs, the per-path probabilities and their product; paths, the
-unified parse, the seen flags and the path text are built when they are
-read, so scoring renders path text only for the winner and its ties.
+``parse_all`` looks up each template's per-slot tables once and returns
+a ``Forest``, which finds its winner in one scan of plain floats over
+template x segmentation while it is built. Only a parse that reaches the
+best product so far becomes a ``ScoredParse``, and only an exact product
+tie renders path text, so scoring pays for the winner alone. Reading
+any other entry builds and ranks the whole forest once. A forest entry
+stores only the template, the symbol runs, the per-path probabilities
+and their product; paths, the unified parse, the seen flags and the path
+text are built when they are read.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import UnsupportedStressPattern
 from .grammar import PathType, UnifiedParse, WordTemplate, format_terminal, templates_for
@@ -48,20 +50,24 @@ def enumerate_segmentations(t: Transcription, nuclei: tuple[int, ...]) -> list[R
     return [cut_runs(symbols, nuclei, cut) for cut in candidate_cuts(t, nuclei)]
 
 
-@dataclass(frozen=True)
-class ScoredParse:
+class ScoredParse(NamedTuple):
     """One (template, segmentation) pair: per-path probabilities and their product.
 
     Only the numbers are stored; ``paths``, ``parse``, ``seen`` and
     ``path_text`` are built on every read. ``tables`` is the template's
-    per-slot lookup, shared by every parse under that template.
+    per-slot lookup, shared by every parse under that template, and is
+    left out of the repr. Equality is tuple equality.
     """
 
     template: WordTemplate
     runs: Runs
     probabilities: tuple[float, ...]
     product: float
-    tables: Tables = field(repr=False, compare=False)
+    tables: Tables
+
+    def __repr__(self) -> str:
+        return (f"ScoredParse(template={self.template!r}, runs={self.runs!r}, "
+                f"probabilities={self.probabilities!r}, product={self.product!r})")
 
     @property
     def paths(self) -> tuple[PathType, ...]:
@@ -82,33 +88,72 @@ class ScoredParse:
                            for prefix, run in zip(self.template.prefixes, self.runs, strict=True)])
 
 
-_PRODUCT = itemgetter(3)  # of a parse tuple, laid out as ScoredParse's fields
+_PRODUCT = attrgetter("product")
 _PATH_TEXT = attrgetter("path_text")
 
 
 class Forest(Sequence):
     """A word's parses, best first by the key (-product, path_text).
 
-    ``forest[0]`` builds only the parses tied at the highest product.
-    Any other index, a slice or iteration ranks the whole forest once
-    and keeps that ranking. A forest equals any sequence holding the
-    same parses in the same order.
+    The forest holds each template with its per-slot tables and the
+    word's segmentations; ``len`` is their product. The winner is found
+    when the forest is built, by one scan that builds a ``ScoredParse``
+    only for a parse reaching the best product so far, so ``forest[0]``
+    costs nothing more. Any other index, a slice or iteration builds and
+    ranks every parse once and keeps that ranking. A forest equals any
+    sequence holding the same parses in the same order.
     """
 
-    __slots__ = ("_parses", "_ranked")
+    __slots__ = ("_templates", "_segmentations", "_best", "_ranked")
 
-    def __init__(self, parses: list[tuple]) -> None:
-        self._parses = parses  # (template, runs, probabilities, product, tables)
+    def __init__(self, templates: list[tuple[WordTemplate, Tables]], segmentations: list[Runs]) -> None:
+        self._templates = templates
+        self._segmentations = segmentations
         self._ranked: list[ScoredParse] | None = None
+        self._best = self._scan()
+
+    def _scan(self) -> ScoredParse:
+        # Every segmentation shares the first onset and the last rhyme, so
+        # those are looked up once per template. Products multiply in slot
+        # order, as math.prod does, so they carry the same bits as _rank's.
+        segmentations = self._segmentations
+        first = segmentations[0]
+        best, top = None, -1.0
+        for template, tables in self._templates:
+            (onsets, unseen_onset), *medial, (rhymes, unseen_rhyme) = tables
+            head = onsets.get(first[0], unseen_onset)
+            tail = rhymes.get(first[-1], unseen_rhyme)
+            if not medial:
+                ((_, _),) = segmentations  # ValueError unless one segmentation of two runs
+                product = head * tail
+                if product >= top:
+                    best, top = self._reach(best, ScoredParse(
+                        template, first, (head, tail), product, tables))
+                continue
+            (rhymes1, unseen1), (onsets2, unseen2) = medial
+            for runs in segmentations:
+                _, run1, run2, _ = runs  # ValueError unless four runs fill the four slots
+                p1 = rhymes1.get(run1, unseen1)
+                p2 = onsets2.get(run2, unseen2)
+                product = head * p1 * p2 * tail
+                if product >= top:
+                    best, top = self._reach(best, ScoredParse(
+                        template, runs, (head, p1, p2, tail), product, tables))
+        return best
+
+    @staticmethod
+    def _reach(best: ScoredParse | None, parse: ScoredParse) -> tuple[ScoredParse, float]:
+        """The better of the best so far and a parse whose product is at least as high."""
+        if best is None or parse.product > best.product or parse.path_text < best.path_text:
+            return parse, parse.product
+        return best, best.product
 
     def __len__(self) -> int:
-        return len(self._parses)
+        return len(self._templates) * len(self._segmentations)
 
     def __getitem__(self, index: int | slice) -> ScoredParse | list[ScoredParse]:
-        if index == 0 and self._ranked is None and self._parses:
-            best = max(map(_PRODUCT, self._parses))
-            tied = [ScoredParse(*p) for p in self._parses if p[3] == best]
-            return tied[0] if len(tied) == 1 else min(tied, key=_PATH_TEXT)
+        if index == 0:
+            return self._best
         return self._rank()[index]
 
     def __iter__(self) -> Iterator[ScoredParse]:
@@ -121,10 +166,15 @@ class Forest(Sequence):
 
     def _rank(self) -> list[ScoredParse]:
         if self._ranked is None:
+            parses = []
+            for template, tables in self._templates:
+                for runs in self._segmentations:
+                    probs = tuple([table.get(run, unseen)
+                                   for (table, unseen), run in zip(tables, runs, strict=True)])
+                    parses.append(ScoredParse(template, runs, probs, math.prod(probs), tables))
             ranked: list[ScoredParse] = []
-            for _, group in itertools.groupby(sorted(self._parses, key=_PRODUCT, reverse=True),
-                                              key=_PRODUCT):
-                tied = [ScoredParse(*p) for p in group]
+            for _, group in itertools.groupby(sorted(parses, key=_PRODUCT, reverse=True), key=_PRODUCT):
+                tied = list(group)
                 if len(tied) > 1:
                     tied.sort(key=_PATH_TEXT)
                 ranked += tied
@@ -148,15 +198,7 @@ def parse_all(t: Transcription, model: TrainedModel) -> Forest:
     if t.boundary is not None:
         templates = tuple(tpl for tpl in templates if len(tpl.words) == 2)
         if not templates:
-            raise UnsupportedStressPattern(
-                "a compound boundary needs two strong monosyllables"
-            )
-    segmentations = enumerate_segmentations(t, nuclei)
-    parses: list[tuple] = []
-    for template in templates:
-        tables = tuple([model.lookup[label] for label in template.labels])
-        for runs in segmentations:
-            probs = tuple([table.get(run, unseen)
-                           for (table, unseen), run in zip(tables, runs, strict=True)])
-            parses.append((template, runs, probs, math.prod(probs), tables))
-    return Forest(parses)
+            raise UnsupportedStressPattern("a compound boundary needs two strong monosyllables")
+    lookup = model.lookup
+    return Forest([(tpl, tuple([lookup[label] for label in tpl.labels])) for tpl in templates],
+                  enumerate_segmentations(t, nuclei))

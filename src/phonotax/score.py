@@ -10,8 +10,7 @@ all fine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import PhonotaxError
 from .parse import ScoredParse, parse_all
@@ -19,8 +18,7 @@ from .phonology import PhonemeInventory, Transcription, tokenize
 from .train import TrainedModel
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     p_word: float
     ln_p_word: float
     p_worst: float
@@ -30,19 +28,12 @@ class ScoreReport:
 
 def score_word(model: TrainedModel, t: Transcription) -> ScoreReport:
     """Score a transcription by its best parse."""
-    forest = parse_all(t, model)
-    best = forest[0]
-    return ScoreReport(
-        p_word=best.product,
-        ln_p_word=math.log(best.product),
-        p_worst=min(best.probabilities),
-        p_best=max(best.probabilities),
-        best=best,
-    )
+    best = parse_all(t, model)[0]
+    probs = best.probabilities
+    return ScoreReport(best.product, math.log(best.product), min(probs), max(probs), best)
 
 
-@dataclass(frozen=True)
-class BatchRow:
+class BatchRow(NamedTuple):
     word_id: str
     report: ScoreReport | None
     error: str | None

@@ -212,12 +212,6 @@ class TrainedModel:
             for label in LABELS
         }
 
-    def prob(self, label: str, terminal: tuple[str, ...]) -> tuple[float, bool]:
-        """Probability of a terminal in a cell, plus whether it was seen."""
-        seen, unseen = self.lookup[label]
-        p = seen.get(terminal)
-        return (unseen, False) if p is None else (p, True)
-
 
 def good_turing(table: PathTable, config: ModelConfig) -> TrainedModel:
     """Smooth per-cell counts, reserving singleton mass for the unseen.

@@ -4,11 +4,14 @@ Everything goes through cli.main(argv) so exit codes and stdout/stderr
 are exercised exactly as a shell user would see them.
 """
 
+import gc
 import math
 
 import pytest
 
+from phonotax import cli
 from phonotax.cli import SCORE_COLUMNS, main
+from phonotax.errors import PhonotaxError
 from phonotax.plot import SVG_OPEN
 from phonotax.train import load_model
 
@@ -161,6 +164,31 @@ def test_score_stdout_and_file(model_path, tmp_path, capsys):
     assert "EmptyTranscription" in bad[6]
     on_disk = (tmp_path / "scored" / "scores.tsv").read_text("utf-8")
     assert on_disk == captured.out
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_score_pauses_the_collector_and_restores_it(model_path, tmp_path, capsys, monkeypatch,
+                                                    collecting):
+    stim = tmp_path / "stimuli.tsv"
+    stim.write_text(STIMULI, encoding="utf-8")
+    during = []
+
+    def failing_batch(*args):
+        during.append(gc.isenabled())
+        raise PhonotaxError("scoring failed")
+
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["score", str(model_path), str(stim)]) == 0
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "score_batch", failing_batch)
+        assert main(["score", str(model_path), str(stim)]) == 2
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert during == [False]
+    assert "error: scoring failed" in capsys.readouterr().err
 
 
 def test_score_empty_stimuli(model_path, tmp_path, capsys):

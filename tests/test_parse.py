@@ -163,7 +163,9 @@ def test_every_parse_carries_its_paths_lookups(seed):
             paths = sp.paths
             assert [p.label for p in paths] == list(sp.parse.template.labels)
             for i, path in enumerate(paths):
-                assert (sp.probabilities[i], sp.seen[i]) == model.prob(path.label, path.terminal)
+                seen, unseen = model.lookup[path.label]
+                assert (sp.probabilities[i], sp.seen[i]) == (
+                    seen.get(path.terminal, unseen), path.terminal in seen)
             assert sp.product == math.prod(sp.probabilities)
         assert score_word(model, t).best == forest[0]
 

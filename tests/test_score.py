@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import gc
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phonotax import errors
 from phonotax.grammar import LABELS
+from phonotax.parse import parse_all
 from phonotax.phonology import tokenize
 from phonotax.score import parse_stimuli, score_batch, score_word
 from phonotax.train import ModelConfig, PathTable, TrainedModel, train_model
+
+from oracles import random_transcription_text
 
 
 def _hand_model(probabilities, p0_default=1e-4):
@@ -111,3 +118,82 @@ def test_score_batch_order_and_errors(inv, toy_model):
 
 def test_score_batch_empty(inv, toy_model):
     assert score_batch(toy_model, [], inv) == []
+
+
+# one row per error class a score row can report, then rows that score
+EVERY_ERROR_ROWS = [
+    ("e1", "k æ3 t"),                    # BadStressDigit
+    ("e2", "q æ1 t"),                    # UnknownSymbol
+    ("e3", "  "),                        # EmptyTranscription
+    ("e4", "k æ1 + t æ1 + t æ1"),        # TooManyBoundaries
+    ("e5", "æ ɪ"),                       # MissingStress
+    ("e6", "t"),                         # NoNucleus
+    ("e7", "b ə0 n æ1 n ə0"),            # OutOfScope
+    ("e8", "ə0 z ə0"),                   # UnsupportedStressPattern
+    ("w1", "k æ1 t"),
+    ("w2", "k æ1 n d ə0 l"),
+    ("w3", "b ʌ1 s + b ɔɪ1"),
+    ("w4", "k æ1 n ə1"),
+]
+
+
+def test_scoring_makes_no_reference_cycles(inv, toy_model):
+    # the premise of the score command's collector pause: with the
+    # collector off, a batch leaves nothing that only it could free
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        batch = score_batch(toy_model, EVERY_ERROR_ROWS, inv)
+        unreachable = gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+    assert [row.error.split(":")[0] for row in batch if row.error] == [
+        "BadStressDigit", "UnknownSymbol", "EmptyTranscription", "TooManyBoundaries",
+        "MissingStress", "NoNucleus", "OutOfScope", "UnsupportedStressPattern",
+    ]
+    assert all(row.report is not None for row in batch[8:])
+    assert unreachable == 0
+
+
+# row text: in-scope words from the oracle generator, the same with one
+# field spliced in, or fields drawn from inventory symbols with and
+# without stress digits, compound marks, stray digits, junk and arbitrary
+# text, joined by assorted whitespace
+_SYMBOLS = ["p", "b", "t", "d", "k", "s", "n", "l", "r", "æ", "ɪ", "ə", "aɪ", "ɔɪ"]
+_FIELDS = st.one_of(
+    st.sampled_from(_SYMBOLS),
+    st.builds(lambda s, d: s + d, st.sampled_from(_SYMBOLS), st.sampled_from("0123456789")),
+    st.sampled_from(["+", "++", "0", "1", "2", "7", "#", ";", ":", "∅", "q", "x1"]),
+    st.text(max_size=4),
+)
+_WORDS = st.integers(0, 10**6).map(lambda seed: random_transcription_text(random.Random(seed)))
+_ROW_TEXT = st.one_of(
+    _WORDS,
+    st.builds(lambda word, at, field: " ".join(word.split()[:at] + [field] + word.split()[at:]),
+              _WORDS, st.integers(0, 8), _FIELDS),
+    st.builds(lambda fields, gaps: "".join(f + g for f, g in zip(fields, gaps)),
+              st.lists(_FIELDS, max_size=7),
+              st.lists(st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", ""]),
+                       min_size=7, max_size=7)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROW_TEXT, max_size=6))
+def test_score_batch_reports_each_row_once_and_its_ranked_winner(inv, toy_model, texts):
+    rows = [(f"w{i}", raw) for i, raw in enumerate(texts)]
+    batch = score_batch(toy_model, rows, inv)
+    assert [row.word_id for row in batch] == [word_id for word_id, _ in rows]
+    for (_, raw), (_, report, error) in zip(rows, batch, strict=True):
+        assert (report is None) != (error is None)
+        if report is None:
+            assert issubclass(getattr(errors, error.split(":")[0]), errors.PhonotaxError)
+            continue
+        ranked = list(parse_all(tokenize(raw, inv), toy_model))
+        assert report.best == ranked[0]
+        assert "tables" not in repr(report.best)
+        assert report.p_word == ranked[0].product
+        assert (report.p_worst, report.p_best) == (min(ranked[0].probabilities),
+                                                   max(ranked[0].probabilities))

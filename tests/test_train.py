@@ -198,25 +198,27 @@ CONFIG = ModelConfig("x" * 64)
 def test_good_turing_worked_example():
     m = good_turing(_table_with({("a",): 3, ("b",): 1}), CONFIG)
     assert m.p0[OSIF] == pytest.approx(0.25, abs=1e-12)
-    assert m.prob(OSIF, ("a",)) == (pytest.approx(0.5625, abs=1e-12), True)
-    assert m.prob(OSIF, ("b",)) == (pytest.approx(0.1875, abs=1e-12), True)
+    seen, unseen = m.lookup[OSIF]
+    assert seen[("a",)] == pytest.approx(0.5625, abs=1e-12)
+    assert seen[("b",)] == pytest.approx(0.1875, abs=1e-12)
     # unseen terminals get the whole reserved mass, not a share of it
-    assert m.prob(OSIF, ("z",)) == (pytest.approx(0.25, abs=1e-12), False)
+    assert ("z",) not in seen and unseen == pytest.approx(0.25, abs=1e-12)
 
 
 def test_good_turing_clamps():
     low = good_turing(_table_with({("a",): 2, ("b",): 2}), CONFIG)
     assert low.p0[OSIF] == pytest.approx(0.125, abs=1e-12)  # floor 1/(2N)
-    assert low.prob(OSIF, ("a",))[0] == pytest.approx(0.4375, abs=1e-12)
+    assert low.lookup[OSIF][0][("a",)] == pytest.approx(0.4375, abs=1e-12)
     high = good_turing(_table_with({("a",): 1}), CONFIG)
     assert high.p0[OSIF] == pytest.approx(0.5, abs=1e-12)  # ceiling 0.5
-    assert high.prob(OSIF, ("a",))[0] == pytest.approx(0.5, abs=1e-12)
+    assert high.lookup[OSIF][0][("a",)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_good_turing_all_unseen_cell():
     m = good_turing(_table_with({("a",): 1}), CONFIG)
     assert RSIF in m.all_unseen
-    assert m.prob(RSIF, ("æ",)) == (CONFIG.epsilon, False)
+    seen, unseen = m.lookup[RSIF]
+    assert ("æ",) not in seen and unseen == CONFIG.epsilon
 
 
 def test_good_turing_full_discounts():
@@ -229,7 +231,7 @@ def test_good_turing_full_discounts():
     masses = {"a": 1 / 7, "b": 1 / 7, "c": 3 / 7, "d": 3 / 7}
     scale = (1 - 2 / 7) / sum(masses.values())
     for t, mass in masses.items():
-        assert m.prob(OSIF, (t,))[0] == pytest.approx(mass * scale, abs=1e-12)
+        assert m.lookup[OSIF][0][(t,)] == pytest.approx(mass * scale, abs=1e-12)
     total = m.p0[OSIF] + math.fsum(m.probabilities[OSIF].values())
     assert total == pytest.approx(1.0, abs=1e-12)
 
