@@ -3,37 +3,40 @@
 Train path probabilities over a pronunciation lexicon, parse novel
 transcriptions by unifying onset and rhyme paths against word
 templates, and score how English-like a nonsense word is.
+
+The exports below are imported on first access (PEP 562), so a command
+loads only the modules it uses.
 """
 
-from .errors import PhonotaxError
-from .grammar import LABELS, PathType, format_path, sequential_unify, templates_for
-from .parse import parse_all
-from .phonology import PhonemeInventory, Stress, Transcription, load_inventory, tokenize
-from .score import ScoreReport, score_batch, score_word
-from .stats import evaluate, pearson_r, p_two_tailed, synthetic_judgments, t_from_r
-from .syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
-from .train import (
-    TrainedModel,
-    good_turing,
-    ingest_lexicon,
-    load_model,
-    save_model,
-    tabulate,
-    top_k,
-    train_model,
-)
+import importlib
+
+# `syllabify` names both a module and its function; binding the function
+# before any import binds the module keeps `phonotax.syllabify` the function
+from .syllabify import syllabify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PhonotaxError",
-    "LABELS", "PathType", "format_path", "sequential_unify", "templates_for",
-    "parse_all",
-    "PhonemeInventory", "Stress", "Transcription", "load_inventory", "tokenize",
-    "ScoreReport", "score_batch", "score_word",
-    "evaluate", "pearson_r", "p_two_tailed", "synthetic_judgments", "t_from_r",
-    "MedialSplitPolicy", "collect_word_onsets", "syllabify",
-    "TrainedModel", "good_turing", "ingest_lexicon", "load_model",
-    "save_model", "tabulate", "top_k", "train_model",
-    "__version__",
-]
+# module -> the names this package exports from it
+_EXPORTS = {
+    "errors": ("PhonotaxError",),
+    "grammar": ("LABELS", "PathType", "format_path", "sequential_unify", "templates_for"),
+    "parse": ("parse_all",),
+    "phonology": ("PhonemeInventory", "Stress", "Transcription", "load_inventory", "tokenize"),
+    "score": ("ScoreReport", "score_batch", "score_word"),
+    "stats": ("evaluate", "pearson_r", "p_two_tailed", "synthetic_judgments", "t_from_r"),
+    "syllabify": ("MedialSplitPolicy", "collect_word_onsets", "syllabify"),
+    "train": ("TrainedModel", "good_turing", "ingest_lexicon", "load_model",
+              "save_model", "tabulate", "top_k", "train_model"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

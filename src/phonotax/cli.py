@@ -3,24 +3,25 @@
 Reports go to stdout, diagnostics to stderr, and files only under the
 directory named by --out. Every command is deterministic given its
 inputs, flags, and seed; re-running writes byte-identical outputs.
-Exit codes: 0 success, 1 I/O trouble, 2 bad data or configuration.
+Exit codes: 0 success, 1 I/O trouble or a failed scoring worker, 2 bad
+data or configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
+import signal
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import BinaryIO
 
 from .errors import BadEncoding, PhonotaxError
 from .grammar import LABELS
-from .mitton import convert_mitton
 from .phonology import PhonemeInventory, load_inventory
-from .plot import scatter_csv, scatter_svg
 from .score import parse_stimuli, score_batch
-from .stats import evaluate, load_judgments, synthetic_judgments
 from .syllabify import MedialSplitPolicy
 from .train import EPSILON_MAX, EPSILON_MIN, TrainedModel, load_model, save_model, top_k, train_model
 
@@ -96,11 +97,34 @@ class _Reprs(dict):
         return text
 
 
-def _score_rows(model: TrainedModel, inv: PhonemeInventory, stimuli_text: str) -> list[str]:
-    rows = parse_stimuli(stimuli_text)
-    if not rows:
-        print("warning: stimuli file holds no rows", file=sys.stderr)
-    lines = ["\t".join(SCORE_COLUMNS)]
+# Rows each process scores at least. Forking a worker, filling its
+# copy-on-write pages and reaping it takes about 3 ms on a 2-vCPU host,
+# about 3% of the time this many score-wide rows take to score.
+ROWS_PER_PROCESS = 2_500
+
+
+def _processes(rows: int) -> int:
+    """How many processes score a batch: one per CPU this process may run on.
+
+    Each gets at least ROWS_PER_PROCESS rows. Without ``os.fork``, or
+    with a second thread running (fork copies only the calling thread),
+    the batch stays in this process.
+    """
+    threading = sys.modules.get("threading")
+    if rows < 2 * ROWS_PER_PROCESS or not hasattr(os, "fork") or (
+        threading is not None and threading.active_count() > 1
+    ):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, rows // ROWS_PER_PROCESS)
+
+
+def _score_lines(model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[str, str]]) -> str:
+    """The rows' ``scores.tsv`` lines, each ending in a newline."""
+    lines = []
     part = _Reprs()  # part probabilities are model probabilities: few distinct values
     for word_id, rep, error in score_batch(model, rows, inv):
         if rep is None:
@@ -110,30 +134,100 @@ def _score_rows(model: TrainedModel, inv: PhonemeInventory, stimuli_text: str) -
             word_id, repr(rep.p_word), repr(rep.ln_p_word),
             part[rep.p_worst], part[rep.p_best], rep.best.path_text, "",
         )))
-    return lines
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _fork_scorer(
+    model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[str, str]], siblings: list[BinaryIO]
+) -> tuple[int, BinaryIO]:
+    """Fork a worker that writes the rows' lines to a pipe; its pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    # The worker leaves only through os._exit: it never returns into the
+    # caller's stack, and a failure shows in its exit status. It keeps no
+    # read end of any pipe, so once the parent is gone its write fails.
+    code = 1
+    try:
+        os.close(read)
+        for pipe in siblings:
+            pipe.close()
+        data = _score_lines(model, inv, rows).encode("utf-8")
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    except BrokenPipeError:
+        pass  # the parent is gone: nobody reads these rows
+    except BaseException:  # the worker's outermost frame: report, then exit
+        import traceback  # here, not at the top: set-up of every command would pay for it
+
+        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+    finally:
+        os._exit(code)
+
+
+def _score_chunks(
+    model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[str, str]], processes: int
+) -> list[str]:
+    """The rows' ``scores.tsv`` lines as one text per chunk, in row order.
+
+    The rows are cut into ``processes`` contiguous chunks. This process
+    scores the first one while a forked worker scores each of the
+    others. Every worker is reaped before this returns or raises; if
+    anything fails here, the workers are killed first. A worker that
+    fails raises ChildProcessError, which the command reports as an
+    error with exit code 1.
+    """
+    cuts = [len(rows) * i // processes for i in range(processes + 1)]
+    chunks = list(zip(cuts[1:], cuts[2:]))  # the workers' rows, as index ranges
+    workers: list[tuple[int, BinaryIO]] = []
+    done = False
+    try:
+        for lo, hi in chunks:
+            workers.append(_fork_scorer(model, inv, rows[lo:hi], [pipe for _, pipe in workers]))
+        texts = [_score_lines(model, inv, rows[: cuts[1]])]
+        texts += [pipe.read().decode("utf-8") for _, pipe in workers]
+        done = True
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this worker's
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+    for (lo, hi), code in zip(chunks, codes):
+        if code != 0:
+            raise ChildProcessError(f"the worker scoring rows {lo + 1}-{hi} exited with status {code}")
+    return texts
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     inv = _load_inventory(args)
     model = load_model(_read(args.model))
     _check_inventory(model, inv)
-    stimuli_text = _read(args.stimuli)
+    rows = parse_stimuli(_read(args.stimuli))
+    if not rows:
+        print("warning: stimuli file holds no rows", file=sys.stderr)
     # scoring makes no reference cycles: collector passes over the batch would find nothing
     collecting = gc.isenabled()
     gc.disable()
     try:
-        lines = _score_rows(model, inv, stimuli_text)
+        texts = ["\t".join(SCORE_COLUMNS) + "\n", *_score_chunks(model, inv, rows, _processes(len(rows)))]
     finally:
         if collecting:
             gc.enable()
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
+    sys.stdout.writelines(texts)
     if args.out is not None:
-        _write(args.out, "scores.tsv", text)
+        _write(args.out, "scores.tsv", "".join(texts))
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .plot import scatter_csv, scatter_svg
+    from .stats import evaluate, load_judgments, synthetic_judgments
+
     inv = _load_inventory(args)
     model = load_model(_read(args.model))
     _check_inventory(model, inv)
@@ -187,6 +281,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_import_mitton(args: argparse.Namespace) -> int:
+    from .mitton import convert_mitton
+
     result = convert_mitton(args.dictionary.read_text("utf-8", errors="replace"))
     path = _write(args.out, "lexicon.tsv", result.lexicon_text)
     print(f"converted entries: {result.converted}")

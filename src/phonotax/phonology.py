@@ -85,12 +85,6 @@ class Transcription:
     tokens: tuple[Token, ...]
     boundary: int | None = None
 
-    def words(self) -> tuple[tuple[Token, ...], ...]:
-        """Token runs per phonological word (one or two)."""
-        if self.boundary is None:
-            return (self.tokens,)
-        return (self.tokens[: self.boundary], self.tokens[self.boundary :])
-
 
 def is_reserved(symbol: str) -> bool:
     """Whether a symbol collides with the notation: a mark, or a trailing stress digit."""
@@ -174,16 +168,6 @@ def tokenize(raw: str, inv: PhonemeInventory) -> Transcription:
     if boundary is not None and boundary == len(tokens):
         raise EmptyTranscription(f"boundary at end of {raw!r}")
     return Transcription(tuple(tokens), boundary)
-
-
-def format_transcription(t: Transcription) -> str:
-    """Inverse of tokenize: canonical whitespace-separated text."""
-    fields = []
-    for i, tok in enumerate(t.tokens):
-        if t.boundary is not None and i == t.boundary:
-            fields.append(BOUNDARY_MARK)
-        fields.append(tok.symbol if tok.stress is None else f"{tok.symbol}{tok.stress}")
-    return " ".join(fields)
 
 
 def nucleus_indices(t: Transcription) -> tuple[int, ...]:

@@ -14,8 +14,27 @@ import random
 from functools import reduce
 from operator import mul
 
+from hypothesis import strategies as st
+
 from phonotax.grammar import PathType, format_path
-from phonotax.phonology import Transcription
+from phonotax.phonology import BOUNDARY_MARK, Token, Transcription
+
+
+def word_runs(t: Transcription) -> tuple[tuple[Token, ...], ...]:
+    """Token runs per phonological word (one or two)."""
+    if t.boundary is None:
+        return (t.tokens,)
+    return (t.tokens[: t.boundary], t.tokens[t.boundary :])
+
+
+def format_transcription(t: Transcription) -> str:
+    """Inverse of tokenize: canonical whitespace-separated text."""
+    fields = []
+    for i, tok in enumerate(t.tokens):
+        if t.boundary is not None and i == t.boundary:
+            fields.append(BOUNDARY_MARK)
+        fields.append(tok.symbol if tok.stress is None else f"{tok.symbol}{tok.stress}")
+    return " ".join(fields)
 
 # (word count, flattened syllable categories) per stress pattern; literal tables
 ORACLE_TEMPLATES = {
@@ -67,7 +86,7 @@ def _oracle_prob(model, cell: str, terminal) -> float:
 
 def oracle_best(t: Transcription, model) -> tuple[float, list[str]]:
     """Exhaustive best parse: (product, rendered path texts)."""
-    words = t.words()
+    words = word_runs(t)
     pattern = tuple(s for w in words for s in _oracle_stress(w))
     templates = ORACLE_TEMPLATES[pattern]
     if t.boundary is not None:
@@ -151,3 +170,47 @@ def random_lexicon(rng: random.Random, n_entries: int) -> str:
     for i in range(n_entries):
         lines.append(f"w{i}\t{random_transcription_text(rng)}")
     return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------------------ edge documents
+
+# text that lands on a parser's edges: notation marks, signs and huge or
+# non-finite numbers, control and line-separator characters, free text
+EDGE_TEXT = st.one_of(
+    st.sampled_from(["", " ", "\t", ",", "#", "+", ";", ":", "∅", "0", "-1", "1e309", "nan", "inf",
+                     "9" * 40, "1.5", "a1", "'", "\"", "\x00", "\r", "\x0b", "\u2028", "\ufeff"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def edited_documents(draw, document: str, sep: str = "\t") -> str:
+    """``document`` after one to four edits: lines dropped, doubled, swapped or
+    spliced with edge text, or one ``sep``-separated field replaced by it."""
+    lines = document.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            lines.append(draw(EDGE_TEXT))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "double", "swap", "splice", "field"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "double":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "splice":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(EDGE_TEXT) + lines[i][at:]
+        else:
+            fields = lines[i].split(sep)
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(EDGE_TEXT)
+            lines[i] = sep.join(fields)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def documents(valid: str, sep: str = "\t") -> st.SearchStrategy[str]:
+    """Edited copies of a valid document, and arbitrary text."""
+    return st.one_of(edited_documents(valid, sep), st.text())

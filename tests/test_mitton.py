@@ -1,8 +1,14 @@
-import pytest
+import contextlib
 
+import pytest
+from hypothesis import given, settings
+
+from phonotax.errors import PhonotaxError
 from phonotax.mitton import PhoneError, _tokenize_phones, convert_mitton
 from phonotax.phonology import tokenize
 from phonotax.train import train_model
+
+from oracles import documents
 
 
 def _single(document: str) -> str:
@@ -96,3 +102,22 @@ def test_output_tokenizes_and_trains(default_inv):
     trained = train_model(result.lexicon_text, default_inv)
     assert trained.trained_entries == 5
     assert trained.path_count > 0
+
+
+MITTON_SAMPLE = """\
+cat 'k&t Ki
+candle 'k&ndl K
+canteen ,k&n'ti:n K
+sofa 's@Uf@ K
+film fIlm K
+loch lQx K
+bus-boy 'bVs,bOI K
+ad hoc &d'hQk OA
+"""
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents(MITTON_SAMPLE, sep=" "))
+def test_convert_mitton_raises_only_phonotax_errors(document):
+    with contextlib.suppress(PhonotaxError):
+        convert_mitton(document)

@@ -23,6 +23,7 @@ from oracles import (
     oracle_best,
     random_lexicon,
     random_transcription_text,
+    word_runs,
 )
 
 
@@ -181,7 +182,7 @@ def test_winner_read_first_is_the_ranked_first(seed):
         winner = parse_all(t, model)[0]  # a fresh forest: nothing ranked yet
         forest = parse_all(t, model)
         assert list(forest)[0] == winner == forest[0]
-        words = t.words()
+        words = word_runs(t)
         templates = ORACLE_TEMPLATES[tuple(s for w in words for s in _oracle_stress(w))]
         if t.boundary is not None:
             templates = [tpl for tpl in templates if tpl[0] == 2]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from phonotax.errors import (
     EmptyTranscription,
     MissingStress,
     NoNucleus,
+    PhonotaxError,
     ReservedSymbol,
     TooManyBoundaries,
     UnknownClass,
@@ -19,7 +21,6 @@ from phonotax.errors import (
 )
 from phonotax.phonology import (
     Stress,
-    format_transcription,
     load_inventory,
     nucleus_indices,
     stress_pattern,
@@ -27,7 +28,14 @@ from phonotax.phonology import (
 )
 
 from conftest import INVENTORY_TEXT
-from oracles import GEN_CONSONANTS, GEN_VOWELS, random_transcription_text
+from oracles import (
+    GEN_CONSONANTS,
+    GEN_VOWELS,
+    documents,
+    format_transcription,
+    random_transcription_text,
+    word_runs,
+)
 
 
 def test_load_inventory_basics(inv):
@@ -72,7 +80,7 @@ def test_tokenize_stress_and_boundary(inv):
     assert [tok.symbol for tok in t.tokens] == ["b", "ʌ", "s", "b", "ɔɪ"]
     assert t.tokens[1].stress == 1
     assert t.boundary == 3
-    first, second = t.words()
+    first, second = word_runs(t)
     assert [tok.symbol for tok in first] == ["b", "ʌ", "s"]
     assert [tok.symbol for tok in second] == ["b", "ɔɪ"]
 
@@ -183,3 +191,10 @@ def test_invalid_field_raises_on_every_call(seed, invalid, at):
             tokenize(" ".join(fields), inventory)
     assert field not in inventory.tokens
     assert tokenize(text, inventory) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents(INVENTORY_TEXT))
+def test_load_inventory_raises_only_phonotax_errors(document):
+    with contextlib.suppress(PhonotaxError):
+        load_inventory(document)

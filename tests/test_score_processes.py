@@ -1,0 +1,203 @@
+"""The score command over several processes: the same bytes, and no worker left behind.
+
+``cli._score_chunks`` cuts a batch into contiguous chunks, scores the
+first in the calling process and forks a worker for each of the others.
+These tests hold its text to the one-process text, and check that every
+worker is reaped, also when one fails or the command is killed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from phonotax import cli
+from phonotax.cli import ROWS_PER_PROCESS, main
+from phonotax.phonology import load_inventory
+from phonotax.train import save_model, train_model
+
+from conftest import INVENTORY_TEXT
+from oracles import random_lexicon, random_transcription_text
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLI = "import sys; from phonotax.cli import main; sys.exit(main())"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.fork, CPU affinity masks and at least two CPUs")
+# fields that break a row: an unknown symbol, a stress digit out of range or
+# on a consonant, a vowel that takes a word past two syllables, a boundary
+_BREAKERS = ["q", "æ7", "k1", "ɪ1", "+"]
+
+
+def _rows(rng: random.Random, n: int) -> list[tuple[str, str]]:
+    """Oracle words, compounds among them, about a quarter with a breaking field spliced in."""
+    rows = []
+    for i in range(n):
+        fields = random_transcription_text(rng).split()
+        if rng.random() < 0.25:
+            fields.insert(rng.randint(0, len(fields)), rng.choice(_BREAKERS))
+        rows.append((f"w{i}", " ".join(fields)))
+    return rows
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def batch_files(tmp_path):
+    """A model, the inventory it was trained on, and a stimuli file above the threshold."""
+    rng = random.Random(15)
+    inventory = load_inventory(INVENTORY_TEXT)
+    (tmp_path / "inventory.tsv").write_text(INVENTORY_TEXT, encoding="utf-8")
+    model = train_model(random_lexicon(rng, 300), inventory).model
+    (tmp_path / "model.tsv").write_text(save_model(model), encoding="utf-8")
+    rows = _rows(rng, 2 * ROWS_PER_PROCESS + 7)
+    (tmp_path / "stimuli.tsv").write_text("".join(f"{i}\t{raw}\n" for i, raw in rows), encoding="utf-8")
+    return tmp_path
+
+
+def _score_argv(files: Path, *extra: str) -> list[str]:
+    return ["score", str(files / "model.tsv"), str(files / "stimuli.tsv"),
+            "--inventory", str(files / "inventory.tsv"), *extra]
+
+
+@needs_fork
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 30))
+def test_chunked_text_is_the_same_for_one_to_four_processes(seed, n):
+    rng = random.Random(seed)
+    inventory = load_inventory(INVENTORY_TEXT)
+    model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
+    rows = _rows(rng, n)
+    texts = ["".join(cli._score_chunks(model, inventory, rows, processes)) for processes in (1, 2, 3, 4)]
+    assert texts[0].count("\n") == n
+    assert texts[1:] == texts[:1] * 3
+    _assert_no_child_left()
+
+
+def test_process_count_follows_the_affinity_mask_and_the_threshold(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert [cli._processes(n * ROWS_PER_PROCESS) for n in (0, 1, 2, 3, 4, 100)] == [1, 1, 2, 3, 4, 4]
+    assert cli._processes(2 * ROWS_PER_PROCESS - 1) == 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert cli._processes(100 * ROWS_PER_PROCESS) == 1  # fork would copy only this thread
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._processes(100 * ROWS_PER_PROCESS) == 3
+    monkeypatch.delattr(os, "fork")
+    assert cli._processes(100 * ROWS_PER_PROCESS) == 1
+
+
+def test_a_batch_below_the_threshold_never_forks(batch_files, monkeypatch, capsys):
+    stimuli = batch_files / "stimuli.tsv"
+    lines = stimuli.read_text("utf-8").splitlines(keepends=True)
+    stimuli.write_text("".join(lines[: 2 * ROWS_PER_PROCESS - 1]), encoding="utf-8")
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("fork called"), raising=False)
+    assert main(_score_argv(batch_files)) == 0
+    assert capsys.readouterr().out.count("\n") == 2 * ROWS_PER_PROCESS
+
+
+@needs_two_cpus
+def test_score_is_byte_identical_pinned_to_one_cpu_and_unpinned(batch_files):
+    assert cli._processes(2 * ROWS_PER_PROCESS + 7) >= 2  # unpinned, the child forks
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outputs = {}
+    for name, preexec in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)), ("unpinned", None)):
+        argv = _score_argv(batch_files, "--out", str(batch_files / name))
+        proc = subprocess.run([sys.executable, "-c", CLI, *argv], env=ENV, capture_output=True,
+                              check=True, timeout=120, preexec_fn=preexec)
+        assert (batch_files / name / "scores.tsv").read_bytes() == proc.stdout
+        outputs[name] = proc.stdout
+    assert outputs["pinned"] == outputs["unpinned"]
+    assert outputs["pinned"].count(b"\n") == 2 * ROWS_PER_PROCESS + 8
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_a_failure_on_either_side_writes_nothing_and_reaps_every_worker(
+    batch_files, monkeypatch, capfd, failing
+):
+    parent = os.getpid()
+    real_batch = cli.score_batch
+
+    def batch(model, rows, inv):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise ZeroDivisionError(f"{failing} fault")
+        return real_batch(model, rows, inv)
+
+    monkeypatch.setattr(cli, "score_batch", batch)
+    monkeypatch.setattr(cli, "_processes", lambda rows: 3)
+    argv = _score_argv(batch_files, "--out", str(batch_files / "scored"))
+    if failing == "worker":
+        assert main(argv) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            main(argv)
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert not (batch_files / "scored").exists()
+    _assert_no_child_left()
+    if failing == "worker":
+        assert captured.err.count("ZeroDivisionError: worker fault") == 2
+        assert "exited with status 1" in captured.err
+
+
+# a score command that says on stderr when it has forked its first worker
+ANNOUNCING_CLI = """
+import os, sys
+from phonotax.cli import main
+fork = os.fork
+def announcing_fork():
+    pid = fork()
+    if pid:
+        os.write(2, b"forked\\n")
+    return pid
+os.fork = announcing_fork
+sys.exit(main())
+"""
+
+
+@needs_two_cpus
+def test_a_killed_score_leaves_no_worker_running(batch_files):
+    proc = subprocess.Popen([sys.executable, "-c", ANNOUNCING_CLI, *_score_argv(batch_files)], env=ENV,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
+    group = proc.pid
+    try:
+        assert proc.stderr.readline() == b"forked\n"
+        os.kill(proc.pid, signal.SIGKILL)  # the parent alone, mid-batch
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(group, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a worker outlived the killed command"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(group, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()

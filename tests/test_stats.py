@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from phonotax.errors import (
@@ -14,6 +15,7 @@ from phonotax.errors import (
     EmptyDocument,
     JoinEmpty,
     LengthMismatch,
+    PhonotaxError,
 )
 from phonotax.score import ScoreReport
 from phonotax.stats import (
@@ -26,6 +28,8 @@ from phonotax.stats import (
     synthetic_judgments,
     t_from_r,
 )
+
+from oracles import documents
 
 
 def _report(p_word: float) -> ScoreReport:
@@ -277,3 +281,10 @@ def test_synthetic_judgments_track_log_probability():
     r = pearson_r([rep.ln_p_word for _, rep in reports],
                   [float(j.votes_against) for j in judgments])
     assert r < -0.8  # votes rise as log probability falls
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents('word_id,votes_against\nw1,3\nw2,0\n"w,3",12\n', sep=","))
+def test_load_judgments_raises_only_phonotax_errors(document):
+    with contextlib.suppress(PhonotaxError):
+        load_judgments(document)

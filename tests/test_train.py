@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ from phonotax.errors import (
     BadConfig,
     EmptyCorpus,
     ModelFormatError,
+    PhonotaxError,
     ReservedSymbol,
     UnsupportedStressPattern,
     VersionMismatch,
@@ -32,8 +34,8 @@ from phonotax.train import (
     train_model,
 )
 
-from conftest import INVENTORY_TEXT
-from oracles import random_lexicon
+from conftest import INVENTORY_TEXT, TOY_LEXICON
+from oracles import documents, random_lexicon
 
 OSIF, RSIF = "Osif", "Rsif"
 
@@ -407,3 +409,23 @@ def test_training_normalizes_every_cell(seed, size):
         assert abs(mass - 1.0) <= 1e-9
         assert 0 < model.p0[cell] <= 0.5
         assert all(p > 0 for p in model.probabilities[cell].values())
+
+
+# a saved toy model per smoothing mode: the documents the load property edits
+_MODEL_DOCS = [save_model(train_model(TOY_LEXICON, load_inventory(INVENTORY_TEXT), gt_mode=mode).model)
+               for mode in GT_MODES]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_MODEL_DOCS).flatmap(documents))
+def test_load_model_raises_only_phonotax_errors(document):
+    with contextlib.suppress(PhonotaxError):
+        load_model(document)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents(TOY_LEXICON), st.sampled_from(MedialSplitPolicy), st.sampled_from(GT_MODES),
+       st.one_of(st.just(1e-9), st.floats()))
+def test_train_model_raises_only_phonotax_errors(document, policy, gt_mode, epsilon):
+    with contextlib.suppress(PhonotaxError):
+        train_model(document, load_inventory(INVENTORY_TEXT), policy, gt_mode, epsilon)
