@@ -101,6 +101,9 @@ class _Reprs(dict):
 # copy-on-write pages and reaping it takes about 3 ms on a 2-vCPU host,
 # about 3% of the time this many score-wide rows take to score.
 ROWS_PER_PROCESS = 2_500
+# Rows a worker scores between checks that its parent is still alive:
+# about 10 ms of score-wide rows on a 2-vCPU host.
+ROWS_PER_SLICE = 250
 
 
 def _processes(rows: int) -> int:
@@ -142,6 +145,7 @@ def _fork_scorer(
     model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[str, str]], siblings: list[BinaryIO]
 ) -> tuple[int, BinaryIO]:
     """Fork a worker that writes the rows' lines to a pipe; its pid and the pipe's read end."""
+    parent = os.getpid()
     read, write = os.pipe()
     pid = os.fork()
     if pid:
@@ -149,13 +153,19 @@ def _fork_scorer(
         return pid, open(read, "rb")
     # The worker leaves only through os._exit: it never returns into the
     # caller's stack, and a failure shows in its exit status. It keeps no
-    # read end of any pipe, so once the parent is gone its write fails.
+    # read end of any pipe, so once the parent is gone its write fails;
+    # between slices of its rows it checks that the parent is still there.
     code = 1
     try:
         os.close(read)
         for pipe in siblings:
             pipe.close()
-        data = _score_lines(model, inv, rows).encode("utf-8")
+        texts = []
+        for lo in range(0, len(rows), ROWS_PER_SLICE):
+            if os.getppid() != parent:
+                os._exit(1)  # the parent is gone: nobody reads these rows
+            texts.append(_score_lines(model, inv, rows[lo : lo + ROWS_PER_SLICE]))
+        data = "".join(texts).encode("utf-8")
         with open(write, "wb") as pipe:
             pipe.write(data)
         code = 0

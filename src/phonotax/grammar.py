@@ -91,17 +91,26 @@ _TEMPLATES = {
     (_S, _W): (WordTemplate((("Ssi", "Swf"),)),),
     (_S, _S): (WordTemplate((("Ssi", "Ssf"),)), WordTemplate((("Ssif",), ("Ssif",)))),
 }
+_COMPOUND = _TEMPLATES[(_S, _S)][1:]  # what a boundary commits a strong-strong word to
 
 
-def templates_for(pattern: tuple[Stress, ...]) -> tuple[WordTemplate, ...]:
+def templates_for(pattern: tuple[Stress, ...], compound: bool = False) -> tuple[WordTemplate, ...]:
     """Word templates generated for a one- or two-syllable stress pattern, order-stable.
 
-    No rule generates a weak-weak word: that raises UnsupportedStressPattern.
+    A compound boundary commits the word to the two-word template. No
+    rule generates a weak-weak word, and a boundary needs two strong
+    monosyllables; either raises UnsupportedStressPattern, the weak-weak
+    error first.
     """
     try:
-        return _TEMPLATES[pattern]
+        templates = _TEMPLATES[pattern]
     except KeyError:
         raise UnsupportedStressPattern("no rule generates a weak-weak word") from None
+    if not compound:
+        return templates
+    if pattern != (_S, _S):
+        raise UnsupportedStressPattern("a compound boundary needs two strong monosyllables")
+    return _COMPOUND
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,8 @@ from collections.abc import Iterator, Sequence
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import UnsupportedStressPattern
 from .grammar import PathType, UnifiedParse, WordTemplate, format_terminal, templates_for
-from .phonology import Transcription, nucleus_indices, stress_pattern
+from .phonology import Transcription, stress_pattern
 from .syllabify import candidate_cuts, cut_runs
 from .train import TrainedModel
 
@@ -38,16 +37,16 @@ Runs = tuple[tuple[str, ...], ...]
 Tables = tuple[tuple[dict[tuple[str, ...], float], float], ...]
 
 
-def enumerate_segmentations(t: Transcription, nuclei: tuple[int, ...]) -> list[Runs]:
+def enumerate_segmentations(t: Transcription) -> list[Runs]:
     """All candidate onset/rhyme splits of an in-scope word as symbol runs.
 
-    ``nuclei`` is ``nucleus_indices(t)``. A monosyllable and a marked
-    compound of two monosyllables have one split each. A disyllable
-    with m medial consonants has m+1, ordered by how many of them the
-    second onset takes: all of them first, none last.
+    A monosyllable and a marked compound of two monosyllables have one
+    split each. A disyllable with m medial consonants has m+1, ordered
+    by how many of them the second onset takes: all of them first, none
+    last.
     """
-    symbols = tuple([tok.symbol for tok in t.tokens])
-    return [cut_runs(symbols, nuclei, cut) for cut in candidate_cuts(t, nuclei)]
+    symbols, nuclei = t.symbols, t.nuclei
+    return [cut_runs(symbols, nuclei, cut) for cut in candidate_cuts(t)]
 
 
 class ScoredParse(NamedTuple):
@@ -185,20 +184,14 @@ class Forest(Sequence):
 def parse_all(t: Transcription, model: TrainedModel) -> Forest:
     """Score every (template, segmentation) pair, best first.
 
-    An explicit compound boundary commits the parse to a two-word
-    template; unmarked input is tried under every template its stress
-    pattern generates, so an unmarked strong-strong word competes as
-    one word and as a closed compound. Raises what ``stress_pattern``
-    and ``templates_for`` raise, and UnsupportedStressPattern for a
-    boundary without two strong monosyllables. The order is that of
+    The word is tried under every template ``templates_for`` gives for
+    its stress pattern and boundary, so an unmarked strong-strong word
+    competes as one word and as a closed compound. Raises what
+    ``stress_pattern`` and ``templates_for`` raise. The order is that of
     the key (-product, path_text).
     """
-    nuclei = nucleus_indices(t)
-    templates = templates_for(stress_pattern(t, nuclei))  # the scope check, before any cut
-    if t.boundary is not None:
-        templates = tuple(tpl for tpl in templates if len(tpl.words) == 2)
-        if not templates:
-            raise UnsupportedStressPattern("a compound boundary needs two strong monosyllables")
+    # stress_pattern is the scope check, before any cut
+    templates = templates_for(stress_pattern(t), t.boundary is not None)
     lookup = model.lookup
     return Forest([(tpl, tuple([lookup[label] for label in tpl.labels])) for tpl in templates],
-                  enumerate_segmentations(t, nuclei))
+                  enumerate_segmentations(t))

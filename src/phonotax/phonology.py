@@ -1,9 +1,9 @@
 """Phoneme inventories, transcriptions, and stress patterns.
 
-Transcription text is whitespace-separated tokens. Each token is a
+Transcription text is whitespace-separated fields. Each field is a
 phoneme symbol, optionally followed by a single stress digit on vowels
 (1 primary, 2 secondary, 0 unstressed), e.g. ``k ae1 n d @0 l``. A bare
-``+`` token marks the boundary between the two halves of a compound;
+``+`` field marks the boundary between the two halves of a compound;
 at most one is allowed. Symbols themselves are free-form UTF-8 (IPA or
 ASCII schemes both work) as long as they are declared in the inventory.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     BadStressDigit,
@@ -54,9 +55,11 @@ class PhonemeInventory:
     symbols: tuple[str, ...]
     classes: dict[str, str]
     digest: str
-    # field text -> its Token, filled by tokenize with valid fields only, so
-    # it holds at most four entries per vowel (bare, 0, 1, 2) and one per consonant
-    tokens: dict[str, Token] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # field text -> (symbol, stress digit or None, is_vowel), filled by tokenize
+    # with valid fields only, so it holds at most four entries per vowel
+    # (bare, 0, 1, 2) and one per consonant
+    fields: dict[str, tuple[str, int | None, bool]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.classes
@@ -65,24 +68,19 @@ class PhonemeInventory:
         return self.classes[symbol] == VOWEL
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One transcription token: a symbol plus an optional stress digit."""
+class Transcription(NamedTuple):
+    """A word as the grammar reads it: its symbols, nuclei and their stress digits.
 
-    symbol: str
-    stress: int | None
-    is_vowel: bool
-
-
-@dataclass(frozen=True, slots=True)
-class Transcription:
-    """Token sequence with an optional compound boundary.
-
-    ``boundary`` is the index of the first token of the second
+    ``nuclei`` are the indices of the vowel symbols in ``symbols``,
+    across both words of a compound, and ``stresses`` holds each
+    nucleus's stress digit (0, 1 or 2), or None where the text gave
+    none. ``boundary`` is the index of the first symbol of the second
     phonological word, or None for a single word.
     """
 
-    tokens: tuple[Token, ...]
+    symbols: tuple[str, ...]
+    nuclei: tuple[int, ...]
+    stresses: tuple[int | None, ...]
     boundary: int | None = None
 
 
@@ -123,8 +121,8 @@ def load_inventory(document: str) -> PhonemeInventory:
     return PhonemeInventory(tuple(symbols), classes, digest)
 
 
-def _read_field(text: str, inv: PhonemeInventory) -> Token:
-    """The Token one field spells; raises on anything invalid."""
+def _read_field(text: str, inv: PhonemeInventory) -> tuple[str, int | None, bool]:
+    """The symbol, stress digit and class one field spells; raises on anything invalid."""
     stress: int | None = None
     symbol = text
     if text[-1].isdigit():
@@ -137,75 +135,74 @@ def _read_field(text: str, inv: PhonemeInventory) -> Token:
     is_vowel = inv.is_vowel(symbol)
     if stress is not None and not is_vowel:
         raise BadStressDigit(f"stress digit on consonant: {text!r}")
-    return Token(symbol, stress, is_vowel)
+    return symbol, stress, is_vowel
 
 
 def tokenize(raw: str, inv: PhonemeInventory) -> Transcription:
     """Parse transcription text against an inventory.
 
-    A trailing digit on a token is its stress digit and must sit on a
+    A trailing digit on a field is its stress digit and must sit on a
     vowel; a bare ``+`` marks the compound boundary. Each valid field is
-    read once per inventory and its Token reused after that.
+    read once per inventory and its reading reused after that.
     """
     fields = raw.split()
     if not fields:
         raise EmptyTranscription("empty transcription text")
-    memo = inv.tokens
-    tokens: list[Token] = []
+    memo = inv.fields
+    symbols: list[str] = []
+    nuclei: list[int] = []
+    stresses: list[int | None] = []
     boundary: int | None = None
     for text in fields:
-        tok = memo.get(text)
-        if tok is None:
+        read = memo.get(text)
+        if read is None:
             if text == BOUNDARY_MARK:
                 if boundary is not None:
                     raise TooManyBoundaries(f"more than one {BOUNDARY_MARK!r} in {raw!r}")
-                if not tokens:
+                if not symbols:
                     raise EmptyTranscription(f"boundary at start of {raw!r}")
-                boundary = len(tokens)
+                boundary = len(symbols)
                 continue
-            tok = memo[text] = _read_field(text, inv)
-        tokens.append(tok)
-    if boundary is not None and boundary == len(tokens):
+            read = memo[text] = _read_field(text, inv)
+        symbol, stress, is_vowel = read
+        if is_vowel:
+            nuclei.append(len(symbols))
+            stresses.append(stress)
+        symbols.append(symbol)
+    if boundary is not None and boundary == len(symbols):
         raise EmptyTranscription(f"boundary at end of {raw!r}")
-    return Transcription(tuple(tokens), boundary)
+    return Transcription(tuple(symbols), tuple(nuclei), tuple(stresses), boundary)
 
 
-def nucleus_indices(t: Transcription) -> tuple[int, ...]:
-    """Where the nuclei (vowel tokens) sit in ``t.tokens``, across both words."""
-    return tuple([i for i, tok in enumerate(t.tokens) if tok.is_vowel])
-
-
-def _word_stresses(tokens: tuple[Token, ...], nuclei: tuple[int, ...]) -> tuple[Stress, ...]:
-    """Per-syllable stress of one phonological word, read at its nuclei."""
-    if len(nuclei) == 1 and tokens[nuclei[0]].stress is None:
+def _word_stresses(t: Transcription, first: int, last: int) -> tuple[Stress, ...]:
+    """Per-syllable stress of one phonological word, its nuclei ``first`` to ``last - 1``."""
+    digits = t.stresses[first:last]
+    if digits == (None,):
         # dictionaries leave monosyllables unmarked; they carry main stress
         return (Stress.STRONG,)
-    out = []
-    for i in nuclei:
-        tok = tokens[i]
-        if tok.stress is None:
-            raise MissingStress(f"vowel {tok.symbol!r} lacks a stress digit")
-        out.append(Stress.WEAK if tok.stress == 0 else Stress.STRONG)
-    return tuple(out)
+    if None in digits:
+        vowel = t.symbols[t.nuclei[first + digits.index(None)]]
+        raise MissingStress(f"vowel {vowel!r} lacks a stress digit")
+    return tuple([Stress.WEAK if d == 0 else Stress.STRONG for d in digits])
 
 
-def stress_pattern(t: Transcription, nuclei: tuple[int, ...]) -> tuple[Stress, ...]:
+def stress_pattern(t: Transcription) -> tuple[Stress, ...]:
     """Per-syllable stress, one entry per nucleus; the scope check of both commands.
 
-    ``nuclei`` is ``nucleus_indices(t)``. The word structure is checked
-    before any stress digit is read: a phonological word with no vowel
-    raises NoNucleus, then more than two nuclei raise OutOfScope. Digits
-    1 and 2 map to STRONG, 0 to WEAK. A word with a single undigited
-    vowel defaults to STRONG; a polysyllabic word with any undigited
-    vowel raises MissingStress. Rules apply word by word, so both halves
-    of an unmarked compound default independently.
+    The word structure is checked before any stress digit is read: a
+    phonological word with no vowel raises NoNucleus, then more than two
+    nuclei raise OutOfScope. Digits 1 and 2 map to STRONG, 0 to WEAK. A
+    word with a single undigited vowel defaults to STRONG; a
+    polysyllabic word with any undigited vowel raises MissingStress.
+    Rules apply word by word, so both halves of an unmarked compound
+    default independently.
     """
-    boundary = t.boundary
+    nuclei, boundary = t.nuclei, t.boundary
     if not nuclei or boundary is not None and not nuclei[0] < boundary <= nuclei[-1]:
         raise NoNucleus("phonological word has no vowel")
     if len(nuclei) > 2:
         raise OutOfScope(f"{len(nuclei)} syllables; only one or two are supported")
     if boundary is None:
-        return _word_stresses(t.tokens, nuclei)
+        return _word_stresses(t, 0, len(nuclei))
     # in scope, each half of a compound holds exactly one nucleus
-    return _word_stresses(t.tokens, nuclei[:1]) + _word_stresses(t.tokens, nuclei[1:])
+    return _word_stresses(t, 0, 1) + _word_stresses(t, 1, 2)

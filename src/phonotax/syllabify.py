@@ -6,9 +6,8 @@ word edge). For a disyllable the only open question is how to split
 the medial consonant cluster; the default policy hands the longest
 cluster suffix attested as a word onset in the training corpus to the
 second syllable. Scoring tries every candidate cut, training the one
-its policy picks, and both slice their runs with ``cut_runs``. Tokens
-are carried through whole, so segments are conserved and stress digits
-survive into the output.
+its policy picks, and both slice their runs with ``cut_runs``. The
+runs are the transcription's own symbols, so segments are conserved.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .phonology import Stress, Token, Transcription, nucleus_indices, stress_pattern
+from .phonology import Stress, Transcription, stress_pattern
 
 if TYPE_CHECKING:
     from .train import LexiconEntry
@@ -34,27 +33,25 @@ class MedialSplitPolicy(Enum):
 
 @dataclass(frozen=True)
 class Syllable:
-    onset: tuple[Token, ...]
-    rhyme: tuple[Token, ...]
+    onset: tuple[str, ...]
+    rhyme: tuple[str, ...]
     stress: Stress
 
 
 def collect_word_onsets(entries: Iterable[LexiconEntry]) -> WordOnsetSet:
     """Gather every word-initial consonant run of the ingested entries.
 
-    Each phonological word contributes its prefix up to its first
-    nucleus, read from the entry's stored ``nuclei``; a compound's two
-    onsets are the runs ``cut_runs`` slices at its boundary.
-    Vowel-initial words contribute the empty onset.
+    Each phonological word contributes its symbols up to its first
+    nucleus; a compound's two onsets are the runs ``cut_runs`` slices at
+    its boundary. Vowel-initial words contribute the empty onset.
     """
     onsets: set[tuple[str, ...]] = {()}
     for e in entries:
         t = e.transcription
         if t.boundary is None:
-            onsets.add(tuple([tok.symbol for tok in t.tokens[: e.nuclei[0]]]))
-            continue
-        for run in cut_runs(t.tokens, e.nuclei, t.boundary)[::2]:
-            onsets.add(tuple([tok.symbol for tok in run]))
+            onsets.add(t.symbols[: t.nuclei[0]])
+        else:
+            onsets.update(cut_runs(t.symbols, t.nuclei, t.boundary)[::2])
     return frozenset(onsets)
 
 
@@ -81,15 +78,16 @@ def _split_cluster(
     return 0
 
 
-def candidate_cuts(t: Transcription, nuclei: tuple[int, ...]) -> Sequence[int | None]:
-    """Where an in-scope word's second syllable may start, in ``t.tokens``.
+def candidate_cuts(t: Transcription) -> Sequence[int | None]:
+    """Where an in-scope word's second syllable may start, in ``t.symbols``.
 
-    ``nuclei`` is ``nucleus_indices(t)``. A monosyllable has no cut
-    (None), a compound cuts at its boundary, and a disyllable anywhere
-    from just after its first nucleus to its second: the second onset
-    takes the whole medial cluster first, none of it last. The caller
-    has checked the scope, one or two nuclei with one per compound half.
+    A monosyllable has no cut (None), a compound cuts at its boundary,
+    and a disyllable anywhere from just after its first nucleus to its
+    second: the second onset takes the whole medial cluster first, none
+    of it last. The caller has checked the scope, one or two nuclei with
+    one per compound half.
     """
+    nuclei = t.nuclei
     if len(nuclei) == 1:
         return (None,)
     if t.boundary is not None:
@@ -97,20 +95,17 @@ def candidate_cuts(t: Transcription, nuclei: tuple[int, ...]) -> Sequence[int | 
     return range(nuclei[0] + 1, nuclei[1] + 1)
 
 
-def policy_cut(
-    t: Transcription, nuclei: tuple[int, ...], onsets: WordOnsetSet, policy: MedialSplitPolicy
-) -> int | None:
+def policy_cut(t: Transcription, onsets: WordOnsetSet, policy: MedialSplitPolicy) -> int | None:
     """The one candidate cut the medial-split policy picks for training."""
-    cuts = candidate_cuts(t, nuclei)
+    cuts = candidate_cuts(t)
     if len(cuts) == 1:
         return cuts[0]
-    n0, n1 = nuclei
-    cluster = tuple([tok.symbol for tok in t.tokens[n0 + 1 : n1]])
-    return n1 - _split_cluster(cluster, onsets, policy)
+    n0, n1 = t.nuclei
+    return n1 - _split_cluster(t.symbols[n0 + 1 : n1], onsets, policy)
 
 
 def cut_runs(seq: tuple, nuclei: tuple[int, ...], cut: int | None) -> tuple[tuple, ...]:
-    """Slice a token or symbol sequence into onset, rhyme (, onset, rhyme) runs at a cut."""
+    """Slice a sequence into onset, rhyme (, onset, rhyme) runs at a cut."""
     if cut is None:
         n = nuclei[0]
         return (seq[:n], seq[n:])
@@ -127,12 +122,11 @@ def syllabify(
 
     Raises what ``stress_pattern`` raises, the scope check of both
     commands: NoNucleus for a vowel-less word, then OutOfScope past two
-    nuclei. The output conserves the input tokens exactly:
+    nuclei. The output conserves the input symbols exactly:
     concatenating onset+rhyme across syllables and words restores them.
     """
-    nuclei = nucleus_indices(t)
-    pattern = stress_pattern(t, nuclei)
-    runs = cut_runs(t.tokens, nuclei, policy_cut(t, nuclei, onsets, policy))
+    pattern = stress_pattern(t)
+    runs = cut_runs(t.symbols, t.nuclei, policy_cut(t, onsets, policy))
     syllables = tuple(map(Syllable, runs[::2], runs[1::2], pattern))
     if t.boundary is None:
         return (syllables,)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     BadConfig,
@@ -32,16 +32,7 @@ from .errors import (
     VersionMismatch,
 )
 from .grammar import LABELS, NULL_TERMINAL, format_terminal, templates_for
-from .phonology import (
-    PhonemeInventory,
-    Stress,
-    Token,
-    Transcription,
-    is_reserved,
-    nucleus_indices,
-    stress_pattern,
-    tokenize,
-)
+from .phonology import PhonemeInventory, Stress, Transcription, is_reserved, stress_pattern, tokenize
 from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_runs, policy_cut
 
 PathPair = tuple[str, tuple[str, ...]]  # (cell label, terminal), e.g. ('Osi', ('s', 't'))
@@ -52,13 +43,11 @@ GT_MODES = ("simple", "full")
 EPSILON_MIN, EPSILON_MAX = 1e-75, 1e-3
 
 
-@dataclass(frozen=True, slots=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     orthography: str
     transcription: Transcription
     lineno: int
-    pattern: tuple[Stress, ...]  # stress_pattern(transcription, nuclei), read once at ingest
-    nuclei: tuple[int, ...]  # nucleus_indices(transcription), scanned once at ingest
+    pattern: tuple[Stress, ...]  # stress_pattern(transcription), read once at ingest
 
 
 @dataclass
@@ -83,6 +72,9 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
     entries: list[LexiconEntry] = []
     skipped: list[tuple[int, str, str]] = []
     downgraded = 0
+    # (nuclei, stresses) -> itself: entries of one layout share its two
+    # tuples, so the retained lexicon stores each layout once
+    layouts: dict[tuple, tuple] = {}
     for lineno, line in enumerate(document.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -94,19 +86,19 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
         orthography = orthography.strip()
         try:
             t = tokenize(raw, inv)
-            nuclei = nucleus_indices(t)
-            tokens = t.tokens
-            if t.boundary is None and len(nuclei) == 2 and {tokens[i].stress for i in nuclei} == {1, 2}:
+            stresses = t.stresses
+            if t.boundary is None and len(stresses) == 2 and set(stresses) == {1, 2}:
                 # a 1-2 or 2-1 nucleus pair in one word is one foot: the digit-2
                 # vowel is subordinate and trains as weak (a lone 2 stays strong)
-                j = nuclei[0] if tokens[nuclei[0]].stress == 2 else nuclei[1]
-                t = Transcription(tokens[:j] + (Token(tokens[j].symbol, 0, True),) + tokens[j + 1 :])
+                stresses = (0, 1) if stresses[0] == 2 else (1, 0)
                 downgraded += 1
-            pattern = stress_pattern(t, nuclei)
+            layout = (t.nuclei, stresses)
+            t = Transcription(t.symbols, *layouts.setdefault(layout, layout), t.boundary)
+            pattern = stress_pattern(t)
         except PhonotaxError as err:
             skipped.append((lineno, type(err).__name__, orthography))
             continue
-        entries.append(LexiconEntry(orthography, t, lineno, pattern, nuclei))
+        entries.append(LexiconEntry(orthography, t, lineno, pattern))
     if not entries:
         raise EmptyCorpus("no usable lexicon entries")
     return IngestResult(entries, skipped, downgraded)
@@ -122,22 +114,15 @@ def extract_paths(
     Each path is a (cell label, terminal) pair: the labels are the
     template's, in slot order, and each terminal is the run of symbols
     ``cut_runs`` slices for that slot at the cut the policy picks.
-    Training trusts the lexicon: an entry with a compound boundary uses
-    the two-word template, anything else the single-word template for
-    its stress pattern.
-    Raises UnsupportedStressPattern when no such template exists
-    (weak-weak words; a boundary without two strong monosyllables).
+    Training trusts the lexicon and takes the first template
+    ``templates_for`` gives: the two-word template for an entry with a
+    compound boundary, the single-word one for anything else.
+    Raises what ``templates_for`` raises (weak-weak words; a boundary
+    without two strong monosyllables).
     """
     t = entry.transcription
-    want_words = 2 if t.boundary is not None else 1
-    candidates = templates_for(entry.pattern)
-    template = next((c for c in candidates if len(c.words) == want_words), None)
-    if template is None:
-        raise UnsupportedStressPattern(
-            f"{entry.orthography}: a compound boundary needs two strong monosyllables"
-        )
-    symbols = tuple([tok.symbol for tok in t.tokens])
-    runs = cut_runs(symbols, entry.nuclei, policy_cut(t, entry.nuclei, onsets, policy))
+    template = templates_for(entry.pattern, t.boundary is not None)[0]
+    runs = cut_runs(t.symbols, t.nuclei, policy_cut(t, onsets, policy))
     return list(zip(template.labels, runs))
 
 
@@ -147,15 +132,6 @@ class PathTable:
 
     counts: dict[str, dict[tuple[str, ...], int]]
     total: int
-
-    @classmethod
-    def from_paths(cls, paths: Iterable[PathPair]) -> "PathTable":
-        """Count (label, terminal) pairs in one pass."""
-        tally = Counter(paths)
-        counts: dict[str, dict[tuple[str, ...], int]] = {}
-        for (label, terminal), c in tally.items():
-            counts.setdefault(label, {})[terminal] = c
-        return cls(counts, tally.total())
 
     def n(self, label: str) -> int:
         """N: the cell's token count."""
@@ -168,10 +144,13 @@ class PathTable:
 
 def tabulate(paths: Iterable[PathPair]) -> PathTable:
     """Count (label, terminal) paths per cell in one pass; ``paths`` may be a generator."""
-    table = PathTable.from_paths(paths)
-    if not table.total:
+    tally = Counter(paths)
+    if not tally:
         raise EmptyCorpus("no paths to tabulate")
-    return table
+    counts: dict[str, dict[tuple[str, ...], int]] = {}
+    for (label, terminal), c in tally.items():
+        counts.setdefault(label, {})[terminal] = c
+    return PathTable(counts, tally.total())
 
 
 @dataclass(frozen=True)
@@ -289,10 +268,6 @@ def save_model(model: TrainedModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bad(msg: str) -> ModelFormatError:
-    return ModelFormatError(msg)
-
-
 def load_model(document: str) -> TrainedModel:
     """Parse and cross-check a model document.
 
@@ -307,11 +282,11 @@ def load_model(document: str) -> TrainedModel:
     """
     lines = document.splitlines()
     if not lines:
-        raise _bad("empty model document")
+        raise ModelFormatError("empty model document")
     if lines[0] != MODEL_HEADER:
         if lines[0].startswith("phonotax-model"):
             raise VersionMismatch(f"expected {MODEL_HEADER!r}, got {lines[0]!r}")
-        raise _bad(f"not a model document: first line {lines[0]!r}")
+        raise ModelFormatError(f"not a model document: first line {lines[0]!r}")
 
     config_fields: dict[str, str] = {}
     total: int | None = None
@@ -324,7 +299,7 @@ def load_model(document: str) -> TrainedModel:
 
     def check_label(label: str) -> str:
         if label not in probabilities:  # keyed by every label
-            raise _bad(f"unknown cell label {label!r}")
+            raise ModelFormatError(f"unknown cell label {label!r}")
         return label
 
     for lineno, line in enumerate(lines[1:], start=2):
@@ -342,9 +317,9 @@ def load_model(document: str) -> TrainedModel:
             elif kind == "p0" and len(parts) in (7, 8) and parts[3] == "N" and parts[5] == "N1":
                 label = check_label(parts[1])
                 if label in p0:
-                    raise _bad(f"line {lineno}: duplicate p0 for {label}")
+                    raise ModelFormatError(f"line {lineno}: duplicate p0 for {label}")
                 if len(parts) == 8 and parts[7] != "all_unseen":
-                    raise _bad(f"line {lineno}: unknown p0 flag {parts[7]!r}")
+                    raise ModelFormatError(f"line {lineno}: unknown p0 flag {parts[7]!r}")
                 p0[label] = float(parts[2])
                 meta[label] = (int(parts[4]), int(parts[6]), len(parts) == 8)
             elif len(parts) == 4:
@@ -352,51 +327,51 @@ def load_model(document: str) -> TrainedModel:
                 text = parts[1]
                 terminal = () if text == NULL_TERMINAL else tuple(text.split())
                 if format_terminal(terminal) != text:
-                    raise _bad(f"line {lineno}: terminal {text!r} is not written "
-                               f"{format_terminal(terminal)!r}")
+                    raise ModelFormatError(f"line {lineno}: terminal {text!r} is not written "
+                                           f"{format_terminal(terminal)!r}")
                 if not symbols.issuperset(terminal):  # check each symbol once
                     if any(map(is_reserved, terminal)):
-                        raise _bad(f"line {lineno}: terminal {text!r} holds a symbol "
-                                   "that collides with the notation")
+                        raise ModelFormatError(f"line {lineno}: terminal {text!r} holds a symbol "
+                                               "that collides with the notation")
                     symbols.update(terminal)
                 bucket = counts.setdefault(label, {})
                 if terminal in bucket:
-                    raise _bad(f"line {lineno}: duplicate record for {label} {text}")
+                    raise ModelFormatError(f"line {lineno}: duplicate record for {label} {text}")
                 bucket[terminal] = int(parts[2])
                 if bucket[terminal] < 1:
-                    raise _bad(f"line {lineno}: count below 1 in {line!r}")
+                    raise ModelFormatError(f"line {lineno}: count below 1 in {line!r}")
                 probabilities[label][terminal] = float(parts[3])
             else:
-                raise _bad(f"line {lineno}: unrecognized line {line!r}")
+                raise ModelFormatError(f"line {lineno}: unrecognized line {line!r}")
         except ValueError:
-            raise _bad(f"line {lineno}: bad number in {line!r}") from None
+            raise ModelFormatError(f"line {lineno}: bad number in {line!r}") from None
 
     for key in ("inventory_sha256", "medial_split", "gt", "epsilon"):
         if key not in config_fields:
-            raise _bad(f"missing config {key}")
+            raise ModelFormatError(f"missing config {key}")
     if total is None or declared_records is None:
-        raise _bad("missing total or records line")
+        raise ModelFormatError("missing total or records line")
     if len(p0) != len(LABELS):
-        raise _bad("model must carry a p0 line for each of the 12 cells")
+        raise ModelFormatError("model must carry a p0 line for each of the 12 cells")
 
     table = PathTable(counts, total)
     record_count = sum(len(b) for b in counts.values())
     if record_count != declared_records:
-        raise _bad(f"declared {declared_records} records, found {record_count}")
+        raise ModelFormatError(f"declared {declared_records} records, found {record_count}")
     if sum(map(table.n, LABELS)) != total:
-        raise _bad("record counts do not sum to the declared total")
+        raise ModelFormatError("record counts do not sum to the declared total")
 
     all_unseen: set[str] = set()
     for label in LABELS:
         n_declared, n1_declared, flagged = meta[label]
         if table.n(label) != n_declared or table.n1(label) != n1_declared:
-            raise _bad(f"cell {label}: N/N1 disagree with its records")
+            raise ModelFormatError(f"cell {label}: N/N1 disagree with its records")
         if flagged:
             if label in counts:
-                raise _bad(f"cell {label}: flagged all_unseen but has records")
+                raise ModelFormatError(f"cell {label}: flagged all_unseen but has records")
             all_unseen.add(label)
         elif not n_declared:
-            raise _bad(f"cell {label}: empty but not flagged all_unseen")
+            raise ModelFormatError(f"cell {label}: empty but not flagged all_unseen")
 
     try:
         policy = MedialSplitPolicy(config_fields["medial_split"])
@@ -405,19 +380,19 @@ def load_model(document: str) -> TrainedModel:
             config_fields["gt"], float(config_fields["epsilon"]),
         )
     except (ValueError, BadConfig) as err:
-        raise _bad(f"bad config: {err}") from None
+        raise ModelFormatError(f"bad config: {err}") from None
 
     derived = good_turing(table, config)
     for label in LABELS:
         # written as "not <=" so that a NaN fails too
         if not abs(p0[label] - derived.p0[label]) <= 1e-12:
-            raise _bad(f"cell {label}: p0 {p0[label]!r} is not the "
-                       f"{derived.p0[label]!r} its counts imply")
+            raise ModelFormatError(f"cell {label}: p0 {p0[label]!r} is not the "
+                                   f"{derived.p0[label]!r} its counts imply")
         expected = derived.probabilities[label]
         for terminal, prob in probabilities[label].items():
             if not abs(prob - expected[terminal]) <= 1e-12:
-                raise _bad(f"cell {label}: p({format_terminal(terminal)}) {prob!r} "
-                           f"is not the {expected[terminal]!r} its counts imply")
+                raise ModelFormatError(f"cell {label}: p({format_terminal(terminal)}) {prob!r} "
+                                       f"is not the {expected[terminal]!r} its counts imply")
     return TrainedModel(table, p0, probabilities, frozenset(all_unseen), config)
 
 

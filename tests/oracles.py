@@ -17,23 +17,45 @@ from operator import mul
 from hypothesis import strategies as st
 
 from phonotax.grammar import PathType, format_path
-from phonotax.phonology import BOUNDARY_MARK, Token, Transcription
+from phonotax.phonology import BOUNDARY_MARK, PhonemeInventory, Transcription
+
+# one transcription field as the oracle reads it: (symbol, stress digit or None, is_vowel)
+Field = tuple[str, int | None, bool]
 
 
-def word_runs(t: Transcription) -> tuple[tuple[Token, ...], ...]:
-    """Token runs per phonological word (one or two)."""
+def read_fields(raw: str, inv: PhonemeInventory) -> list[list[Field]]:
+    """The oracle's own reading of valid transcription text, per phonological word.
+
+    Each field is split into its symbol and trailing stress digit, and
+    the symbol's class is looked up in the inventory's table.
+    """
+    words: list[list[Field]] = [[]]
+    for text in raw.split():
+        if text == BOUNDARY_MARK:
+            words.append([])
+            continue
+        stress = int(text[-1]) if text[-1].isdigit() else None
+        symbol = text if stress is None else text[:-1]
+        words[-1].append((symbol, stress, inv.classes[symbol] == "V"))
+    return words
+
+
+def word_runs(t: Transcription) -> tuple[tuple[str, ...], ...]:
+    """Symbol runs per phonological word (one or two)."""
     if t.boundary is None:
-        return (t.tokens,)
-    return (t.tokens[: t.boundary], t.tokens[t.boundary :])
+        return (t.symbols,)
+    return (t.symbols[: t.boundary], t.symbols[t.boundary :])
 
 
 def format_transcription(t: Transcription) -> str:
     """Inverse of tokenize: canonical whitespace-separated text."""
+    digits = dict(zip(t.nuclei, t.stresses))
     fields = []
-    for i, tok in enumerate(t.tokens):
-        if t.boundary is not None and i == t.boundary:
+    for i, symbol in enumerate(t.symbols):
+        if i == t.boundary:
             fields.append(BOUNDARY_MARK)
-        fields.append(tok.symbol if tok.stress is None else f"{tok.symbol}{tok.stress}")
+        digit = digits.get(i)
+        fields.append(symbol if digit is None else f"{symbol}{digit}")
     return " ".join(fields)
 
 # (word count, flattened syllable categories) per stress pattern; literal tables
@@ -49,20 +71,20 @@ ORACLE_TEMPLATES = {
 }
 
 
-def _oracle_stress(word) -> list[str]:
-    vowels = [tok for tok in word if tok.is_vowel]
-    assert vowels, "oracle fed a vowel-less word"
-    if len(vowels) == 1 and vowels[0].stress is None:
+def _oracle_stress(word: list[Field]) -> list[str]:
+    digits = [stress for _, stress, is_vowel in word if is_vowel]
+    assert digits, "oracle fed a vowel-less word"
+    if digits == [None]:
         return ["s"]
     out = []
-    for tok in vowels:
-        assert tok.stress is not None, "oracle fed an undigited polysyllable"
-        out.append("w" if tok.stress == 0 else "s")
+    for stress in digits:
+        assert stress is not None, "oracle fed an undigited polysyllable"
+        out.append("w" if stress == 0 else "s")
     return out
 
 
-def _oracle_word_splits(word) -> list[list[tuple[tuple, tuple]]]:
-    vowel_at = [i for i, tok in enumerate(word) if tok.is_vowel]
+def _oracle_word_splits(word: list[Field]) -> list[list[tuple[tuple, tuple]]]:
+    vowel_at = [i for i, (_, _, is_vowel) in enumerate(word) if is_vowel]
     if len(vowel_at) == 1:
         n = vowel_at[0]
         return [[(tuple(word[:n]), tuple(word[n:]))]]
@@ -84,12 +106,12 @@ def _oracle_prob(model, cell: str, terminal) -> float:
     return seen if seen is not None else model.p0[cell]
 
 
-def oracle_best(t: Transcription, model) -> tuple[float, list[str]]:
-    """Exhaustive best parse: (product, rendered path texts)."""
-    words = word_runs(t)
+def oracle_best(raw: str, inv: PhonemeInventory, model) -> tuple[float, list[str]]:
+    """Exhaustive best parse of valid text: (product, rendered path texts)."""
+    words = read_fields(raw, inv)
     pattern = tuple(s for w in words for s in _oracle_stress(w))
     templates = ORACLE_TEMPLATES[pattern]
-    if t.boundary is not None:
+    if len(words) == 2:
         templates = [tpl for tpl in templates if tpl[0] == 2]
     assert templates, "oracle fed an unsupported shape"
 
@@ -108,7 +130,7 @@ def oracle_best(t: Transcription, model) -> tuple[float, list[str]]:
             for cat, (onset, rhyme) in zip(cats, syllables):
                 for kind, run in (("O", onset), ("R", rhyme)):
                     cell = kind + cat[1:]  # the cell label, e.g. 'O' + 'si'
-                    terminal = tuple(tok.symbol for tok in run)
+                    terminal = tuple(symbol for symbol, _, _ in run)
                     probs.append(_oracle_prob(model, cell, terminal))
                     texts.append(format_path(PathType(cell, terminal)))
             product = reduce(mul, probs, 1.0)

@@ -48,14 +48,13 @@ def test_criterion_1_normalization_over_random_lexica(inv):
 
 
 def _random_pairs(inv, n_models: int, n_inputs: int):
-    """Deterministic (model, transcription) pairs shared by criteria 2 and 3."""
+    """Deterministic (model, transcription text) pairs shared by criteria 2 and 3."""
     rng = random.Random(20_260_819)
     for _ in range(n_models):
         lexicon = random_lexicon(rng, rng.randint(5, 25))
         model = train_model(lexicon, inv).model
         for _ in range(n_inputs):
-            t = tokenize(random_transcription_text(rng), inv)
-            yield model, t
+            yield model, random_transcription_text(rng)
 
 
 def test_criterion_2_best_parse_matches_brute_force(inv):
@@ -66,11 +65,11 @@ def test_criterion_2_best_parse_matches_brute_force(inv):
     """
     start = time.monotonic()
     checked = 0
-    for model, t in _random_pairs(inv, 20, 10):
-        best = parse_all(t, model)[0]
-        want_product, want_paths = oracle_best(t, model)
-        assert best.path_text.split(" ; ") == want_paths, t
-        assert _rel(best.product, want_product) <= 1e-12, t
+    for model, raw in _random_pairs(inv, 20, 10):
+        best = parse_all(tokenize(raw, inv), model)[0]
+        want_product, want_paths = oracle_best(raw, inv, model)
+        assert best.path_text.split(" ; ") == want_paths, raw
+        assert _rel(best.product, want_product) <= 1e-12, raw
         checked += 1
     assert checked == 200
     assert time.monotonic() - start < 10.0
@@ -78,11 +77,11 @@ def test_criterion_2_best_parse_matches_brute_force(inv):
 
 def test_criterion_3_product_law(inv):
     """ln(product) equals the sum of path logs for every parse in the forest."""
-    for model, t in _random_pairs(inv, 20, 10):
-        for scored in parse_all(t, model):
+    for model, raw in _random_pairs(inv, 20, 10):
+        for scored in parse_all(tokenize(raw, inv), model):
             lhs = math.log(scored.product)
             rhs = math.fsum(math.log(p) for p in scored.probabilities)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (t, scored.path_text)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (raw, scored.path_text)
 
 
 def test_criterion_4_smoothing_worked_examples():

@@ -46,6 +46,13 @@ def test_templates_for_all_patterns():
     assert [_describe(t) for t in templates_for((S, S))] == ["[Ssi Ssf]", "[Ssif] [Ssif]"]
     with pytest.raises(UnsupportedStressPattern):
         templates_for((W, W))
+    # a boundary commits a double-strong word to the compound; weak-weak fails first
+    assert [_describe(t) for t in templates_for((S, S), True)] == ["[Ssif] [Ssif]"]
+    for pattern in ((S, W), (W, S)):
+        with pytest.raises(UnsupportedStressPattern, match="^a compound boundary needs two strong monosyllables$"):
+            templates_for(pattern, True)
+    with pytest.raises(UnsupportedStressPattern, match="^no rule generates a weak-weak word$"):
+        templates_for((W, W), True)
 
 
 def test_template_slots():

@@ -10,7 +10,7 @@ from phonotax import parse as parse_module
 from phonotax.errors import OutOfScope, UnsupportedStressPattern
 from phonotax.grammar import format_path
 from phonotax.parse import enumerate_segmentations, parse_all
-from phonotax.phonology import load_inventory, nucleus_indices, tokenize
+from phonotax.phonology import load_inventory, tokenize
 from phonotax.score import score_batch, score_word
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets
 from phonotax.train import extract_paths, ingest_lexicon, train_model
@@ -23,7 +23,7 @@ from oracles import (
     oracle_best,
     random_lexicon,
     random_transcription_text,
-    word_runs,
+    read_fields,
 )
 
 
@@ -33,8 +33,7 @@ def _texts(runs):
 
 
 def _segmentations(raw, inv):
-    t = tokenize(raw, inv)
-    return enumerate_segmentations(t, nucleus_indices(t))
+    return enumerate_segmentations(tokenize(raw, inv))
 
 
 def test_enumerate_monosyllable(inv):
@@ -87,7 +86,7 @@ def test_segmentation_longer_than_its_template_raises(inv, toy_model, monkeypatc
     # one syllable too many must not be cut to the template's length in silence
     real = parse_module.enumerate_segmentations
     monkeypatch.setattr(parse_module, "enumerate_segmentations",
-                        lambda t, nuclei: [seg + seg for seg in real(t, nuclei)])
+                        lambda t: [seg + seg for seg in real(t)])
     with pytest.raises(ValueError):
         parse_all(tokenize("k æ1 t", inv), toy_model)
 
@@ -119,9 +118,8 @@ def test_product_law(inv, toy_model):
 
 def test_agrees_with_oracle_spot_checks(inv, toy_model):
     for raw in ("k æ1 t", "k æ1 n d ə0 l", "s t ɪ1 l ə0", "b ʌ1 s + b ɔɪ1", "k æ1 n ə1"):
-        t = tokenize(raw, inv)
-        got = parse_all(t, toy_model)[0]
-        want_product, want_paths = oracle_best(t, toy_model)
+        got = parse_all(tokenize(raw, inv), toy_model)[0]
+        want_product, want_paths = oracle_best(raw, inv, toy_model)
         assert got.product == pytest.approx(want_product, rel=1e-12)
         assert got.path_text.split(" ; ") == want_paths
 
@@ -132,9 +130,9 @@ def test_agrees_with_oracle_randomized():
     for _ in range(25):
         model = train_model(random_lexicon(rng, rng.randint(4, 18)), inventory).model
         for _ in range(4):
-            t = tokenize(random_transcription_text(rng), inventory)
-            got = parse_all(t, model)[0]
-            want_product, want_paths = oracle_best(t, model)
+            raw = random_transcription_text(rng)
+            got = parse_all(tokenize(raw, inventory), model)[0]
+            want_product, want_paths = oracle_best(raw, inventory, model)
             assert got.product == pytest.approx(want_product, rel=1e-12)
             assert got.path_text.split(" ; ") == want_paths
 
@@ -178,13 +176,14 @@ def test_winner_read_first_is_the_ranked_first(seed):
     inventory = load_inventory(INVENTORY_TEXT)
     model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
     for _ in range(5):
-        t = tokenize(random_transcription_text(rng), inventory)
+        raw = random_transcription_text(rng)
+        t = tokenize(raw, inventory)
         winner = parse_all(t, model)[0]  # a fresh forest: nothing ranked yet
         forest = parse_all(t, model)
         assert list(forest)[0] == winner == forest[0]
-        words = word_runs(t)
+        words = read_fields(raw, inventory)
         templates = ORACLE_TEMPLATES[tuple(s for w in words for s in _oracle_stress(w))]
-        if t.boundary is not None:
+        if len(words) == 2:
             templates = [tpl for tpl in templates if tpl[0] == 2]
         assert len(forest) == len(templates) * math.prod(len(_oracle_word_splits(w)) for w in words)
         for sp in forest:
@@ -211,6 +210,18 @@ def test_edge_inputs_fail_as_pinned_in_both_commands(inv, toy_model, raw, score_
     assert ingest_lexicon(f"cat\tk æ1 t\nx\t{raw}\n", inv).skipped == [(2, skip_reason, "x")]
 
 
+@pytest.mark.parametrize("raw, score_error", [
+    ("k æ1 + t ə0", "UnsupportedStressPattern: a compound boundary needs two strong monosyllables"),
+    ("k ə0 + t æ1", "UnsupportedStressPattern: a compound boundary needs two strong monosyllables"),
+    ("k ə0 + t ə0", "UnsupportedStressPattern: no rule generates a weak-weak word"),
+])
+def test_a_boundary_needs_two_strong_monosyllables_in_both_commands(inv, toy_model, raw, score_error):
+    (row,) = score_batch(toy_model, [("x", raw)], inv)
+    assert row.error == score_error
+    result = train_model(f"cat\tk æ1 t\nx\t{raw}\n", inv)
+    assert result.unsupported == [(2, "x")]
+
+
 def test_vowel_initial_second_word_is_cut_at_the_boundary(inv, toy_model):
     # the second word's nucleus sits at the boundary index, so its onset is empty
     runs = ((), ("æ",), (), ("ɪ",))
@@ -229,8 +240,7 @@ def test_training_cut_is_one_of_the_scoring_cuts(seed, size):
     entries = ingest_lexicon(random_lexicon(random.Random(seed), size), inventory).entries
     onsets = collect_word_onsets(entries)
     for entry in entries:
-        t = entry.transcription
-        candidates = enumerate_segmentations(t, nucleus_indices(t))
+        candidates = enumerate_segmentations(entry.transcription)
         for policy in MedialSplitPolicy:
             try:
                 paths = extract_paths(entry, onsets, policy)

@@ -19,13 +19,8 @@ from phonotax.errors import (
     UnknownClass,
     UnknownSymbol,
 )
-from phonotax.phonology import (
-    Stress,
-    load_inventory,
-    nucleus_indices,
-    stress_pattern,
-    tokenize,
-)
+from phonotax.phonology import Stress, load_inventory, stress_pattern, tokenize
+from phonotax.train import ingest_lexicon
 
 from conftest import INVENTORY_TEXT
 from oracles import (
@@ -33,7 +28,9 @@ from oracles import (
     GEN_VOWELS,
     documents,
     format_transcription,
+    random_compound,
     random_transcription_text,
+    read_fields,
     word_runs,
 )
 
@@ -77,12 +74,13 @@ def test_load_inventory_rejects_notation_symbols(symbol):
 
 def test_tokenize_stress_and_boundary(inv):
     t = tokenize("b ʌ1 s + b ɔɪ1", inv)
-    assert [tok.symbol for tok in t.tokens] == ["b", "ʌ", "s", "b", "ɔɪ"]
-    assert t.tokens[1].stress == 1
+    assert t.symbols == ("b", "ʌ", "s", "b", "ɔɪ")
+    assert t.nuclei == (1, 4)
+    assert t.stresses[0] == 1
     assert t.boundary == 3
     first, second = word_runs(t)
-    assert [tok.symbol for tok in first] == ["b", "ʌ", "s"]
-    assert [tok.symbol for tok in second] == ["b", "ɔɪ"]
+    assert first == ("b", "ʌ", "s")
+    assert second == ("b", "ɔɪ")
 
 
 def test_tokenize_errors(inv):
@@ -108,8 +106,7 @@ def test_format_round_trip(inv):
 
 
 def _pattern(raw, inv):
-    t = tokenize(raw, inv)
-    return stress_pattern(t, nucleus_indices(t))
+    return stress_pattern(tokenize(raw, inv))
 
 
 def test_stress_pattern_rules(inv):
@@ -166,8 +163,28 @@ def test_tokenize_is_stable_across_its_memo(seeds):
     assert first == second == unshared
     assert [format_transcription(t) for t in first] == texts
     # only valid fields are kept: one per consonant, four per vowel at most
-    assert len(inventory.tokens) <= 4 * len(inventory.symbols)
-    assert "+" not in inventory.tokens
+    assert len(inventory.fields) <= 4 * len(inventory.symbols)
+    assert "+" not in inventory.fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([random_transcription_text, random_compound]))
+def test_transcription_agrees_with_a_field_by_field_reading(seed, draw_text):
+    inventory = load_inventory(INVENTORY_TEXT)
+    raw = draw_text(random.Random(seed))
+    t = tokenize(raw, inventory)
+    assert format_transcription(t) == raw
+    words = read_fields(raw, inventory)
+    fields = [f for word in words for f in word]
+    assert t.symbols == tuple(symbol for symbol, _, _ in fields)
+    assert t.nuclei == tuple(i for i, (_, _, is_vowel) in enumerate(fields) if is_vowel)
+    assert t.stresses == tuple(stress for _, stress, is_vowel in fields if is_vowel)
+    assert t.boundary == (len(words[0]) if len(words) == 2 else None)
+    # the ingest fold rewrites stress digits only, a 2 to a 0
+    (entry,) = ingest_lexicon(f"x\t{raw}\n", inventory).entries
+    folded = entry.transcription
+    assert (folded.symbols, folded.nuclei, folded.boundary) == (t.symbols, t.nuclei, t.boundary)
+    assert all(old == new or (old, new) == (2, 0) for old, new in zip(t.stresses, folded.stresses, strict=True))
 
 
 INVALID_FIELDS = (
@@ -189,7 +206,7 @@ def test_invalid_field_raises_on_every_call(seed, invalid, at):
     for _ in range(3):
         with pytest.raises(error):
             tokenize(" ".join(fields), inventory)
-    assert field not in inventory.tokens
+    assert field not in inventory.fields
     assert tokenize(text, inventory) == expected
 
 

@@ -164,7 +164,7 @@ def test_a_failure_on_either_side_writes_nothing_and_reaps_every_worker(
 
 
 # a score command that says on stderr when it has forked its first worker
-ANNOUNCING_CLI = """
+_ANNOUNCING = """
 import os, sys
 from phonotax.cli import main
 fork = os.fork
@@ -174,6 +174,18 @@ def announcing_fork():
         os.write(2, b"forked\\n")
     return pid
 os.fork = announcing_fork
+"""
+ANNOUNCING_CLI = _ANNOUNCING + "sys.exit(main())\n"
+# the same, with each row taking about ROW_DELAY seconds longer to score
+ROW_DELAY = 0.001
+SLOW_ANNOUNCING_CLI = _ANNOUNCING + f"""
+import time
+from phonotax import score
+score_word = score.score_word
+def slow_score_word(model, t):
+    time.sleep({ROW_DELAY!r})
+    return score_word(model, t)
+score.score_word = slow_score_word
 sys.exit(main())
 """
 
@@ -195,6 +207,48 @@ def test_a_killed_score_leaves_no_worker_running(batch_files):
                 break
             assert time.monotonic() < deadline, "a worker outlived the killed command"
             time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(group, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+
+
+def _running_in_group(group: int) -> list[int]:
+    """Pids of the processes in a process group that have not exited (zombies left out)."""
+    running = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except OSError:
+                continue  # gone since the listing
+            state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+            if int(pgrp) == group and state != "Z":
+                running.append(int(entry))
+    return running
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to read process states")
+def test_a_worker_stops_within_a_slice_of_its_parent_dying(batch_files):
+    # The worker's chunk takes ten slices or more, so a worker that scored
+    # it to the end would run far past the limit. An exited worker stays a
+    # zombie until its new parent reaps it, so it counts as stopped.
+    assert ROWS_PER_PROCESS >= 10 * cli.ROWS_PER_SLICE
+    limit = 3 * cli.ROWS_PER_SLICE * ROW_DELAY
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_ANNOUNCING_CLI, *_score_argv(batch_files)], env=ENV,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
+    group = proc.pid
+    try:
+        assert proc.stderr.readline() == b"forked\n"
+        os.kill(proc.pid, signal.SIGKILL)  # the parent alone, mid-batch
+        proc.wait(timeout=10)
+        start = time.monotonic()
+        while _running_in_group(group):
+            assert time.monotonic() - start < limit, "a worker kept scoring after its parent died"
+            time.sleep(0.01)
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(group, signal.SIGKILL)

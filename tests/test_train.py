@@ -18,7 +18,7 @@ from phonotax.errors import (
     VersionMismatch,
 )
 from phonotax.grammar import LABELS, PathType, templates_for
-from phonotax.phonology import Stress, load_inventory, nucleus_indices, stress_pattern
+from phonotax.phonology import Stress, load_inventory, stress_pattern
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
 from phonotax.train import (
     GT_MODES,
@@ -83,11 +83,9 @@ def test_ingest_downgrades_secondary_next_to_primary(inv):
     assert result.downgraded == 1
     insect, lone = result.entries
     # 2 adjacent to 1 folds into weak; a lone 2 keeps its strong reading
-    assert stress_pattern(insect.transcription, nucleus_indices(insect.transcription)) == (
-        Stress.STRONG, Stress.WEAK)
-    assert stress_pattern(lone.transcription, nucleus_indices(lone.transcription)) == (
-        Stress.STRONG, Stress.WEAK)
-    assert lone.transcription.tokens[0].stress == 2
+    assert stress_pattern(insect.transcription) == (Stress.STRONG, Stress.WEAK)
+    assert stress_pattern(lone.transcription) == (Stress.STRONG, Stress.WEAK)
+    assert lone.transcription.stresses[0] == 2
 
 
 def test_extract_paths_monosyllables(inv):
@@ -128,8 +126,7 @@ def test_extract_paths_match_syllabify(seed, size):
     entries = ingest_lexicon(random_lexicon(random.Random(seed), size), inventory).entries
     onsets = collect_word_onsets(entries)
     for entry in entries:
-        assert entry.pattern == stress_pattern(entry.transcription,
-                                               nucleus_indices(entry.transcription))
+        assert entry.pattern == stress_pattern(entry.transcription)
         for policy in MedialSplitPolicy:
             try:
                 paths = extract_paths(entry, onsets, policy)
@@ -137,7 +134,7 @@ def test_extract_paths_match_syllabify(seed, size):
                 continue
             syllables = [syl for word in syllabify(entry.transcription, onsets, policy)
                          for syl in word]
-            runs = [tuple(tok.symbol for tok in run) for syl in syllables for run in (syl.onset, syl.rhyme)]
+            runs = [run for syl in syllables for run in (syl.onset, syl.rhyme)]
             assert [terminal for _, terminal in paths] == runs
             assert [Stress(label[1]) for label, _ in paths[::2]] == [
                 syl.stress for syl in syllables]
@@ -161,7 +158,7 @@ def test_trained_counts_match_a_path_type_recount(seed, size, policy):
             (template,) = [c for c in templates_for(pattern) if len(c.words) == len(words)]
         except (UnsupportedStressPattern, ValueError):
             continue
-        runs = [tuple(tok.symbol for tok in run) for syl in syllables for run in (syl.onset, syl.rhyme)]
+        runs = [run for syl in syllables for run in (syl.onset, syl.rhyme)]
         recount.update(PathType(label, run) for label, run in zip(template.labels, runs))
     expected = {}
     for path, c in recount.items():
