@@ -23,7 +23,7 @@ from .grammar import LABELS
 from .phonology import PhonemeInventory, load_inventory
 from .score import parse_stimuli, score_batch
 from .syllabify import MedialSplitPolicy
-from .train import EPSILON_MAX, EPSILON_MIN, TrainedModel, load_model, save_model, top_k, train_model
+from .train import EPSILON_MAX, EPSILON_MIN, FloatReprs, TrainedModel, load_model, save_model, top_k, train_model
 
 SCORE_COLUMNS = ("word_id", "p_word", "ln_p_word", "p_worst", "p_best", "best_parse_paths", "error")
 
@@ -89,14 +89,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Reprs(dict):
-    """Each distinct float's repr, rendered once."""
-
-    def __missing__(self, value: float) -> str:
-        self[value] = text = repr(value)
-        return text
-
-
 # Rows each process scores at least. Forking a worker, filling its
 # copy-on-write pages and reaping it takes about 3 ms on a 2-vCPU host,
 # about 3% of the time this many score-wide rows take to score.
@@ -128,7 +120,7 @@ def _processes(rows: int) -> int:
 def _score_lines(model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[str, str]]) -> str:
     """The rows' ``scores.tsv`` lines, each ending in a newline."""
     lines = []
-    part = _Reprs()  # part probabilities are model probabilities: few distinct values
+    part = FloatReprs()  # part probabilities are model probabilities: few distinct values
     for word_id, rep, error in score_batch(model, rows, inv):
         if rep is None:
             lines.append("\t".join((word_id, "", "", "", "", "", error or "")))
@@ -305,10 +297,9 @@ def cmd_import_mitton(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, *, inventory: bool = True) -> None:
-    if inventory:
-        sub.add_argument("--inventory", type=Path, default=None,
-                         help="phoneme inventory TSV (default: packaged IPA set)")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--inventory", type=Path, default=None,
+                     help="phoneme inventory TSV (default: packaged IPA set)")
 
 
 def build_parser() -> argparse.ArgumentParser:

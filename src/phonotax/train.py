@@ -236,11 +236,20 @@ def top_k(model: TrainedModel, label: str, k: int) -> list[tuple[str, int]]:
 MODEL_HEADER = "phonotax-model v1"
 
 
+class FloatReprs(dict):
+    """Each distinct float's repr, rendered once."""
+
+    def __missing__(self, value: float) -> str:
+        self[value] = text = repr(value)
+        return text
+
+
 def save_model(model: TrainedModel) -> str:
     """Serialize a model to its canonical tab-separated document.
 
     The layout is deterministic (cells in canonical order, terminals by
-    text, floats via repr), so save-load-save is byte-stable.
+    text, floats via repr). It is the one layout load_model accepts, so
+    save-load-save is byte-stable.
     """
     cfg = model.config
     lines = [
@@ -252,16 +261,16 @@ def save_model(model: TrainedModel) -> str:
         f"total\t{model.table.total}",
     ]
     records = []
+    reprs = FloatReprs()  # a cell's probabilities take few distinct values
     for label in LABELS:
         counts, probabilities = model.table.counts.get(label, {}), model.probabilities[label]
-        for terminal in sorted(counts, key=format_terminal):
-            records.append(f"{label}\t{format_terminal(terminal)}\t{counts[terminal]}"
-                           f"\t{probabilities[terminal]!r}")
+        for text, terminal in sorted(zip(map(format_terminal, counts), counts)):
+            records.append(f"{label}\t{text}\t{counts[terminal]}\t{reprs[probabilities[terminal]]}")
     lines.append(f"records\t{len(records)}")
     for label in LABELS:
         flag = "\tall_unseen" if label in model.all_unseen else ""
         lines.append(
-            f"p0\t{label}\t{model.p0[label]!r}"
+            f"p0\t{label}\t{reprs[model.p0[label]]}"
             f"\tN\t{model.table.n(label)}\tN1\t{model.table.n1(label)}{flag}"
         )
     lines.extend(records)
@@ -269,16 +278,17 @@ def save_model(model: TrainedModel) -> str:
 
 
 def load_model(document: str) -> TrainedModel:
-    """Parse and cross-check a model document.
+    """The model a document's counts imply, if it reads as save_model writes that model.
 
-    Terminal text must be written as format_terminal writes it, with no
-    symbol an inventory may not hold (see is_reserved), counts
-    must be positive and sum to the declared total, and every
-    cell must carry a p0 line whose N, N1 and all_unseen flag agree with
-    its records. p0 and every seen probability are then re-derived from
-    the counts with good_turing under the file's config and must match
-    within 1e-12. The file's own floats are kept, so save-load-save is
-    byte-stable.
+    Past the header, only the config lines and each record's cell label,
+    terminal and count are read. Each terminal must be written as
+    format_terminal writes it and hold no symbol an inventory may not
+    hold (see is_reserved), and each count must be at least 1. The model
+    is what good_turing derives from those counts under that config.
+    The document must then match save_model of that model line for line
+    (a missing final newline and CRLF line endings aside), so that one
+    comparison checks the total, the record count, every p0 line and
+    every float; the first line that differs is named in the error.
     """
     lines = document.splitlines()
     if not lines:
@@ -289,111 +299,63 @@ def load_model(document: str) -> TrainedModel:
         raise ModelFormatError(f"not a model document: first line {lines[0]!r}")
 
     config_fields: dict[str, str] = {}
-    total: int | None = None
-    declared_records: int | None = None
-    p0: dict[str, float] = {}
-    meta: dict[str, tuple[int, int, bool]] = {}  # N, N1, all_unseen
-    counts: dict[str, dict[tuple[str, ...], int]] = {}
-    probabilities: dict[str, dict[tuple[str, ...], float]] = {label: {} for label in LABELS}
-    symbols: set[str] = set()  # terminal symbols already checked against the notation
-
-    def check_label(label: str) -> str:
-        if label not in probabilities:  # keyed by every label
-            raise ModelFormatError(f"unknown cell label {label!r}")
-        return label
-
+    counts: dict[str, dict[tuple[str, ...], int]] = {label: {} for label in LABELS}
+    terminals: dict[str, tuple[str, ...]] = {}  # text -> checked terminal, shared among cells
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
         parts = line.split("\t")
         kind = parts[0]
-        try:
-            if kind == "config" and len(parts) == 3:
-                config_fields[parts[1]] = parts[2]
-            elif kind == "total" and len(parts) == 2:
-                total = int(parts[1])
-            elif kind == "records" and len(parts) == 2:
-                declared_records = int(parts[1])
-            elif kind == "p0" and len(parts) in (7, 8) and parts[3] == "N" and parts[5] == "N1":
-                label = check_label(parts[1])
-                if label in p0:
-                    raise ModelFormatError(f"line {lineno}: duplicate p0 for {label}")
-                if len(parts) == 8 and parts[7] != "all_unseen":
-                    raise ModelFormatError(f"line {lineno}: unknown p0 flag {parts[7]!r}")
-                p0[label] = float(parts[2])
-                meta[label] = (int(parts[4]), int(parts[6]), len(parts) == 8)
-            elif len(parts) == 4:
-                label = check_label(parts[0])
-                text = parts[1]
+        if kind == "config" and len(parts) == 3:
+            config_fields[parts[1]] = parts[2]
+        elif kind == "p0":  # all derived from the counts but its label
+            if len(parts) > 1 and parts[1] not in counts:
+                raise ModelFormatError(f"line {lineno}: unknown cell label {parts[1]!r}")
+        elif len(parts) == 4:  # a record; its probability is derived too
+            bucket = counts.get(kind)
+            if bucket is None:
+                raise ModelFormatError(f"line {lineno}: unknown cell label {kind!r}")
+            text = parts[1]
+            terminal = terminals.get(text)
+            if terminal is None:
                 terminal = () if text == NULL_TERMINAL else tuple(text.split())
                 if format_terminal(terminal) != text:
                     raise ModelFormatError(f"line {lineno}: terminal {text!r} is not written "
                                            f"{format_terminal(terminal)!r}")
-                if not symbols.issuperset(terminal):  # check each symbol once
-                    if any(map(is_reserved, terminal)):
-                        raise ModelFormatError(f"line {lineno}: terminal {text!r} holds a symbol "
-                                               "that collides with the notation")
-                    symbols.update(terminal)
-                bucket = counts.setdefault(label, {})
-                if terminal in bucket:
-                    raise ModelFormatError(f"line {lineno}: duplicate record for {label} {text}")
-                bucket[terminal] = int(parts[2])
-                if bucket[terminal] < 1:
-                    raise ModelFormatError(f"line {lineno}: count below 1 in {line!r}")
-                probabilities[label][terminal] = float(parts[3])
-            else:
-                raise ModelFormatError(f"line {lineno}: unrecognized line {line!r}")
-        except ValueError:
-            raise ModelFormatError(f"line {lineno}: bad number in {line!r}") from None
-
-    for key in ("inventory_sha256", "medial_split", "gt", "epsilon"):
-        if key not in config_fields:
-            raise ModelFormatError(f"missing config {key}")
-    if total is None or declared_records is None:
-        raise ModelFormatError("missing total or records line")
-    if len(p0) != len(LABELS):
-        raise ModelFormatError("model must carry a p0 line for each of the 12 cells")
-
-    table = PathTable(counts, total)
-    record_count = sum(len(b) for b in counts.values())
-    if record_count != declared_records:
-        raise ModelFormatError(f"declared {declared_records} records, found {record_count}")
-    if sum(map(table.n, LABELS)) != total:
-        raise ModelFormatError("record counts do not sum to the declared total")
-
-    all_unseen: set[str] = set()
-    for label in LABELS:
-        n_declared, n1_declared, flagged = meta[label]
-        if table.n(label) != n_declared or table.n1(label) != n1_declared:
-            raise ModelFormatError(f"cell {label}: N/N1 disagree with its records")
-        if flagged:
-            if label in counts:
-                raise ModelFormatError(f"cell {label}: flagged all_unseen but has records")
-            all_unseen.add(label)
-        elif not n_declared:
-            raise ModelFormatError(f"cell {label}: empty but not flagged all_unseen")
+                if any(map(is_reserved, terminal)):
+                    raise ModelFormatError(f"line {lineno}: terminal {text!r} holds a symbol "
+                                           "that collides with the notation")
+                terminals[text] = terminal
+            try:
+                count = int(parts[2])
+            except ValueError:
+                raise ModelFormatError(f"line {lineno}: bad number in {line!r}") from None
+            if count < 1:
+                raise ModelFormatError(f"line {lineno}: count below 1 in {line!r}")
+            bucket[terminal] = count
+    # every other line and field is checked by the comparison below
 
     try:
-        policy = MedialSplitPolicy(config_fields["medial_split"])
         config = ModelConfig(
-            config_fields["inventory_sha256"], policy,
+            config_fields["inventory_sha256"], MedialSplitPolicy(config_fields["medial_split"]),
             config_fields["gt"], float(config_fields["epsilon"]),
         )
+    except KeyError as err:
+        raise ModelFormatError(f"missing config {err.args[0]}") from None
     except (ValueError, BadConfig) as err:
         raise ModelFormatError(f"bad config: {err}") from None
+    counts = {label: bucket for label, bucket in counts.items() if bucket}
+    try:
+        model = good_turing(PathTable(counts, sum(sum(b.values()) for b in counts.values())), config)
+    except OverflowError:
+        raise ModelFormatError("counts too large to smooth: a cell's N does not fit a float") from None
 
-    derived = good_turing(table, config)
-    for label in LABELS:
-        # written as "not <=" so that a NaN fails too
-        if not abs(p0[label] - derived.p0[label]) <= 1e-12:
-            raise ModelFormatError(f"cell {label}: p0 {p0[label]!r} is not the "
-                                   f"{derived.p0[label]!r} its counts imply")
-        expected = derived.probabilities[label]
-        for terminal, prob in probabilities[label].items():
-            if not abs(prob - expected[terminal]) <= 1e-12:
-                raise ModelFormatError(f"cell {label}: p({format_terminal(terminal)}) {prob!r} "
-                                       f"is not the {expected[terminal]!r} its counts imply")
-    return TrainedModel(table, p0, probabilities, frozenset(all_unseen), config)
+    expected = save_model(model).splitlines()
+    if lines != expected:
+        # the first line that differs, or else the end of the shorter document
+        i = next((i for i, (a, b) in enumerate(zip(lines, expected)) if a != b),
+                 min(len(lines), len(expected)))
+        found, implied = (repr(doc[i]) if i < len(doc) else "no line" for doc in (lines, expected))
+        raise ModelFormatError(f"line {i + 1}: the file has {found} where its counts imply {implied}")
+    return model
 
 
 @dataclass

@@ -200,7 +200,7 @@ def random_lexicon(rng: random.Random, n_entries: int) -> str:
 # non-finite numbers, control and line-separator characters, free text
 EDGE_TEXT = st.one_of(
     st.sampled_from(["", " ", "\t", ",", "#", "+", ";", ":", "∅", "0", "-1", "1e309", "nan", "inf",
-                     "9" * 40, "1.5", "a1", "'", "\"", "\x00", "\r", "\x0b", "\u2028", "\ufeff"]),
+                     "9" * 40, "9" * 400, "1.5", "a1", "'", "\"", "\x00", "\r", "\x0b", "\u2028", "\ufeff"]),
     st.text(max_size=6),
 )
 

@@ -3,11 +3,13 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phonotax.cli import main
 from phonotax.errors import (
     BadConfig,
     EmptyCorpus,
@@ -35,7 +37,7 @@ from phonotax.train import (
 )
 
 from conftest import INVENTORY_TEXT, TOY_LEXICON
-from oracles import documents, random_lexicon
+from oracles import documents, edited_documents, random_lexicon
 
 OSIF, RSIF = "Osif", "Rsif"
 
@@ -313,16 +315,29 @@ def test_load_model_rejects_counts_below_one(low, high):
         load_model(moved)
 
 
-def test_load_model_keeps_the_files_floats(toy_model):
+def test_load_model_rejects_a_float_off_its_derived_value(toy_model):
     doc = save_model(toy_model)
-    line = next(l for l in doc.splitlines() if l.startswith("Osif\tk\t"))
+    lineno, line = next((i, l) for i, l in enumerate(doc.splitlines(), start=1) if l.startswith("Osif\tk\t"))
     count, prob = line.split("\t")[2:]
-    nudged = float(prob) + 1e-15  # inside the re-derivation tolerance
+    nudged = float(prob) + 1e-15  # within 1e-12 of the value its counts imply
     assert nudged != float(prob)
-    doc = doc.replace(line, f"Osif\tk\t{count}\t{nudged!r}")
-    loaded = load_model(doc)
-    assert loaded.probabilities[OSIF][("k",)] == nudged
-    assert save_model(loaded) == doc
+    edited = f"Osif\tk\t{count}\t{nudged!r}"
+    message = f"line {lineno}: the file has {edited!r} where its counts imply {line!r}"
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+        load_model(doc.replace(line, edited))
+
+
+def test_load_model_rejects_counts_too_large_to_smooth(tmp_path):
+    doc = save_model(good_turing(_table_with({("a",): 2, ("b",): 2}), CONFIG))
+    # the cell's N and the total agree with the huge count, so only smoothing can fail
+    huge = 10**400
+    edited = _replace_line(doc, "Osif\ta\t2\t", f"Osif\ta\t{huge}\t0.4375")
+    edited = _replace_line(edited, "p0\tOsif\t", f"p0\tOsif\t0.125\tN\t{huge + 2}\tN1\t0")
+    edited = _replace_line(edited, "total\t", f"total\t{huge + 2}")
+    with pytest.raises(ModelFormatError, match="too large"):
+        load_model(edited)
+    (tmp_path / "model.tsv").write_text(edited, encoding="utf-8")
+    assert main(["tables", str(tmp_path / "model.tsv")]) == 2
 
 
 @pytest.mark.parametrize("record, text", [
@@ -418,6 +433,16 @@ _MODEL_DOCS = [save_model(train_model(TOY_LEXICON, load_inventory(INVENTORY_TEXT
 def test_load_model_raises_only_phonotax_errors(document):
     with contextlib.suppress(PhonotaxError):
         load_model(document)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_MODEL_DOCS).flatmap(edited_documents))
+def test_a_model_document_loads_only_as_save_model_writes_it(document):
+    try:
+        model = load_model(document)
+    except ModelFormatError:
+        return
+    assert save_model(model).splitlines() == document.splitlines()
 
 
 @settings(max_examples=200, deadline=None)
