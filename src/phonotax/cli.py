@@ -14,16 +14,17 @@ import gc
 import os
 import signal
 import sys
-from importlib import resources
+from collections import Counter
 from pathlib import Path
 from typing import BinaryIO
 
 from .errors import BadEncoding, PhonotaxError
 from .grammar import LABELS
-from .phonology import PhonemeInventory, load_inventory
+from .phonology import PhonemeInventory, load_inventory, packaged_inventory
 from .score import parse_stimuli, score_batch
 from .syllabify import MedialSplitPolicy
-from .train import EPSILON_MAX, EPSILON_MIN, FloatReprs, TrainedModel, load_model, save_model, top_k, train_model
+from .train import (EPSILON_MAX, EPSILON_MIN, GT_MODES, FloatReprs, ModelConfig, TrainedModel, load_model,
+                    save_model, top_k, train_model)
 
 SCORE_COLUMNS = ("word_id", "p_word", "ln_p_word", "p_worst", "p_best", "best_parse_paths", "error")
 
@@ -38,10 +39,13 @@ def _read(path: Path) -> str:
 
 def _load_inventory(args: argparse.Namespace) -> PhonemeInventory:
     if args.inventory is None:
-        text = resources.files("phonotax").joinpath("data/inventory_ipa.tsv").read_text("utf-8")
-    else:
-        text = _read(args.inventory.resolve())
-    return load_inventory(text)
+        return packaged_inventory()
+    return load_inventory(_read(args.inventory.resolve()))
+
+
+def _skip_reasons(skipped: list[tuple[int, str, str]]) -> str:
+    """Each skip reason with its count, by reason: ``NoNucleus 2, OutOfScope 1``."""
+    return ", ".join(f"{r} {c}" for r, c in sorted(Counter(reason for _, reason, _ in skipped).items()))
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -72,8 +76,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"lexicon entries: retained {len(ingest.entries)}, skipped {len(ingest.skipped)}, "
           f"downgraded {ingest.downgraded}")
     if ingest.skipped:
-        reasons = ", ".join(f"{r} {c}" for r, c in sorted(ingest.skip_counts().items()))
-        print(f"skip reasons: {reasons}")
+        print(f"skip reasons: {_skip_reasons(ingest.skipped)}")
     if result.unsupported:
         print(f"unsupported stress patterns: {len(result.unsupported)} entries left untrained")
     print(f"trained entries: {result.trained_entries}")
@@ -289,8 +292,7 @@ def cmd_import_mitton(args: argparse.Namespace) -> int:
     path = _write(args.out, "lexicon.tsv", result.lexicon_text)
     print(f"converted entries: {result.converted}")
     if result.skipped:
-        reasons = ", ".join(f"{r} {c}" for r, c in sorted(result.skip_counts().items()))
-        print(f"skipped: {len(result.skipped)} ({reasons})")
+        print(f"skipped: {len(result.skipped)} ({_skip_reasons(result.skipped)})")
     for note, count in sorted(result.notes.items()):
         print(f"note: {note} on {count} entries")
     print(f"lexicon: {path}")
@@ -313,11 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lexicon", type=Path)
     _add_common(p)
     p.add_argument("--medial-split", choices=[m.value for m in MedialSplitPolicy],
-                   default="max-onset")
-    p.add_argument("--gt", choices=("simple", "full"), default="simple")
-    p.add_argument("--epsilon", type=float, default=1e-9,
+                   default=ModelConfig.medial_split.value)
+    p.add_argument("--gt", choices=GT_MODES, default=ModelConfig.gt_mode)
+    p.add_argument("--epsilon", type=float, default=ModelConfig.epsilon,
                    help="probability of any path in a cell the lexicon leaves empty "
-                        f"(default 1e-9, range [{EPSILON_MIN:g}, {EPSILON_MAX:g}])")
+                        f"(default {ModelConfig.epsilon:g}, range [{EPSILON_MIN:g}, {EPSILON_MAX:g}])")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_train)
 

@@ -31,8 +31,11 @@ the conversion is versioned by this module and every skip is reported.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
+
+from .phonology import packaged_inventory
 
 # ASCII phone -> inventory symbol; multi-character phones first
 MITTON_PHONES: dict[str, str] = {
@@ -50,10 +53,13 @@ MITTON_PHONES: dict[str, str] = {
 
 _PHONE_KEYS = sorted(MITTON_PHONES, key=len, reverse=True)
 
-VOWEL_SYMBOLS = {
-    "iː", "ɪ", "e", "æ", "ɑː", "ɒ", "ɔː", "ʊ", "uː", "ʌ", "ɜː", "ə",
-    "eɪ", "əʊ", "aɪ", "aʊ", "ɔɪ", "ɪə", "eə", "ʊə", "i", "u",
-}
+
+@functools.cache
+def _vowels() -> frozenset[str]:
+    """The packaged inventory's vowels; every MITTON_PHONES value is one of its symbols."""
+    inv = packaged_inventory()
+    return frozenset(s for s in inv.symbols if inv.is_vowel(s))
+
 
 _OBSTRUENTS = {"p", "b", "t", "d", "k", "g", "tʃ", "dʒ",
                "f", "v", "θ", "ð", "s", "z", "ʃ", "ʒ", "h"}
@@ -87,7 +93,7 @@ def _tokenize_phones(pron: str) -> list[tuple[str, int | None]]:
         for key in _PHONE_KEYS:
             if pron.startswith(key, i):
                 symbol = MITTON_PHONES[key]
-                if symbol in VOWEL_SYMBOLS:
+                if symbol in _vowels():
                     out.append((symbol, pending))
                     pending = None
                 else:
@@ -101,7 +107,7 @@ def _tokenize_phones(pron: str) -> list[tuple[str, int | None]]:
 
 def _restore_syllabic(phones: list[tuple[str, int | None]]) -> tuple[list[tuple[str, int | None]], bool]:
     """Insert a schwa before a final syllabic l/m/n after an obstruent."""
-    last_vowel = max((i for i, (s, _) in enumerate(phones) if s in VOWEL_SYMBOLS), default=-1)
+    last_vowel = max((i for i, (s, _) in enumerate(phones) if s in _vowels()), default=-1)
     run = phones[last_vowel + 1 :]
     if len(run) >= 2 and run[-1][0] in ("l", "m", "n") and run[-2][0] in _OBSTRUENTS:
         return phones[:-1] + [("ə", None), phones[-1]], True
@@ -110,13 +116,14 @@ def _restore_syllabic(phones: list[tuple[str, int | None]]) -> tuple[list[tuple[
 
 def _render_word(phones: list[tuple[str, int | None]], force_primary: bool) -> str:
     """Format one phonological word, assigning default stress digits."""
-    nuclei = [i for i, (s, _) in enumerate(phones) if s in VOWEL_SYMBOLS]
+    vowels = _vowels()
+    nuclei = [i for i, (s, _) in enumerate(phones) if s in vowels]
     if not nuclei:
         raise PhoneError("no vowel")
     fields = []
     primary_used = False
     for i, (symbol, stress) in enumerate(phones):
-        if symbol not in VOWEL_SYMBOLS:
+        if symbol not in vowels:
             fields.append(symbol)
             continue
         if stress is None:
@@ -136,9 +143,6 @@ class MittonImport:
     converted: int
     skipped: list[tuple[int, str, str]]  # (lineno, reason, headword or line)
     notes: Counter
-
-    def skip_counts(self) -> dict[str, int]:
-        return dict(Counter(reason for _, reason, _ in self.skipped))
 
 
 def convert_mitton(document: str) -> MittonImport:

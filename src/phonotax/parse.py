@@ -20,10 +20,8 @@ text are built when they are read.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator, Sequence
-from operator import attrgetter
 from typing import NamedTuple
 
 from .grammar import PathType, UnifiedParse, WordTemplate, format_terminal, templates_for
@@ -87,8 +85,9 @@ class ScoredParse(NamedTuple):
                            for prefix, run in zip(self.template.prefixes, self.runs, strict=True)])
 
 
-_PRODUCT = attrgetter("product")
-_PATH_TEXT = attrgetter("path_text")
+def _order(parse: ScoredParse) -> tuple[float, str]:
+    """The forest's sort key: higher product first, exact ties by path text."""
+    return (-parse.product, parse.path_text)
 
 
 class Forest(Sequence):
@@ -99,8 +98,7 @@ class Forest(Sequence):
     when the forest is built, by one scan that builds a ``ScoredParse``
     only for a parse reaching the best product so far, so ``forest[0]``
     costs nothing more. Any other index, a slice or iteration builds and
-    ranks every parse once and keeps that ranking. A forest equals any
-    sequence holding the same parses in the same order.
+    ranks every parse once and keeps that ranking.
     """
 
     __slots__ = ("_templates", "_segmentations", "_best", "_ranked")
@@ -117,7 +115,8 @@ class Forest(Sequence):
         # order, as math.prod does, so they carry the same bits as _rank's.
         segmentations = self._segmentations
         first = segmentations[0]
-        best, top = None, -1.0
+        ties: list[ScoredParse] = []  # the parses at the best product so far
+        top = -1.0
         for template, tables in self._templates:
             (onsets, unseen_onset), *medial, (rhymes, unseen_rhyme) = tables
             head = onsets.get(first[0], unseen_onset)
@@ -125,9 +124,10 @@ class Forest(Sequence):
             if not medial:
                 ((_, _),) = segmentations  # ValueError unless one segmentation of two runs
                 product = head * tail
-                if product >= top:
-                    best, top = self._reach(best, ScoredParse(
-                        template, first, (head, tail), product, tables))
+                if product > top:
+                    ties, top = [], product
+                if product == top:
+                    ties.append(ScoredParse(template, first, (head, tail), product, tables))
                 continue
             (rhymes1, unseen1), (onsets2, unseen2) = medial
             for runs in segmentations:
@@ -135,17 +135,11 @@ class Forest(Sequence):
                 p1 = rhymes1.get(run1, unseen1)
                 p2 = onsets2.get(run2, unseen2)
                 product = head * p1 * p2 * tail
-                if product >= top:
-                    best, top = self._reach(best, ScoredParse(
-                        template, runs, (head, p1, p2, tail), product, tables))
-        return best
-
-    @staticmethod
-    def _reach(best: ScoredParse | None, parse: ScoredParse) -> tuple[ScoredParse, float]:
-        """The better of the best so far and a parse whose product is at least as high."""
-        if best is None or parse.product > best.product or parse.path_text < best.path_text:
-            return parse, parse.product
-        return best, best.product
+                if product > top:
+                    ties, top = [], product
+                if product == top:
+                    ties.append(ScoredParse(template, runs, (head, p1, p2, tail), product, tables))
+        return ties[0] if len(ties) == 1 else min(ties, key=_order)  # a lone winner renders no text
 
     def __len__(self) -> int:
         return len(self._templates) * len(self._segmentations)
@@ -158,11 +152,6 @@ class Forest(Sequence):
     def __iter__(self) -> Iterator[ScoredParse]:
         return iter(self._rank())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
     def _rank(self) -> list[ScoredParse]:
         if self._ranked is None:
             parses = []
@@ -171,13 +160,7 @@ class Forest(Sequence):
                     probs = tuple([table.get(run, unseen)
                                    for (table, unseen), run in zip(tables, runs, strict=True)])
                     parses.append(ScoredParse(template, runs, probs, math.prod(probs), tables))
-            ranked: list[ScoredParse] = []
-            for _, group in itertools.groupby(sorted(parses, key=_PRODUCT, reverse=True), key=_PRODUCT):
-                tied = list(group)
-                if len(tied) > 1:
-                    tied.sort(key=_PATH_TEXT)
-                ranked += tied
-            self._ranked = ranked
+            self._ranked = sorted(parses, key=_order)
         return self._ranked
 
 

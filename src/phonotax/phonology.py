@@ -121,6 +121,12 @@ def load_inventory(document: str) -> PhonemeInventory:
     return PhonemeInventory(tuple(symbols), classes, digest)
 
 
+def packaged_inventory() -> PhonemeInventory:
+    """The IPA inventory the package ships, ``data/inventory_ipa.tsv``."""
+    from importlib import resources  # here, not at the top: `import phonotax` would pay for it
+    return load_inventory(resources.files(__package__).joinpath("data/inventory_ipa.tsv").read_text("utf-8"))
+
+
 def _read_field(text: str, inv: PhonemeInventory) -> tuple[str, int | None, bool]:
     """The symbol, stress digit and class one field spells; raises on anything invalid."""
     stress: int | None = None

@@ -36,7 +36,7 @@ class JudgmentRecord:
 
     def __post_init__(self) -> None:
         if not 0 <= self.votes_against <= 12:
-            raise ValueError("votes_against must lie in 0..12")
+            raise ValueError(f"votes_against {self.votes_against} outside 0..12")
 
 
 JUDGMENT_HEADER = ("word_id", "votes_against")
@@ -71,12 +71,14 @@ def load_judgments(document: str) -> list[JudgmentRecord]:
             votes = int(row[1])
         except ValueError:
             raise BadJudgment(f"line {lineno}: votes_against must be an integer") from None
-        if not 0 <= votes <= 12:
-            raise BadJudgment(f"line {lineno}: votes_against {votes} outside 0..12")
+        try:
+            record = JudgmentRecord(word_id, votes)
+        except ValueError as err:  # the range check
+            raise BadJudgment(f"line {lineno}: {err}") from None
         if word_id in seen:
             raise DuplicateWordId(f"line {lineno}: word id {word_id!r} appears twice")
         seen.add(word_id)
-        records.append(JudgmentRecord(word_id, votes))
+        records.append(record)
     return records
 
 
@@ -261,16 +263,15 @@ def evaluate(
     return results, scatter
 
 
-def synthetic_judgments(
-    reports: Sequence[tuple[str, ScoreReport]],
-    seed: int,
-    noise_sd: float = 1.5,
-) -> list[JudgmentRecord]:
+SYNTHETIC_NOISE_SD = 1.5  # votes
+
+
+def synthetic_judgments(reports: Sequence[tuple[str, ScoreReport]], seed: int) -> list[JudgmentRecord]:
     """Seeded stand-in votes: a noisy monotone function of -ln p(word).
 
     Scores are mapped linearly so the least probable word sits at 12
-    votes, then Gaussian noise is added and the result clamped to the
-    0..12 scale. Deterministic for a given seed.
+    votes, then Gaussian noise of sd SYNTHETIC_NOISE_SD is added and the
+    result clamped to the 0..12 scale. Deterministic for a given seed.
     """
     xs = [-rep.ln_p_word for _, rep in reports]
     top = max(xs, default=0.0)
@@ -278,6 +279,6 @@ def synthetic_judgments(
     rng = random.Random(seed)
     records: list[JudgmentRecord] = []
     for (word_id, _), x in zip(reports, xs):
-        raw = scale * x + rng.gauss(0.0, noise_sd)
+        raw = scale * x + rng.gauss(0.0, SYNTHETIC_NOISE_SD)
         records.append(JudgmentRecord(word_id, max(0, min(12, round(raw)))))
     return records

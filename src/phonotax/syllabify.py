@@ -58,21 +58,12 @@ def collect_word_onsets(entries: Iterable[LexiconEntry]) -> WordOnsetSet:
 def _split_cluster(
     symbols: tuple[str, ...], onsets: WordOnsetSet, policy: MedialSplitPolicy
 ) -> int:
-    """How many trailing cluster consonants open the second syllable."""
+    """How many trailing cluster consonants open the second syllable: the longest attested onset."""
     m = len(symbols)
-    if policy is MedialSplitPolicy.MAX_ONSET:
-        for k in range(m, 0, -1):
-            if symbols[m - k :] in onsets:
-                return k
-        return 0
-    # always-split-cc: a cluster of two or more is broken unless it is an
-    # attested onset opening with s; otherwise at least its first consonant
-    # closes the first syllable and the rest splits by attestation.
-    if m <= 1:
-        return m if symbols in onsets else 0
-    if symbols[0] == "s" and symbols in onsets:
-        return m
-    for k in range(m - 1, 0, -1):
+    longest = m  # always-split-cc keeps the first of two or more consonants back, unless it is s
+    if policy is MedialSplitPolicy.ALWAYS_SPLIT_CC and m > 1 and symbols[0] != "s":
+        longest = m - 1
+    for k in range(longest, 0, -1):
         if symbols[m - k :] in onsets:
             return k
     return 0

@@ -38,9 +38,25 @@ from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut
 PathPair = tuple[str, tuple[str, ...]]  # (cell label, terminal), e.g. ('Osi', ('s', 't'))
 
 GT_MODES = ("simple", "full")
-# an all-unseen cell answers epsilon; four of them in one parse still
-# multiply to a normal float (1e-300), so ln p(word) is always finite
+# No cell answers below EPSILON_MIN: an all-unseen cell answers epsilon,
+# and load_model rejects counts that smooth below it. The four paths of a
+# parse then multiply to a normal float (1e-300), so ln p(word) is finite.
 EPSILON_MIN, EPSILON_MAX = 1e-75, 1e-3
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    # the field defaults are training's: train_model, extract_paths and the CLI read them here
+    inventory_digest: str
+    medial_split: MedialSplitPolicy = MedialSplitPolicy.MAX_ONSET
+    gt_mode: str = "simple"
+    epsilon: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if self.gt_mode not in GT_MODES:
+            raise BadConfig(f"gt_mode must be one of {GT_MODES}")
+        if not EPSILON_MIN <= self.epsilon <= EPSILON_MAX:
+            raise BadConfig(f"epsilon must lie in [{EPSILON_MIN:g}, {EPSILON_MAX:g}]")
 
 
 class LexiconEntry(NamedTuple):
@@ -55,9 +71,6 @@ class IngestResult:
     entries: list[LexiconEntry]
     skipped: list[tuple[int, str, str]]  # (lineno, reason, orthography or raw line)
     downgraded: int  # entries whose secondary stress was folded into weak
-
-    def skip_counts(self) -> dict[str, int]:
-        return dict(Counter(reason for _, reason, _ in self.skipped))
 
 
 def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
@@ -107,7 +120,7 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
 def extract_paths(
     entry: LexiconEntry,
     onsets: WordOnsetSet,
-    policy: MedialSplitPolicy = MedialSplitPolicy.MAX_ONSET,
+    policy: MedialSplitPolicy = ModelConfig.medial_split,
 ) -> list[PathPair]:
     """The onset and rhyme paths of an entry's unique analysis.
 
@@ -151,20 +164,6 @@ def tabulate(paths: Iterable[PathPair]) -> PathTable:
     for (label, terminal), c in tally.items():
         counts.setdefault(label, {})[terminal] = c
     return PathTable(counts, tally.total())
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    inventory_digest: str
-    medial_split: MedialSplitPolicy = MedialSplitPolicy.MAX_ONSET
-    gt_mode: str = "simple"
-    epsilon: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.gt_mode not in GT_MODES:
-            raise BadConfig(f"gt_mode must be one of {GT_MODES}")
-        if not EPSILON_MIN <= self.epsilon <= EPSILON_MAX:
-            raise BadConfig(f"epsilon must lie in [{EPSILON_MIN:g}, {EPSILON_MAX:g}]")
 
 
 @dataclass
@@ -284,11 +283,12 @@ def load_model(document: str) -> TrainedModel:
     terminal and count are read. Each terminal must be written as
     format_terminal writes it and hold no symbol an inventory may not
     hold (see is_reserved), and each count must be at least 1. The model
-    is what good_turing derives from those counts under that config.
-    The document must then match save_model of that model line for line
-    (a missing final newline and CRLF line endings aside), so that one
-    comparison checks the total, the record count, every p0 line and
-    every float; the first line that differs is named in the error.
+    is what good_turing derives from those counts under that config, and
+    none of its cells may answer below EPSILON_MIN. The document must
+    then match save_model of that model line for line (a missing final
+    newline and CRLF line endings aside), so that one comparison checks
+    the total, the record count, every p0 line and every float; the
+    first line that differs is named in the error.
     """
     lines = document.splitlines()
     if not lines:
@@ -347,6 +347,9 @@ def load_model(document: str) -> TrainedModel:
         model = good_turing(PathTable(counts, sum(sum(b.values()) for b in counts.values())), config)
     except OverflowError:
         raise ModelFormatError("counts too large to smooth: a cell's N does not fit a float") from None
+    for label, (seen, unseen) in model.lookup.items():
+        if min([unseen, *seen.values()]) < EPSILON_MIN:
+            raise ModelFormatError(f"cell {label}: counts so large a probability is below {EPSILON_MIN:g}")
 
     expected = save_model(model).splitlines()
     if lines != expected:
@@ -371,9 +374,9 @@ class TrainResult:
 def train_model(
     document: str,
     inv: PhonemeInventory,
-    policy: MedialSplitPolicy = MedialSplitPolicy.MAX_ONSET,
-    gt_mode: str = "simple",
-    epsilon: float = 1e-9,
+    policy: MedialSplitPolicy = ModelConfig.medial_split,
+    gt_mode: str = ModelConfig.gt_mode,
+    epsilon: float = ModelConfig.epsilon,
 ) -> TrainResult:
     """Run the whole training pipeline over a lexicon document."""
     config = ModelConfig(inv.digest, policy, gt_mode, epsilon)

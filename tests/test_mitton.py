@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from phonotax.errors import PhonotaxError
-from phonotax.mitton import PhoneError, _tokenize_phones, convert_mitton
+from phonotax.mitton import MITTON_PHONES, PhoneError, _tokenize_phones, convert_mitton
 from phonotax.phonology import tokenize
 from phonotax.train import train_model
 
@@ -32,6 +32,10 @@ def test_polysyllable_fills_zero_stress():
 
 def test_secondary_stress_mark():
     assert _single("canteen ,k&n'ti:n K\n") == "k æ2 n t iː1 n"
+
+
+def test_every_phone_maps_to_a_packaged_symbol(default_inv):
+    assert set(MITTON_PHONES.values()) <= set(default_inv.symbols)
 
 
 def test_greedy_multicharacter_phones():
@@ -71,13 +75,13 @@ def test_approximated_phones_are_counted():
 def test_multiword_head_sheds_itself():
     result = convert_mitton("act on '&kt Qn K\n")
     assert result.converted == 0
-    assert result.skip_counts() == {"unmappable-pronunciation": 1}
+    assert [reason for _, reason, _ in result.skipped] == ["unmappable-pronunciation"]
 
 
 def test_short_and_blank_lines():
     result = convert_mitton("justaword\n\n   \ncat 'k&t K\n")
     assert result.converted == 1
-    assert result.skip_counts() == {"short-line": 1}
+    assert [reason for _, reason, _ in result.skipped] == ["short-line"]
     assert result.skipped[0] == (1, "short-line", "justaword")
 
 

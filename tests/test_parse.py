@@ -146,7 +146,7 @@ def test_forest_order_is_product_then_text(seed):
     model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
     for _ in range(5):
         forest = parse_all(tokenize(random_transcription_text(rng), inventory), model)
-        assert forest == sorted(forest, key=lambda sp: (-sp.product, sp.path_text))
+        assert list(forest) == sorted(forest, key=lambda sp: (-sp.product, sp.path_text))
 
 
 @settings(max_examples=60, deadline=None)

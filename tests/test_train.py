@@ -21,8 +21,10 @@ from phonotax.errors import (
 )
 from phonotax.grammar import LABELS, PathType, templates_for
 from phonotax.phonology import Stress, load_inventory, stress_pattern
+from phonotax.score import score_batch
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets, syllabify
 from phonotax.train import (
+    EPSILON_MIN,
     GT_MODES,
     ModelConfig,
     PathTable,
@@ -57,7 +59,7 @@ two\ts æ1 n d ə0 l
     result = ingest_lexicon(doc, inv)
     assert [e.orthography for e in result.entries] == ["cat", "two"]
     assert result.entries[0].lineno == 2
-    reasons = result.skip_counts()
+    reasons = Counter(reason for _, reason, _ in result.skipped)
     assert reasons == {
         "OutOfScope": 1,
         "UnknownSymbol": 1,
@@ -340,6 +342,43 @@ def test_load_model_rejects_counts_too_large_to_smooth(tmp_path):
     assert main(["tables", str(tmp_path / "model.tsv")]) == 2
 
 
+def _saved(counts: dict[str, dict[tuple[str, ...], int]], config: ModelConfig = CONFIG) -> str:
+    """save_model of the model good_turing smooths from per-cell counts."""
+    return save_model(good_turing(PathTable(counts, sum(sum(c.values()) for c in counts.values())), config))
+
+
+def test_load_model_rejects_counts_that_smooth_below_the_floor(tmp_path, capsys):
+    # k and æ t are seen once beside 10**300 tokens: each answers about 1e-300,
+    # so the parse of k æ1 t would multiply to 0 and its log fail
+    doc = _saved({OSIF: {("k",): 1, ("t",): 10**300}, RSIF: {("æ", "t"): 1, ("ɪ", "p"): 10**300}})
+    with pytest.raises(ModelFormatError, match=f"^cell {OSIF}: .* below {EPSILON_MIN:g}$"):
+        load_model(doc)
+    (tmp_path / "model.tsv").write_text(doc, encoding="utf-8")
+    (tmp_path / "stimuli.tsv").write_text("w1\tk æ1 t\n", encoding="utf-8")
+    for command in ("score", "evaluate"):
+        assert main([command, str(tmp_path / "model.tsv"), str(tmp_path / "stimuli.tsv")]) == 2
+        assert f"error: cell {OSIF}" in capsys.readouterr().err
+
+
+# terminals any cell may hold, and in-scope words under every template that read them
+_TERMINALS = [(), ("k",), ("s", "t"), ("æ", "t"), ("ɪ", "p"), ("ɪ",)]
+_WORDS = [(f"w{i}", raw) for i, raw in enumerate([
+    "k æ1 t", "æ1 t", "s t ɪ1", "k æ1 t ɪ0 p", "k æ0 s t ɪ1 p", "æ1 k ɪ1 p", "k æ1 t + s t ɪ1 p"])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(LABELS), st.dictionaries(
+    st.sampled_from(_TERMINALS), st.integers(1, 10**300), min_size=1, max_size=3)),
+    st.sampled_from([1e-75, 1e-9, 1e-3]))
+def test_a_model_that_loads_scores_every_word_finite(counts, epsilon):
+    try:
+        model = load_model(_saved(counts, ModelConfig("x" * 64, epsilon=epsilon)))
+    except ModelFormatError:
+        return
+    for row in score_batch(model, _WORDS, load_inventory(INVENTORY_TEXT)):
+        assert row.report is None or math.isfinite(row.report.ln_p_word), row
+
+
 @pytest.mark.parametrize("record, text", [
     ("Osif\t∅\t", ""), ("Osif\ts t\t", "s  t"), ("Osif\tk\t", " k"),
 ], ids=["empty", "doubled-space", "leading-space"])
@@ -428,8 +467,19 @@ _MODEL_DOCS = [save_model(train_model(TOY_LEXICON, load_inventory(INVENTORY_TEXT
                for mode in GT_MODES]
 
 
+@st.composite
+def count_edits(draw, document: str) -> str:
+    """``document`` with one record's count replaced by a drawn integer, up to 10**400."""
+    lines = document.splitlines()
+    i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.count("\t") == 3]))
+    fields = lines[i].split("\t")
+    fields[2] = str(draw(st.integers(-1, 10**400)))
+    lines[i] = "\t".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_MODEL_DOCS).flatmap(documents))
+@given(st.sampled_from(_MODEL_DOCS).flatmap(lambda doc: st.one_of(documents(doc), count_edits(doc))))
 def test_load_model_raises_only_phonotax_errors(document):
     with contextlib.suppress(PhonotaxError):
         load_model(document)
