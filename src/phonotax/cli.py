@@ -3,8 +3,8 @@
 Reports go to stdout, diagnostics to stderr, and files only under the
 directory named by --out. Every command is deterministic given its
 inputs, flags, and seed; re-running writes byte-identical outputs.
-Exit codes: 0 success, 1 I/O trouble or a failed scoring worker, 2 bad
-data or configuration.
+Exit codes: 0 success, 1 I/O trouble or a failed worker, 2 bad data or
+configuration.
 """
 
 from __future__ import annotations
@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import gc
 import os
-import signal
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from pathlib import Path
-from typing import BinaryIO
 
+from .chunks import run_chunks
 from .errors import BadEncoding, PhonotaxError
 from .grammar import LABELS
 from .phonology import PhonemeInventory, load_inventory, packaged_inventory
@@ -70,13 +70,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = train_model(
         _read(args.lexicon), inv,
         policy=MedialSplitPolicy(args.medial_split), gt_mode=args.gt, epsilon=args.epsilon,
+        processes=_processes,
     )
     model_path = _write(args.out, "model.tsv", save_model(result.model))
-    ingest = result.ingest
-    print(f"lexicon entries: retained {len(ingest.entries)}, skipped {len(ingest.skipped)}, "
-          f"downgraded {ingest.downgraded}")
-    if ingest.skipped:
-        print(f"skip reasons: {_skip_reasons(ingest.skipped)}")
+    print(f"lexicon entries: retained {result.retained}, skipped {len(result.skipped)}, "
+          f"downgraded {result.downgraded}")
+    if result.skipped:
+        print(f"skip reasons: {_skip_reasons(result.skipped)}")
     if result.unsupported:
         print(f"unsupported stress patterns: {len(result.unsupported)} entries left untrained")
     print(f"trained entries: {result.trained_entries}")
@@ -92,21 +92,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-# Rows each process scores at least. Forking a worker, filling its
-# copy-on-write pages and reaping it takes about 3 ms on a 2-vCPU host,
-# about 3% of the time this many score-wide rows take to score.
+# Rows each process works on at least: stimuli for score, lexicon lines
+# for train. On a 2-vCPU host, forking a worker, filling its copy-on-write
+# pages and reaping it takes about 3 ms, about 3% of the time this many
+# score-wide rows take to score. Training takes about 20 us a line, so
+# this many lines take about 50 ms; forking a worker from a process that
+# holds a 50k-line lexicon, swapping one value with it and reaping it
+# took about 9 ms, so at twice this many lines two processes still beat one.
 ROWS_PER_PROCESS = 2_500
-# Rows a worker scores between checks that its parent is still alive:
-# about 10 ms of score-wide rows on a 2-vCPU host.
-ROWS_PER_SLICE = 250
 
 
 def _processes(rows: int) -> int:
-    """How many processes score a batch: one per CPU this process may run on.
+    """How many processes a command cuts its rows among: one per CPU this process may run on.
 
     Each gets at least ROWS_PER_PROCESS rows. Without ``os.fork``, or
     with a second thread running (fork copies only the calling thread),
-    the batch stays in this process.
+    the rows stay in this process.
     """
     threading = sys.modules.get("threading")
     if rows < 2 * ROWS_PER_PROCESS or not hasattr(os, "fork") or (
@@ -120,7 +121,7 @@ def _processes(rows: int) -> int:
     return min(cpus, rows // ROWS_PER_PROCESS)
 
 
-def _score_lines(model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[str, str]]) -> str:
+def _score_lines(model: TrainedModel, inv: PhonemeInventory, rows: Iterable[tuple[str, str]]) -> str:
     """The rows' ``scores.tsv`` lines, each ending in a newline."""
     lines = []
     part = FloatReprs()  # part probabilities are model probabilities: few distinct values
@@ -136,76 +137,11 @@ def _score_lines(model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[st
     return "\n".join(lines)
 
 
-def _fork_scorer(
-    model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[str, str]], siblings: list[BinaryIO]
-) -> tuple[int, BinaryIO]:
-    """Fork a worker that writes the rows' lines to a pipe; its pid and the pipe's read end."""
-    parent = os.getpid()
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write)
-        return pid, open(read, "rb")
-    # The worker leaves only through os._exit: it never returns into the
-    # caller's stack, and a failure shows in its exit status. It keeps no
-    # read end of any pipe, so once the parent is gone its write fails;
-    # between slices of its rows it checks that the parent is still there.
-    code = 1
-    try:
-        os.close(read)
-        for pipe in siblings:
-            pipe.close()
-        texts = []
-        for lo in range(0, len(rows), ROWS_PER_SLICE):
-            if os.getppid() != parent:
-                os._exit(1)  # the parent is gone: nobody reads these rows
-            texts.append(_score_lines(model, inv, rows[lo : lo + ROWS_PER_SLICE]))
-        data = "".join(texts).encode("utf-8")
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    except BrokenPipeError:
-        pass  # the parent is gone: nobody reads these rows
-    except BaseException:  # the worker's outermost frame: report, then exit
-        import traceback  # here, not at the top: set-up of every command would pay for it
-
-        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
-    finally:
-        os._exit(code)
-
-
 def _score_chunks(
     model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[str, str]], processes: int
 ) -> list[str]:
-    """The rows' ``scores.tsv`` lines as one text per chunk, in row order.
-
-    The rows are cut into ``processes`` contiguous chunks. This process
-    scores the first one while a forked worker scores each of the
-    others. Every worker is reaped before this returns or raises; if
-    anything fails here, the workers are killed first. A worker that
-    fails raises ChildProcessError, which the command reports as an
-    error with exit code 1.
-    """
-    cuts = [len(rows) * i // processes for i in range(processes + 1)]
-    chunks = list(zip(cuts[1:], cuts[2:]))  # the workers' rows, as index ranges
-    workers: list[tuple[int, BinaryIO]] = []
-    done = False
-    try:
-        for lo, hi in chunks:
-            workers.append(_fork_scorer(model, inv, rows[lo:hi], [pipe for _, pipe in workers]))
-        texts = [_score_lines(model, inv, rows[: cuts[1]])]
-        texts += [pipe.read().decode("utf-8") for _, pipe in workers]
-        done = True
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            if not done:
-                os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this worker's
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
-    for (lo, hi), code in zip(chunks, codes):
-        if code != 0:
-            raise ChildProcessError(f"the worker scoring rows {lo + 1}-{hi} exited with status {code}")
-    return texts
+    """The rows' ``scores.tsv`` lines as one text per chunk, in row order (see ``run_chunks``)."""
+    return run_chunks(rows, processes, lambda chunk, first, link: _score_lines(model, inv, link.checked(chunk)))
 
 
 def cmd_score(args: argparse.Namespace) -> int:

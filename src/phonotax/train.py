@@ -5,7 +5,10 @@ cut each entry into onset and rhyme runs against its stress template,
 emit one (cell label, terminal) pair per run, tabulate counts per
 cell label, and smooth each cell into a probability table. Every cell
 is keyed by its constituent label (``Osi`` ... ``Rwif``), as the paper
-names it and the model file writes it.
+names it and the model file writes it. The lines may be cut into
+contiguous chunks, a process each: every chunk ingests and counts its
+own entries, cut under the word onsets of all chunks, and the summed
+counts are smoothed once.
 Probability mass is reserved for unseen terminals per cell: a cell
 with N tokens of which N1 are singletons keeps p0 = N1/N (clamped to
 [1/(2N), 0.5]) aside, and every unseen terminal in that cell is quoted
@@ -20,9 +23,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from itertools import chain
+from typing import NamedTuple
 
+from .chunks import run_chunks
 from .errors import (
     BadConfig,
     EmptyCorpus,
@@ -42,6 +48,7 @@ GT_MODES = ("simple", "full")
 # and load_model rejects counts that smooth below it. The four paths of a
 # parse then multiply to a normal float (1e-300), so ln p(word) is finite.
 EPSILON_MIN, EPSILON_MAX = 1e-75, 1e-3
+NO_ENTRIES = "no usable lexicon entries"
 
 
 @dataclass(frozen=True)
@@ -73,14 +80,17 @@ class IngestResult:
     downgraded: int  # entries whose secondary stress was folded into weak
 
 
-def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
+def ingest_lexicon(document: str | Iterable[str], inv: PhonemeInventory, first: int = 1) -> IngestResult:
     """Read lexicon lines, keeping entries of one or two syllables.
 
+    ``document`` is a lexicon's text, or a run of its lines as
+    ``str.splitlines`` cuts them, the first of which is line ``first``.
     An entry survives only if it tokenizes and ``stress_pattern`` reads
     it: every phonological word has a nucleus, the total nucleus count
     is one or two, and its stress digits are complete. Everything else
     lands in ``skipped`` with the offending line number and a reason.
-    Raises EmptyCorpus when nothing survives.
+    Raises EmptyCorpus when nothing in a lexicon's text survives; a run
+    of its lines, as training cuts them, may keep nothing.
     """
     entries: list[LexiconEntry] = []
     skipped: list[tuple[int, str, str]] = []
@@ -88,7 +98,8 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
     # (nuclei, stresses) -> itself: entries of one layout share its two
     # tuples, so the retained lexicon stores each layout once
     layouts: dict[tuple, tuple] = {}
-    for lineno, line in enumerate(document.splitlines(), start=1):
+    lines = document.splitlines() if isinstance(document, str) else document
+    for lineno, line in enumerate(lines, start=first):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -112,8 +123,8 @@ def ingest_lexicon(document: str, inv: PhonemeInventory) -> IngestResult:
             skipped.append((lineno, type(err).__name__, orthography))
             continue
         entries.append(LexiconEntry(orthography, t, lineno, pattern))
-    if not entries:
-        raise EmptyCorpus("no usable lexicon entries")
+    if not entries and isinstance(document, str):
+        raise EmptyCorpus(NO_ENTRIES)
     return IngestResult(entries, skipped, downgraded)
 
 
@@ -156,7 +167,7 @@ class PathTable:
 
 
 def tabulate(paths: Iterable[PathPair]) -> PathTable:
-    """Count (label, terminal) paths per cell in one pass; ``paths`` may be a generator."""
+    """Count (label, terminal) paths per cell; ``paths`` may be a generator, or a Counter of them."""
     tally = Counter(paths)
     if not tally:
         raise EmptyCorpus("no paths to tabulate")
@@ -364,11 +375,46 @@ def load_model(document: str) -> TrainedModel:
 @dataclass
 class TrainResult:
     model: TrainedModel
-    ingest: IngestResult
     onsets: WordOnsetSet
-    unsupported: list[tuple[int, str]] = field(default_factory=list)
-    path_count: int = 0
-    trained_entries: int = 0
+    retained: int  # lexicon entries ingest kept
+    skipped: list[tuple[int, str, str]]  # as in IngestResult, over the whole lexicon
+    downgraded: int
+    unsupported: list[tuple[int, str]]  # (lineno, orthography) of kept entries left untrained
+
+    @property
+    def trained_entries(self) -> int:
+        return self.retained - len(self.unsupported)
+
+    @property
+    def path_count(self) -> int:
+        return self.model.table.total
+
+
+def _train_chunk(lines: Sequence[str], first: int, link, inv: PhonemeInventory, policy: MedialSplitPolicy):
+    """A run of lexicon lines, ingested and counted as one chunk of ``run_chunks``.
+
+    The chunk's word onsets go through ``link.exchange``, which returns
+    those of every chunk, so each entry is cut under the onsets of the
+    whole lexicon. Returns the chunk's (label, terminal) counts, the
+    onsets, and its share of the report: skipped lines, downgraded and
+    retained counts, unsupported entries.
+    """
+    ingest = ingest_lexicon(link.checked(lines), inv, first + 1)
+    onsets = link.exchange(collect_word_onsets(ingest.entries), lambda sets: frozenset().union(*sets))
+    unsupported: list[tuple[int, str]] = []
+
+    def trained_paths() -> Iterable[PathPair]:
+        # streamed into the count, so no corpus-sized list of paths is built
+        for entry in link.checked(ingest.entries):
+            try:
+                paths = extract_paths(entry, onsets, policy)
+            except UnsupportedStressPattern:
+                unsupported.append((entry.lineno, entry.orthography))
+                continue
+            yield from paths
+
+    tally = Counter(trained_paths())
+    return tally, onsets, ingest.skipped, ingest.downgraded, len(ingest.entries), unsupported
 
 
 def train_model(
@@ -377,23 +423,23 @@ def train_model(
     policy: MedialSplitPolicy = ModelConfig.medial_split,
     gt_mode: str = ModelConfig.gt_mode,
     epsilon: float = ModelConfig.epsilon,
+    processes: Callable[[int], int] | None = None,
 ) -> TrainResult:
-    """Run the whole training pipeline over a lexicon document."""
+    """Run the whole training pipeline over a lexicon document.
+
+    The document's lines are cut into contiguous chunks, each ingested
+    and counted by ``_train_chunk``; the counts are summed, then
+    tabulated and smoothed once. There is one chunk, trained in this
+    process, unless ``processes`` maps the line count to more: then
+    ``run_chunks`` forks a worker for each chunk past the first.
+    """
     config = ModelConfig(inv.digest, policy, gt_mode, epsilon)
-    ingest = ingest_lexicon(document, inv)
-    onsets = collect_word_onsets(ingest.entries)
-    unsupported: list[tuple[int, str]] = []
-
-    def trained_paths() -> Iterable[PathPair]:
-        # streamed into the count, so no corpus-sized list of paths is built
-        for entry in ingest.entries:
-            try:
-                paths = extract_paths(entry, onsets, policy)
-            except UnsupportedStressPattern:
-                unsupported.append((entry.lineno, entry.orthography))
-                continue
-            yield from paths
-
-    table = tabulate(trained_paths())
-    trained = len(ingest.entries) - len(unsupported)
-    return TrainResult(good_turing(table, config), ingest, onsets, unsupported, table.total, trained)
+    lines = document.splitlines()
+    parts = run_chunks(lines, 1 if processes is None else processes(len(lines)),
+                       lambda chunk, first, link: _train_chunk(chunk, first, link, inv, policy))
+    tallies, (onsets, *_), skipped, downgraded, retained, unsupported = zip(*parts)
+    if not sum(retained):
+        raise EmptyCorpus(NO_ENTRIES)
+    model = good_turing(tabulate(sum(tallies, Counter())), config)
+    return TrainResult(model, onsets, sum(retained), [*chain.from_iterable(skipped)], sum(downgraded),
+                       [*chain.from_iterable(unsupported)])

@@ -185,7 +185,7 @@ def test_criterion_8_dictionary_reproduction(default_inv, capsys):
     with open(path, encoding="utf-8", errors="replace") as fh:
         imported = convert_mitton(fh.read())
     result = train_model(imported.lexicon_text, default_inv)
-    retained = len(result.ingest.entries)
+    retained = result.retained
 
     lines = [
         ("retained entries", retained, 48_580),

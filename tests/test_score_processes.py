@@ -1,30 +1,38 @@
-"""The score command over several processes: the same bytes, and no worker left behind.
+"""The score and train commands over several processes: the same bytes, and no worker left behind.
 
-``cli._score_chunks`` cuts a batch into contiguous chunks, scores the
-first in the calling process and forks a worker for each of the others.
-These tests hold its text to the one-process text, and check that every
-worker is reaped, also when one fails or the command is killed.
+``chunks.run_chunks`` cuts a command's rows into contiguous chunks, works
+on the first in the calling process and forks a worker for each of the
+others. ``score`` scores each chunk; ``train`` ingests each chunk, swaps
+word onsets between the chunks, then counts each chunk's paths. These
+tests hold the chunked outputs to the one-process outputs, and check
+that every worker is reaped, also when one fails or the command is
+killed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import random
 import signal
 import subprocess
 import sys
 import threading
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phonotax import cli
+from phonotax import chunks, cli, train
 from phonotax.cli import ROWS_PER_PROCESS, main
+from phonotax.errors import EmptyCorpus, PhonotaxError, UnsupportedStressPattern
 from phonotax.phonology import load_inventory
-from phonotax.train import save_model, train_model
+from phonotax.syllabify import collect_word_onsets
+from phonotax.train import extract_paths, ingest_lexicon, save_model, train_model
 
 from conftest import INVENTORY_TEXT
 from oracles import random_lexicon, random_transcription_text
@@ -248,8 +256,8 @@ def test_a_worker_stops_within_a_slice_of_its_parent_dying(batch_files):
     # The worker's chunk takes ten slices or more, so a worker that scored
     # it to the end would run far past the limit. An exited worker stays a
     # zombie until its new parent reaps it, so it counts as stopped.
-    assert ROWS_PER_PROCESS >= 10 * cli.ROWS_PER_SLICE
-    limit = 3 * cli.ROWS_PER_SLICE * ROW_DELAY
+    assert ROWS_PER_PROCESS >= 10 * chunks.ROWS_PER_SLICE
+    limit = 3 * chunks.ROWS_PER_SLICE * ROW_DELAY
     proc = subprocess.Popen([sys.executable, "-c", SLOW_ANNOUNCING_CLI, *_score_argv(batch_files)], env=ENV,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
     group = proc.pid
@@ -260,6 +268,243 @@ def test_a_worker_stops_within_a_slice_of_its_parent_dying(batch_files):
         start = time.monotonic()
         while _running_in_group(group):
             assert time.monotonic() - start < limit, "a worker kept scoring after its parent died"
+            time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(group, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+
+
+# ------------------------------------------------------------------ train
+
+# lines that retain no entry: a comment, a blank line, a line without a
+# tab, and an entry with an unknown symbol
+_DEAD = ["# comment", "   ", "w", "w\tk q æ1"]
+# entries that ingest keeps but training cannot cut: weak-weak, and a
+# compound with a weak half
+_UNSUPPORTED = ["ə0 z ə0", "k æ1 + t ə0"]
+
+
+def _lexicon_lines(rng: random.Random, n: int, unsupported: bool) -> list[str]:
+    """Oracle lexicon lines, with dead lines, unsupported entries and breaking fields spliced in."""
+    lines = []
+    for i in range(n):
+        roll = rng.random()
+        if roll < 0.2:
+            lines.append(rng.choice(_DEAD))
+            continue
+        text = rng.choice(_UNSUPPORTED) if unsupported or roll < 0.25 else random_transcription_text(rng)
+        fields = text.split()
+        if rng.random() < 0.2:
+            fields.insert(rng.randint(0, len(fields)), rng.choice(_BREAKERS))
+        lines.append(f"w{i}\t{' '.join(fields)}")
+    return lines
+
+
+def _train_outcome(document: str, processes: int):
+    """What training a document over a forced process count gives: through train_model and the command."""
+    inventory = load_inventory(INVENTORY_TEXT)
+    try:
+        result = train_model(document, inventory, processes=lambda lines: processes)
+    except PhonotaxError as err:
+        library = (type(err).__name__, str(err))
+    else:
+        library = (save_model(result.model), result.skipped, result.retained, result.unsupported)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = Path(tmp)
+        (files / "inventory.tsv").write_text(INVENTORY_TEXT, encoding="utf-8")
+        (files / "lexicon.tsv").write_text(document, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_processes", lambda rows: processes), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["train", str(files / "lexicon.tsv"), "--inventory", str(files / "inventory.tsv"),
+                         "--out", str(files / "out")])
+        model = files / "out" / "model.tsv"
+        command = (code, out.getvalue().replace(str(files), "DIR"), err.getvalue(),
+                   model.read_bytes() if model.exists() else None)
+    return library, command
+
+
+@needs_fork
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 30), st.sampled_from(["mixed", "unsupported", "dead"]),
+       st.booleans())
+def test_chunked_training_is_the_same_for_one_to_four_processes(seed, n, kind, dead_first):
+    rng = random.Random(seed)
+    lines = [] if kind == "dead" else _lexicon_lines(rng, n, kind == "unsupported")
+    # as many lines again that retain nothing: with two or more chunks, one chunk keeps no entry
+    dead = [rng.choice(_DEAD) for _ in range(max(n, 1))]
+    document = "\n".join(dead + lines if dead_first else lines + dead) + "\n"
+    outcomes = [_train_outcome(document, processes) for processes in (1, 2, 3, 4)]
+    assert outcomes[1:] == outcomes[:1] * 3
+    _assert_no_child_left()
+
+    # the one-process outcome, against ingest and path extraction on the whole document
+    (library, (code, stdout, stderr, model)) = outcomes[0]
+    inventory = load_inventory(INVENTORY_TEXT)
+    try:
+        ingest = ingest_lexicon(document, inventory)
+    except EmptyCorpus:
+        assert library == ("EmptyCorpus", "no usable lexicon entries")
+        assert (code, stdout, stderr, model) == (2, "", "error: no usable lexicon entries\n", None)
+        return
+    onsets = collect_word_onsets(ingest.entries)
+    unsupported = []
+    for entry in ingest.entries:
+        try:
+            extract_paths(entry, onsets)
+        except UnsupportedStressPattern:
+            unsupported.append((entry.lineno, entry.orthography))
+    if len(unsupported) == len(ingest.entries):
+        assert library == ("EmptyCorpus", "no paths to tabulate")
+        assert (code, stdout, model) == (2, "", None)
+        return
+    model_text, skipped, retained, trained_unsupported = library
+    assert (skipped, retained, trained_unsupported) == (ingest.skipped, len(ingest.entries), unsupported)
+    assert (code, stderr, model) == (0, "", model_text.encode("utf-8"))
+    assert stdout.startswith(f"lexicon entries: retained {retained}, skipped {len(skipped)}, ")
+
+
+@pytest.fixture()
+def lexicon_files(tmp_path):
+    """The test inventory and a lexicon above the threshold."""
+    (tmp_path / "inventory.tsv").write_text(INVENTORY_TEXT, encoding="utf-8")
+    lexicon = random_lexicon(random.Random(19), 2 * ROWS_PER_PROCESS + 7)
+    (tmp_path / "lexicon.tsv").write_text(lexicon, encoding="utf-8")
+    return tmp_path
+
+
+def _train_argv(files: Path, *extra: str) -> list[str]:
+    return ["train", str(files / "lexicon.tsv"), "--inventory", str(files / "inventory.tsv"),
+            "--out", str(files / "out"), *extra]
+
+
+def test_a_lexicon_below_the_threshold_never_forks(lexicon_files, monkeypatch, capsys):
+    lexicon = lexicon_files / "lexicon.tsv"
+    lines = lexicon.read_text("utf-8").splitlines(keepends=True)
+    lexicon.write_text("".join(lines[: 2 * ROWS_PER_PROCESS - 1]), encoding="utf-8")
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("fork called"), raising=False)
+    assert main(_train_argv(lexicon_files)) == 0
+    assert capsys.readouterr().out.startswith(f"lexicon entries: retained {2 * ROWS_PER_PROCESS - 1}, ")
+
+
+@needs_two_cpus
+def test_train_is_byte_identical_pinned_to_one_cpu_and_unpinned(lexicon_files):
+    assert cli._processes(2 * ROWS_PER_PROCESS + 7) >= 2  # unpinned, the child forks
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outputs = {}
+    for name, preexec in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)), ("unpinned", None)):
+        argv = _train_argv(lexicon_files)
+        proc = subprocess.run([sys.executable, "-c", CLI, *argv], env=ENV, capture_output=True,
+                              check=True, timeout=120, preexec_fn=preexec)
+        outputs[name] = proc.stdout, (lexicon_files / "out" / "model.tsv").read_bytes()
+    assert outputs["pinned"] == outputs["unpinned"]
+
+
+@needs_fork
+@pytest.mark.parametrize("phase", ["ingest", "count"])
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_a_failed_train_writes_nothing_and_reaps_every_worker(lexicon_files, monkeypatch, capfd, failing, phase):
+    parent = os.getpid()
+    name = "collect_word_onsets" if phase == "ingest" else "extract_paths"
+    real = getattr(train, name)
+
+    def failing_step(*args):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise PhonotaxError(f"{failing} fault")
+        return real(*args)
+
+    monkeypatch.setattr(train, name, failing_step)
+    monkeypatch.setattr(cli, "_processes", lambda rows: 3)
+    code = main(_train_argv(lexicon_files))
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert not (lexicon_files / "out").exists()
+    _assert_no_child_left()
+    if failing == "worker":
+        # the first failed worker stops the command; the other may be killed before it reports
+        assert code == 1
+        assert "PhonotaxError: worker fault" in captured.err
+        assert "exited with status 1" in captured.err
+    else:
+        assert code == 2
+        assert captured.err == "error: parent fault\n"
+
+
+@needs_two_cpus
+def test_a_killed_train_leaves_no_worker_running(lexicon_files):
+    proc = subprocess.Popen([sys.executable, "-c", ANNOUNCING_CLI, *_train_argv(lexicon_files)], env=ENV,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
+    group = proc.pid
+    try:
+        assert proc.stderr.readline() == b"forked\n"
+        os.kill(proc.pid, signal.SIGKILL)  # the parent alone, mid-training
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while _group_running(group):
+            assert time.monotonic() < deadline, "a worker outlived the killed command"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(group, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+
+
+# A train command with one training step slowed by ROW_DELAY per call.
+# A worker writes "worker" to stderr on its first call to the announced
+# function. In phase "exchange" only the parent's ingest is slow, and the
+# worker announces as it starts to wait for the merged onsets.
+SLOW_TRAIN_CLI = f"""
+import os, sys, time
+from phonotax import chunks, train
+from phonotax.cli import main
+parent, phase = os.getpid(), sys.argv.pop(1)
+step, in_worker, module, announced = {{
+    "ingest": ("tokenize", True, train, "tokenize"),
+    "exchange": ("tokenize", False, chunks, "_receive"),
+    "count": ("extract_paths", True, train, "extract_paths"),
+}}[phase]
+def slowed(fn):
+    def slow(*args):
+        if in_worker or os.getpid() == parent:
+            time.sleep({ROW_DELAY!r})
+        return fn(*args)
+    return slow
+def announcing(fn):
+    said = []
+    def announce(*args):
+        if os.getpid() != parent and not said:
+            said.append(os.write(2, b"worker\\n"))
+        return fn(*args)
+    return announce
+setattr(train, step, slowed(getattr(train, step)))
+setattr(module, announced, announcing(getattr(module, announced)))
+sys.exit(main())
+"""
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to read process states")
+@pytest.mark.parametrize("phase", ["ingest", "exchange", "count"])
+def test_a_training_worker_stops_within_a_slice_of_its_parent_dying(lexicon_files, phase):
+    # A worker's chunk takes ten slices or more in either phase, so a
+    # worker that went on to the end would run far past the limit.
+    assert ROWS_PER_PROCESS >= 10 * chunks.ROWS_PER_SLICE
+    limit = 3 * chunks.ROWS_PER_SLICE * ROW_DELAY
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_TRAIN_CLI, phase, *_train_argv(lexicon_files)],
+                            env=ENV, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
+    group = proc.pid
+    try:
+        assert proc.stderr.readline() == b"worker\n"
+        os.kill(proc.pid, signal.SIGKILL)  # the parent alone, mid-phase
+        proc.wait(timeout=10)
+        start = time.monotonic()
+        while _running_in_group(group):
+            assert time.monotonic() - start < limit, f"a worker kept on in phase {phase} after its parent died"
             time.sleep(0.01)
     finally:
         with contextlib.suppress(ProcessLookupError):

@@ -3,19 +3,21 @@
 The expected stdout and model digests were captured from an earlier,
 independently structured training path; any change to ingest,
 syllabification, path extraction, counting or smoothing that alters a
-single byte fails here. The lexicon touches every ingest branch: a
-secondary stress next to a primary (folded to weak) and one that is not,
-a compound, a weak monosyllable, both kinds of unsupported entry, and
-each skip reason. Its medial clusters split differently under the two
-policies.
+single byte fails here, also with the lines cut among several processes.
+The lexicon touches every ingest branch: a secondary stress next to a
+primary (folded to weak) and one that is not, a compound, a weak
+monosyllable, both kinds of unsupported entry, and each skip reason. Its
+medial clusters split differently under the two policies.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 
 import pytest
 
+from phonotax import cli
 from phonotax.cli import main
 
 from conftest import INVENTORY_TEXT
@@ -80,8 +82,7 @@ MODEL_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("policy, gt", sorted(MODEL_SHA256))
-def test_train_output_is_pinned(tmp_path, capsys, policy, gt):
+def _check_pinned_train(tmp_path, capsys, policy, gt):
     inventory = tmp_path / "inventory.tsv"
     inventory.write_text(INVENTORY_TEXT, encoding="utf-8")
     lexicon = tmp_path / "lexicon.tsv"
@@ -97,3 +98,22 @@ def test_train_output_is_pinned(tmp_path, capsys, policy, gt):
     assert model_line == f"{out / 'model.tsv'}\n"
     model = (out / "model.tsv").read_bytes()
     assert hashlib.sha256(model).hexdigest() == MODEL_SHA256[policy, gt]
+
+
+@pytest.mark.parametrize("policy, gt", sorted(MODEL_SHA256))
+def test_train_output_is_pinned(tmp_path, capsys, policy, gt):
+    _check_pinned_train(tmp_path, capsys, policy, gt)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
+@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("policy, gt", sorted(MODEL_SHA256))
+def test_train_output_is_pinned_over_several_processes(tmp_path, capsys, monkeypatch, policy, gt, processes):
+    # a threshold that cuts the toy lexicon's lines into `processes` chunks, one per CPU
+    monkeypatch.setattr(cli, "ROWS_PER_PROCESS", len(LEXICON.splitlines()) // processes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+    _check_pinned_train(tmp_path, capsys, policy, gt)
+    assert len(forks) == processes - 1
