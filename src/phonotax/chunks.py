@@ -1,12 +1,15 @@
 """Run one piece of work over contiguous chunks of rows, a process per chunk.
 
-``run_chunks`` cuts the rows into contiguous chunks and calls
+``run_chunks`` decides how many processes to use: one per CPU this
+process may run on, each with at least ``ROWS_PER_PROCESS`` rows. It
+cuts the rows into that many contiguous chunks and calls
 ``work(chunk, first, link)`` on each: on the first chunk in this
 process, and on each other chunk in a worker forked for it. ``first``
-is the index of the chunk's first row. The results come back in chunk
-order; with one chunk nothing forks. Through its ``link`` a chunk's
-work may hand a value to the others midway (``exchange``), and walk a
-sequence with ``checked``, which stops a worker whose parent is gone.
+is the index of the chunk's first row. A worker gets its rows guarded:
+between slices of them it stops if its parent is gone. The results come
+back in chunk order; with one chunk nothing forks. Through its ``link``
+a chunk's work may hand a value to the others midway (``exchange``),
+and walk any other sequence it builds with the same guard (``checked``).
 Values cross the pipes pickled.
 
 Every worker is reaped before ``run_chunks`` returns or raises; if
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 import contextlib
 import os
-from collections.abc import Callable, Sequence
+import sys
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, repeat
 from typing import Any, BinaryIO
 
@@ -27,6 +31,34 @@ from typing import Any, BinaryIO
 # alive: about 10 ms of score-wide rows, or 5 ms of lexicon lines, on a
 # 2-vCPU host.
 ROWS_PER_SLICE = 250
+
+# Rows each process works on at least: stimuli for score, lexicon lines
+# for train. On a 2-vCPU host, forking a worker, filling its copy-on-write
+# pages and reaping it takes about 3 ms, about 3% of the time this many
+# score-wide rows take to score. Training takes about 20 us a line, so
+# this many lines take about 50 ms; forking a worker from a process that
+# holds a 50k-line lexicon, swapping one value with it and reaping it
+# took about 9 ms, so at twice this many lines two processes still beat one.
+ROWS_PER_PROCESS = 2_500
+
+
+def _processes(rows: int) -> int:
+    """How many processes ``run_chunks`` cuts its rows among: one per CPU this process may run on.
+
+    Each gets at least ROWS_PER_PROCESS rows. Without ``os.fork``, or
+    with a second thread running (fork copies only the calling thread),
+    the rows stay in this process.
+    """
+    threading = sys.modules.get("threading")
+    if rows < 2 * ROWS_PER_PROCESS or not hasattr(os, "fork") or (
+        threading is not None and threading.active_count() > 1
+    ):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, rows // ROWS_PER_PROCESS)
 
 
 def _send(pipe: BinaryIO, value: Any) -> None:
@@ -73,7 +105,7 @@ class _ParentLink:
     def __init__(self, workers: list[_Worker]) -> None:
         self.workers = workers
 
-    def checked(self, seq: Sequence) -> Sequence:
+    def checked(self, seq: Sequence) -> Iterable:
         return seq
 
     def exchange(self, value: Any, merge: Callable[[list], Any]) -> Any:
@@ -90,7 +122,7 @@ class _WorkerLink:
     def __init__(self, parent: int, up: BinaryIO, down: BinaryIO) -> None:
         self.parent, self.up, self.down = parent, up, down
 
-    def checked(self, seq: Sequence) -> Sequence:
+    def checked(self, seq: Sequence) -> Iterable:
         """The items of ``seq``; before each slice of them, the worker stops if its parent is gone."""
         return chain.from_iterable(map(self._slice, repeat(seq), range(0, len(seq), ROWS_PER_SLICE)))
 
@@ -105,7 +137,7 @@ class _WorkerLink:
 
 
 def _fork(work: Callable, rows: Sequence, lo: int, hi: int, siblings: list[_Worker]) -> _Worker:
-    """Fork a worker that sends ``work`` on ``rows[lo:hi]`` up its pipe."""
+    """Fork a worker that sends ``work`` on ``rows[lo:hi]``, guarded, up its pipe."""
     parent = os.getpid()
     up_read, up_write = os.pipe()
     down_read, down_write = os.pipe()
@@ -127,7 +159,8 @@ def _fork(work: Callable, rows: Sequence, lo: int, hi: int, siblings: list[_Work
             sibling.up.close()
             sibling.down.close()
         with open(up_write, "wb") as up, open(down_read, "rb") as down:
-            _send(up, work(rows[lo:hi], lo, _WorkerLink(parent, up, down)))
+            link = _WorkerLink(parent, up, down)
+            _send(up, work(link.checked(rows[lo:hi]), lo, link))
         code = 0
     except (BrokenPipeError, EOFError):
         pass  # the parent is gone: nobody reads this chunk's result
@@ -139,8 +172,9 @@ def _fork(work: Callable, rows: Sequence, lo: int, hi: int, siblings: list[_Work
         os._exit(code)
 
 
-def run_chunks(rows: Sequence, processes: int, work: Callable[[Sequence, int, Any], Any]) -> list:
-    """``work(chunk, first, link)`` on each of ``processes`` contiguous chunks of the rows, in chunk order."""
+def run_chunks(rows: Sequence, work: Callable[[Iterable, int, Any], Any]) -> list:
+    """``work(chunk, first, link)`` on each contiguous chunk of the rows, in chunk order."""
+    processes = _processes(len(rows))
     cuts = [len(rows) * i // processes for i in range(processes + 1)]
     workers: list[_Worker] = []
     try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from collections import Counter
 from collections.abc import Iterable
@@ -70,7 +69,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = train_model(
         _read(args.lexicon), inv,
         policy=MedialSplitPolicy(args.medial_split), gt_mode=args.gt, epsilon=args.epsilon,
-        processes=_processes,
     )
     model_path = _write(args.out, "model.tsv", save_model(result.model))
     print(f"lexicon entries: retained {result.retained}, skipped {len(result.skipped)}, "
@@ -92,35 +90,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-# Rows each process works on at least: stimuli for score, lexicon lines
-# for train. On a 2-vCPU host, forking a worker, filling its copy-on-write
-# pages and reaping it takes about 3 ms, about 3% of the time this many
-# score-wide rows take to score. Training takes about 20 us a line, so
-# this many lines take about 50 ms; forking a worker from a process that
-# holds a 50k-line lexicon, swapping one value with it and reaping it
-# took about 9 ms, so at twice this many lines two processes still beat one.
-ROWS_PER_PROCESS = 2_500
-
-
-def _processes(rows: int) -> int:
-    """How many processes a command cuts its rows among: one per CPU this process may run on.
-
-    Each gets at least ROWS_PER_PROCESS rows. Without ``os.fork``, or
-    with a second thread running (fork copies only the calling thread),
-    the rows stay in this process.
-    """
-    threading = sys.modules.get("threading")
-    if rows < 2 * ROWS_PER_PROCESS or not hasattr(os, "fork") or (
-        threading is not None and threading.active_count() > 1
-    ):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, rows // ROWS_PER_PROCESS)
-
-
 def _score_lines(model: TrainedModel, inv: PhonemeInventory, rows: Iterable[tuple[str, str]]) -> str:
     """The rows' ``scores.tsv`` lines, each ending in a newline."""
     lines = []
@@ -137,13 +106,6 @@ def _score_lines(model: TrainedModel, inv: PhonemeInventory, rows: Iterable[tupl
     return "\n".join(lines)
 
 
-def _score_chunks(
-    model: TrainedModel, inv: PhonemeInventory, rows: list[tuple[str, str]], processes: int
-) -> list[str]:
-    """The rows' ``scores.tsv`` lines as one text per chunk, in row order (see ``run_chunks``)."""
-    return run_chunks(rows, processes, lambda chunk, first, link: _score_lines(model, inv, link.checked(chunk)))
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     inv = _load_inventory(args)
     model = load_model(_read(args.model))
@@ -155,7 +117,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        texts = ["\t".join(SCORE_COLUMNS) + "\n", *_score_chunks(model, inv, rows, _processes(len(rows)))]
+        texts = ["\t".join(SCORE_COLUMNS) + "\n",
+                 *run_chunks(rows, lambda chunk, first, link: _score_lines(model, inv, chunk))]
     finally:
         if collecting:
             gc.enable()

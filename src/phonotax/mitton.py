@@ -159,28 +159,20 @@ def convert_mitton(document: str) -> MittonImport:
             skipped.append((lineno, "short-line", line.strip()))
             continue
         head, pron = fields[0], fields[1]
+        compound = head.count("-") == 1 and pron.count(",") == 1
+        halves = pron.split(",") if compound else [pron]
         try:
-            if head.count("-") == 1 and pron.count(",") == 1:
-                first_txt, second_txt = pron.split(",")
-                first, fixed1 = _restore_syllabic(_tokenize_phones(first_txt))
-                second, fixed2 = _restore_syllabic(_tokenize_phones(second_txt))
-                # each compound half is its own word and keeps main stress
-                rendered = (
-                    _render_word(first, force_primary=True)
-                    + " + "
-                    + _render_word(second, force_primary=True)
-                )
-                fixed = fixed1 or fixed2
-            else:
-                phones = _tokenize_phones(pron)
-                phones, fixed = _restore_syllabic(phones)
-                rendered = _render_word(phones, force_primary=False)
+            # tokenize every half before rendering any: an unknown phone in either half,
+            # not a vowel-less first half, is the reason a line is skipped
+            words = [_restore_syllabic(_tokenize_phones(half)) for half in halves]
+            # each compound half is its own word and keeps main stress
+            rendered = " + ".join(_render_word(phones, force_primary=compound) for phones, _ in words)
         except PhoneError as err:
             skipped.append((lineno, "unmappable-pronunciation", f"{head}: {err}"))
             continue
         if any(ch in pron for ch in _APPROXIMATED):
             notes["approximated-phones"] += 1
-        if fixed:
+        if any(fixed for _, fixed in words):
             notes["syllabic-consonant-schwa"] += 1
         lines_out.append(f"{head}\t{rendered}")
         converted += 1

@@ -122,39 +122,29 @@ _BETA_FPMIN = 1e-300
 _BETA_MAX_ITER = 300
 
 
+def _lentz_floor(v: float) -> float:
+    """``v``, kept off zero so the modified Lentz step may divide by it."""
+    return _BETA_FPMIN if abs(v) < _BETA_FPMIN else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
-    d = 1.0 / d
+    d = 1.0 / _lentz_floor(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 / _lentz_floor(1.0 + aa * d)
+            c = _lentz_floor(1.0 + aa / c)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _BETA_EPS:  # converged after the odd step
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 

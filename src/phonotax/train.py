@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -390,7 +390,7 @@ class TrainResult:
         return self.model.table.total
 
 
-def _train_chunk(lines: Sequence[str], first: int, link, inv: PhonemeInventory, policy: MedialSplitPolicy):
+def _train_chunk(lines: Iterable[str], first: int, link, inv: PhonemeInventory, policy: MedialSplitPolicy):
     """A run of lexicon lines, ingested and counted as one chunk of ``run_chunks``.
 
     The chunk's word onsets go through ``link.exchange``, which returns
@@ -399,7 +399,7 @@ def _train_chunk(lines: Sequence[str], first: int, link, inv: PhonemeInventory, 
     onsets, and its share of the report: skipped lines, downgraded and
     retained counts, unsupported entries.
     """
-    ingest = ingest_lexicon(link.checked(lines), inv, first + 1)
+    ingest = ingest_lexicon(lines, inv, first + 1)
     onsets = link.exchange(collect_word_onsets(ingest.entries), lambda sets: frozenset().union(*sets))
     unsupported: list[tuple[int, str]] = []
 
@@ -423,19 +423,17 @@ def train_model(
     policy: MedialSplitPolicy = ModelConfig.medial_split,
     gt_mode: str = ModelConfig.gt_mode,
     epsilon: float = ModelConfig.epsilon,
-    processes: Callable[[int], int] | None = None,
 ) -> TrainResult:
     """Run the whole training pipeline over a lexicon document.
 
-    The document's lines are cut into contiguous chunks, each ingested
-    and counted by ``_train_chunk``; the counts are summed, then
-    tabulated and smoothed once. There is one chunk, trained in this
-    process, unless ``processes`` maps the line count to more: then
-    ``run_chunks`` forks a worker for each chunk past the first.
+    ``run_chunks`` cuts the document's lines into contiguous chunks, a
+    process each, and ``_train_chunk`` ingests and counts each chunk;
+    the counts are summed, then tabulated and smoothed once. A lexicon
+    under ``2 * chunks.ROWS_PER_PROCESS`` lines is one chunk, trained in
+    this process.
     """
     config = ModelConfig(inv.digest, policy, gt_mode, epsilon)
-    lines = document.splitlines()
-    parts = run_chunks(lines, 1 if processes is None else processes(len(lines)),
+    parts = run_chunks(document.splitlines(),
                        lambda chunk, first, link: _train_chunk(chunk, first, link, inv, policy))
     tallies, (onsets, *_), skipped, downgraded, retained, unsupported = zip(*parts)
     if not sum(retained):

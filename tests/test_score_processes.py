@@ -28,7 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phonotax import chunks, cli, train
-from phonotax.cli import ROWS_PER_PROCESS, main
+from phonotax.chunks import ROWS_PER_PROCESS
+from phonotax.cli import main
 from phonotax.errors import EmptyCorpus, PhonotaxError, UnsupportedStressPattern
 from phonotax.phonology import load_inventory
 from phonotax.syllabify import collect_word_onsets
@@ -91,7 +92,11 @@ def test_chunked_text_is_the_same_for_one_to_four_processes(seed, n):
     inventory = load_inventory(INVENTORY_TEXT)
     model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
     rows = _rows(rng, n)
-    texts = ["".join(cli._score_chunks(model, inventory, rows, processes)) for processes in (1, 2, 3, 4)]
+    texts = []
+    for processes in (1, 2, 3, 4):
+        with mock.patch.object(chunks, "_processes", lambda rows: processes):
+            texts.append("".join(chunks.run_chunks(
+                rows, lambda chunk, first, link: cli._score_lines(model, inventory, chunk))))
     assert texts[0].count("\n") == n
     assert texts[1:] == texts[:1] * 3
     _assert_no_child_left()
@@ -99,22 +104,22 @@ def test_chunked_text_is_the_same_for_one_to_four_processes(seed, n):
 
 def test_process_count_follows_the_affinity_mask_and_the_threshold(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert [cli._processes(n * ROWS_PER_PROCESS) for n in (0, 1, 2, 3, 4, 100)] == [1, 1, 2, 3, 4, 4]
-    assert cli._processes(2 * ROWS_PER_PROCESS - 1) == 1
+    assert [chunks._processes(n * ROWS_PER_PROCESS) for n in (0, 1, 2, 3, 4, 100)] == [1, 1, 2, 3, 4, 4]
+    assert chunks._processes(2 * ROWS_PER_PROCESS - 1) == 1
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert cli._processes(100 * ROWS_PER_PROCESS) == 1  # fork would copy only this thread
+        assert chunks._processes(100 * ROWS_PER_PROCESS) == 1  # fork would copy only this thread
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert cli._processes(100 * ROWS_PER_PROCESS) == 3
+    assert chunks._processes(100 * ROWS_PER_PROCESS) == 3
     monkeypatch.delattr(os, "fork")
-    assert cli._processes(100 * ROWS_PER_PROCESS) == 1
+    assert chunks._processes(100 * ROWS_PER_PROCESS) == 1
 
 
 def test_a_batch_below_the_threshold_never_forks(batch_files, monkeypatch, capsys):
@@ -128,7 +133,7 @@ def test_a_batch_below_the_threshold_never_forks(batch_files, monkeypatch, capsy
 
 @needs_two_cpus
 def test_score_is_byte_identical_pinned_to_one_cpu_and_unpinned(batch_files):
-    assert cli._processes(2 * ROWS_PER_PROCESS + 7) >= 2  # unpinned, the child forks
+    assert chunks._processes(2 * ROWS_PER_PROCESS + 7) >= 2  # unpinned, the child forks
     one_cpu = {min(os.sched_getaffinity(0))}
     outputs = {}
     for name, preexec in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)), ("unpinned", None)):
@@ -155,7 +160,7 @@ def test_a_failure_on_either_side_writes_nothing_and_reaps_every_worker(
         return real_batch(model, rows, inv)
 
     monkeypatch.setattr(cli, "score_batch", batch)
-    monkeypatch.setattr(cli, "_processes", lambda rows: 3)
+    monkeypatch.setattr(chunks, "_processes", lambda rows: 3)
     argv = _score_argv(batch_files, "--out", str(batch_files / "scored"))
     if failing == "worker":
         assert main(argv) == 1
@@ -277,6 +282,46 @@ def test_a_worker_stops_within_a_slice_of_its_parent_dying(batch_files):
         proc.stderr.close()
 
 
+# run_chunks over rows that take about ROW_DELAY seconds each, forced into
+# two processes, with work that never calls link.checked; it says on
+# stderr when it has forked its worker
+UNCHECKED_CHUNKS = _ANNOUNCING + f"""
+import time
+from phonotax import chunks
+chunks._processes = lambda rows: 2
+def work(rows, first, link):
+    for row in rows:
+        time.sleep({ROW_DELAY!r})
+chunks.run_chunks(list(range(2 * chunks.ROWS_PER_PROCESS)), work)
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to read process states")
+def test_every_worker_is_guarded_without_calling_checked():
+    # run_chunks hands a worker its rows already guarded, so work that walks
+    # them plainly still stops within a slice of its parent's death
+    assert ROWS_PER_PROCESS >= 10 * chunks.ROWS_PER_SLICE
+    limit = 3 * chunks.ROWS_PER_SLICE * ROW_DELAY
+    proc = subprocess.Popen([sys.executable, "-c", UNCHECKED_CHUNKS], env=ENV,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
+    group = proc.pid
+    try:
+        assert proc.stderr.readline() == b"forked\n"
+        os.kill(proc.pid, signal.SIGKILL)  # the parent alone, mid-chunk
+        proc.wait(timeout=10)
+        start = time.monotonic()
+        while _running_in_group(group):
+            assert time.monotonic() - start < limit, "a worker kept working after its parent died"
+            time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(group, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+
+
 # ------------------------------------------------------------------ train
 
 # lines that retain no entry: a comment, a blank line, a line without a
@@ -305,26 +350,32 @@ def _lexicon_lines(rng: random.Random, n: int, unsupported: bool) -> list[str]:
 
 def _train_outcome(document: str, processes: int):
     """What training a document over a forced process count gives: through train_model and the command."""
-    inventory = load_inventory(INVENTORY_TEXT)
+    with mock.patch.object(chunks, "_processes", lambda rows: processes):
+        return _library_outcome(document), _command_outcome(document)
+
+
+def _library_outcome(document: str):
+    """What train_model gives on a document: the model text and the report, or the error."""
     try:
-        result = train_model(document, inventory, processes=lambda lines: processes)
+        result = train_model(document, load_inventory(INVENTORY_TEXT))
     except PhonotaxError as err:
-        library = (type(err).__name__, str(err))
-    else:
-        library = (save_model(result.model), result.skipped, result.retained, result.unsupported)
+        return type(err).__name__, str(err)
+    return save_model(result.model), result.skipped, result.retained, result.unsupported
+
+
+def _command_outcome(document: str):
+    """What the train command gives on a document: exit code, stdout, stderr and model bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         files = Path(tmp)
         (files / "inventory.tsv").write_text(INVENTORY_TEXT, encoding="utf-8")
         (files / "lexicon.tsv").write_text(document, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(cli, "_processes", lambda rows: processes), \
-                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["train", str(files / "lexicon.tsv"), "--inventory", str(files / "inventory.tsv"),
                          "--out", str(files / "out")])
         model = files / "out" / "model.tsv"
-        command = (code, out.getvalue().replace(str(files), "DIR"), err.getvalue(),
-                   model.read_bytes() if model.exists() else None)
-    return library, command
+        return (code, out.getvalue().replace(str(files), "DIR"), err.getvalue(),
+                model.read_bytes() if model.exists() else None)
 
 
 @needs_fork
@@ -390,9 +441,24 @@ def test_a_lexicon_below_the_threshold_never_forks(lexicon_files, monkeypatch, c
     assert capsys.readouterr().out.startswith(f"lexicon entries: retained {2 * ROWS_PER_PROCESS - 1}, ")
 
 
+@needs_fork
+def test_train_model_forks_like_the_command(lexicon_files, monkeypatch):
+    # a library call on a lexicon above the threshold is cut as `phonotax train` cuts it
+    document = (lexicon_files / "lexicon.tsv").read_text("utf-8")
+    with mock.patch.object(chunks, "_processes", lambda rows: 1):
+        one_process = _library_outcome(document)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+    assert _library_outcome(document) == one_process
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
 @needs_two_cpus
 def test_train_is_byte_identical_pinned_to_one_cpu_and_unpinned(lexicon_files):
-    assert cli._processes(2 * ROWS_PER_PROCESS + 7) >= 2  # unpinned, the child forks
+    assert chunks._processes(2 * ROWS_PER_PROCESS + 7) >= 2  # unpinned, the child forks
     one_cpu = {min(os.sched_getaffinity(0))}
     outputs = {}
     for name, preexec in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)), ("unpinned", None)):
@@ -417,7 +483,7 @@ def test_a_failed_train_writes_nothing_and_reaps_every_worker(lexicon_files, mon
         return real(*args)
 
     monkeypatch.setattr(train, name, failing_step)
-    monkeypatch.setattr(cli, "_processes", lambda rows: 3)
+    monkeypatch.setattr(chunks, "_processes", lambda rows: 3)
     code = main(_train_argv(lexicon_files))
     captured = capfd.readouterr()
     assert captured.out == ""

@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from phonotax import cli
+from phonotax import chunks
 from phonotax.cli import main
 
 from conftest import INVENTORY_TEXT
@@ -110,7 +110,7 @@ def test_train_output_is_pinned(tmp_path, capsys, policy, gt):
 @pytest.mark.parametrize("policy, gt", sorted(MODEL_SHA256))
 def test_train_output_is_pinned_over_several_processes(tmp_path, capsys, monkeypatch, policy, gt, processes):
     # a threshold that cuts the toy lexicon's lines into `processes` chunks, one per CPU
-    monkeypatch.setattr(cli, "ROWS_PER_PROCESS", len(LEXICON.splitlines()) // processes)
+    monkeypatch.setattr(chunks, "ROWS_PER_PROCESS", len(LEXICON.splitlines()) // processes)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)), raising=False)
     forks = []
     fork = os.fork
