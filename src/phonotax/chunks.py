@@ -3,14 +3,12 @@
 ``run_chunks`` decides how many processes to use: one per CPU this
 process may run on, each with at least ``ROWS_PER_PROCESS`` rows. It
 cuts the rows into that many contiguous chunks and calls
-``work(chunk, first, link)`` on each: on the first chunk in this
-process, and on each other chunk in a worker forked for it. ``first``
-is the index of the chunk's first row. A worker gets its rows guarded:
-between slices of them it stops if its parent is gone. The results come
-back in chunk order; with one chunk nothing forks. Through its ``link``
-a chunk's work may hand a value to the others midway (``exchange``),
-and walk any other sequence it builds with the same guard (``checked``).
-Values cross the pipes pickled.
+``work(chunk, first)`` on each: on the first chunk in this process, and
+on each other chunk in a worker forked for it. ``first`` is the index
+of the chunk's first row. A worker gets its rows guarded: between
+slices of them it stops if its parent is gone. Each worker sends its
+result up a pipe, pickled, and nothing goes down to it. The results
+come back in chunk order; with one chunk nothing forks.
 
 Every worker is reaped before ``run_chunks`` returns or raises; if
 anything fails in this process, the workers are killed first. A worker
@@ -20,11 +18,9 @@ error with exit code 1.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
-from itertools import chain, repeat
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any, BinaryIO
 
 # Rows a worker works through between checks that its parent is still
@@ -35,10 +31,10 @@ ROWS_PER_SLICE = 250
 # Rows each process works on at least: stimuli for score, lexicon lines
 # for train. On a 2-vCPU host, forking a worker, filling its copy-on-write
 # pages and reaping it takes about 3 ms, about 3% of the time this many
-# score-wide rows take to score. Training takes about 20 us a line, so
-# this many lines take about 50 ms; forking a worker from a process that
-# holds a 50k-line lexicon, swapping one value with it and reaping it
-# took about 9 ms, so at twice this many lines two processes still beat one.
+# score-wide rows take to score. Training takes about 14 us a line, so
+# this many lines take about 35 ms; forking a worker from a process that
+# holds a 50k-line lexicon, taking its result and reaping it took 8-10
+# ms, and on twice this many lines two processes took 50 ms, one 70 ms.
 ROWS_PER_PROCESS = 2_500
 
 
@@ -68,28 +64,19 @@ def _send(pipe: BinaryIO, value: Any) -> None:
     pipe.flush()
 
 
-def _receive(pipe: BinaryIO) -> Any:
-    """The next value on a pipe; EOFError if its writer left before sending all of it."""
-    import pickle
-
-    try:
-        return pickle.load(pipe)
-    except pickle.UnpicklingError:  # cut off mid-value
-        raise EOFError from None
-
-
 class _Worker:
-    """A forked worker as its parent sees it: its pid, its rows and both ends of its pipes."""
+    """A forked worker as its parent sees it: its pid, its rows and the read end of its pipe."""
 
-    def __init__(self, pid: int, lo: int, hi: int, up: BinaryIO, down: BinaryIO) -> None:
-        self.pid, self.lo, self.hi = pid, lo, hi
-        self.up, self.down = up, down  # the worker writes up and reads down
+    def __init__(self, pid: int, lo: int, hi: int, up: BinaryIO) -> None:
+        self.pid, self.lo, self.hi, self.up = pid, lo, hi, up
         self.status: int | None = None
 
     def receive(self) -> Any:
+        import pickle
+
         try:
-            return _receive(self.up)
-        except EOFError:  # it exited before it sent: its exit status says why
+            return pickle.load(self.up)
+        except (EOFError, pickle.UnpicklingError):  # cut off before or mid-value: its exit status says why
             raise ChildProcessError(
                 f"the worker on rows {self.lo + 1}-{self.hi} exited with status {self.reap()}") from None
 
@@ -99,70 +86,36 @@ class _Worker:
         return self.status
 
 
-class _ParentLink:
-    """The link of the chunk this process works on itself."""
-
-    def __init__(self, workers: list[_Worker]) -> None:
-        self.workers = workers
-
-    def checked(self, seq: Sequence) -> Iterable:
-        return seq
-
-    def exchange(self, value: Any, merge: Callable[[list], Any]) -> Any:
-        """``merge`` of every chunk's value, in chunk order; each worker gets it too."""
-        merged = merge([value, *(worker.receive() for worker in self.workers)])
-        for worker in self.workers:
-            _send(worker.down, merged)
-        return merged
-
-
-class _WorkerLink:
-    """The link of a worker's chunk: pipes to and from the parent."""
-
-    def __init__(self, parent: int, up: BinaryIO, down: BinaryIO) -> None:
-        self.parent, self.up, self.down = parent, up, down
-
-    def checked(self, seq: Sequence) -> Iterable:
-        """The items of ``seq``; before each slice of them, the worker stops if its parent is gone."""
-        return chain.from_iterable(map(self._slice, repeat(seq), range(0, len(seq), ROWS_PER_SLICE)))
-
-    def _slice(self, seq: Sequence, lo: int) -> Sequence:
-        if os.getppid() != self.parent:
+def _guarded(rows: Sequence, parent: int) -> Iterator:
+    """The items of ``rows``; before each slice of them, the worker stops if its parent is gone."""
+    for lo in range(0, len(rows), ROWS_PER_SLICE):
+        if os.getppid() != parent:
             os._exit(1)  # the parent is gone: nobody reads this chunk's result
-        return seq[lo : lo + ROWS_PER_SLICE]
-
-    def exchange(self, value: Any, merge: Callable[[list], Any]) -> Any:
-        _send(self.up, value)
-        return _receive(self.down)  # EOFError once the parent is gone
+        yield from rows[lo : lo + ROWS_PER_SLICE]
 
 
 def _fork(work: Callable, rows: Sequence, lo: int, hi: int, siblings: list[_Worker]) -> _Worker:
     """Fork a worker that sends ``work`` on ``rows[lo:hi]``, guarded, up its pipe."""
     parent = os.getpid()
     up_read, up_write = os.pipe()
-    down_read, down_write = os.pipe()
     pid = os.fork()
     if pid:
         os.close(up_write)
-        os.close(down_read)
-        return _Worker(pid, lo, hi, open(up_read, "rb"), open(down_write, "wb"))
+        return _Worker(pid, lo, hi, open(up_read, "rb"))
     # The worker leaves only through os._exit: it never returns into the
     # caller's stack, and a failure shows in its exit status. It keeps no
-    # end of a sibling's pipes, so once the parent is gone its reads see
-    # end of file and its writes fail; between slices of its rows it
-    # checks that the parent is still there.
+    # read end of a sibling's pipe, so once the parent is gone its write
+    # fails; between slices of its rows it checks that the parent is
+    # still there.
     code = 1
     try:
         os.close(up_read)
-        os.close(down_write)
         for sibling in siblings:
             sibling.up.close()
-            sibling.down.close()
-        with open(up_write, "wb") as up, open(down_read, "rb") as down:
-            link = _WorkerLink(parent, up, down)
-            _send(up, work(link.checked(rows[lo:hi]), lo, link))
+        with open(up_write, "wb") as up:
+            _send(up, work(_guarded(rows[lo:hi], parent), lo))
         code = 0
-    except (BrokenPipeError, EOFError):
+    except BrokenPipeError:
         pass  # the parent is gone: nobody reads this chunk's result
     except BaseException:  # the worker's outermost frame: report, then exit
         import traceback  # here, not at the top: set-up of every command would pay for it
@@ -172,15 +125,15 @@ def _fork(work: Callable, rows: Sequence, lo: int, hi: int, siblings: list[_Work
         os._exit(code)
 
 
-def run_chunks(rows: Sequence, work: Callable[[Iterable, int, Any], Any]) -> list:
-    """``work(chunk, first, link)`` on each contiguous chunk of the rows, in chunk order."""
+def run_chunks(rows: Sequence, work: Callable[[Iterable, int], Any]) -> list:
+    """``work(chunk, first)`` on each contiguous chunk of the rows, in chunk order."""
     processes = _processes(len(rows))
     cuts = [len(rows) * i // processes for i in range(processes + 1)]
     workers: list[_Worker] = []
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
             workers.append(_fork(work, rows, lo, hi, workers))
-        results = [work(rows[: cuts[1]], 0, _ParentLink(workers))]
+        results = [work(rows[: cuts[1]], 0)]
         results += [worker.receive() for worker in workers]
     except BaseException:
         import signal  # here, not at the top: only a run that fails pays for it
@@ -192,7 +145,5 @@ def run_chunks(rows: Sequence, work: Callable[[Iterable, int, Any], Any]) -> lis
     finally:
         for worker in workers:
             worker.up.close()
-            with contextlib.suppress(OSError):  # bytes left unsent to a worker that is gone
-                worker.down.close()
             worker.reap()
     return results

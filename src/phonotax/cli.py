@@ -118,7 +118,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     gc.disable()
     try:
         texts = ["\t".join(SCORE_COLUMNS) + "\n",
-                 *run_chunks(rows, lambda chunk, first, link: _score_lines(model, inv, chunk))]
+                 *run_chunks(rows, lambda chunk, first: _score_lines(model, inv, chunk))]
     finally:
         if collecting:
             gc.enable()

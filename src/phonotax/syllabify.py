@@ -5,14 +5,15 @@ Every syllable is one onset (zero or more consonants) plus one rhyme
 word edge). For a disyllable the only open question is how to split
 the medial consonant cluster; the default policy hands the longest
 cluster suffix attested as a word onset in the training corpus to the
-second syllable. Scoring tries every candidate cut, training the one
-its policy picks, and both slice their runs with ``cut_runs``. The
+second syllable. Scoring tries every candidate cut and slices its runs
+with ``cut_runs``; training tallies each disyllable's medial part, and
+``split_medial`` cuts each distinct one where the policy picks. The
 runs are the transcription's own symbols, so segments are conserved.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -24,6 +25,9 @@ if TYPE_CHECKING:
 
 # onsets attested word-initially, as tuples of symbols; () is always a member
 WordOnsetSet = frozenset
+# a disyllable's medial part as training tallies it: (first rhyme label,
+# second onset label, its symbols from the first nucleus up to the second)
+MedialPart = tuple[str, str, tuple[str, ...]]
 
 
 class MedialSplitPolicy(Enum):
@@ -69,6 +73,29 @@ def _split_cluster(
     return 0
 
 
+def split_medial(
+    parts: Mapping[MedialPart, int], onsets: WordOnsetSet, policy: MedialSplitPolicy
+) -> dict[tuple[str, tuple[str, ...]], int]:
+    """The (cell label, terminal) counts of tallied medial parts, each cut where the policy cuts.
+
+    A part's symbols are its first nucleus and the medial cluster: the
+    trailing consonants ``_split_cluster`` picks open the second onset,
+    and the rest close the first rhyme. Each distinct cluster is split
+    once.
+    """
+    paths: dict[tuple[str, tuple[str, ...]], int] = {}
+    splits: dict[tuple[str, ...], int] = {}  # cluster -> consonants it hands the second onset
+    for (rhyme, onset, run), count in parts.items():
+        cluster = run[1:]
+        k = splits.get(cluster)
+        if k is None:
+            k = splits[cluster] = _split_cluster(cluster, onsets, policy)
+        cut = len(run) - k
+        for path in (rhyme, run[:cut]), (onset, run[cut:]):
+            paths[path] = paths.get(path, 0) + count
+    return paths
+
+
 def candidate_cuts(t: Transcription) -> Sequence[int | None]:
     """Where an in-scope word's second syllable may start, in ``t.symbols``.
 
@@ -84,15 +111,6 @@ def candidate_cuts(t: Transcription) -> Sequence[int | None]:
     if t.boundary is not None:
         return (t.boundary,)
     return range(nuclei[0] + 1, nuclei[1] + 1)
-
-
-def policy_cut(t: Transcription, onsets: WordOnsetSet, policy: MedialSplitPolicy) -> int | None:
-    """The one candidate cut the medial-split policy picks for training."""
-    cuts = candidate_cuts(t)
-    if len(cuts) == 1:
-        return cuts[0]
-    n0, n1 = t.nuclei
-    return n1 - _split_cluster(t.symbols[n0 + 1 : n1], onsets, policy)
 
 
 def cut_runs(seq: tuple, nuclei: tuple[int, ...], cut: int | None) -> tuple[tuple, ...]:
@@ -117,7 +135,11 @@ def syllabify(
     concatenating onset+rhyme across syllables and words restores them.
     """
     pattern = stress_pattern(t)
-    runs = cut_runs(t.symbols, t.nuclei, policy_cut(t, onsets, policy))
+    cut = t.boundary
+    if len(t.nuclei) == 2 and cut is None:
+        n0, n1 = t.nuclei
+        cut = n1 - _split_cluster(t.symbols[n0 + 1 : n1], onsets, policy)
+    runs = cut_runs(t.symbols, t.nuclei, cut)
     syllables = tuple(map(Syllable, runs[::2], runs[1::2], pattern))
     if t.boundary is None:
         return (syllables,)

@@ -1,14 +1,14 @@
 """Train path probabilities from a pronunciation lexicon.
 
-The pipeline is: ingest lexicon lines, collect the word-onset set,
-cut each entry into onset and rhyme runs against its stress template,
-emit one (cell label, terminal) pair per run, tabulate counts per
-cell label, and smooth each cell into a probability table. Every cell
-is keyed by its constituent label (``Osi`` ... ``Rwif``), as the paper
-names it and the model file writes it. The lines may be cut into
-contiguous chunks, a process each: every chunk ingests and counts its
-own entries, cut under the word onsets of all chunks, and the summed
-counts are smoothed once.
+The pipeline reads the lexicon once, block by block: it ingests the
+entries, collects their word onsets and counts each entry's (cell label,
+terminal) paths under its stress template. Only a disyllable's medial
+split depends on the onsets of the whole lexicon, so its medial part is
+tallied instead, and ``split_medial`` cuts each distinct one once at
+the end. The counts are tabulated per cell label and each cell smoothed
+into a probability table. Every cell is keyed by its constituent label
+(``Osi`` ... ``Rwif``), as the paper names it and the model file writes
+it. The lines may be cut into contiguous chunks, a process each.
 Probability mass is reserved for unseen terminals per cell: a cell
 with N tokens of which N1 are singletons keeps p0 = N1/N (clamped to
 [1/(2N), 0.5]) aside, and every unseen terminal in that cell is quoted
@@ -25,10 +25,10 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
-from .chunks import run_chunks
+from .chunks import ROWS_PER_SLICE, run_chunks
 from .errors import (
     BadConfig,
     EmptyCorpus,
@@ -39,7 +39,8 @@ from .errors import (
 )
 from .grammar import LABELS, NULL_TERMINAL, format_terminal, templates_for
 from .phonology import PhonemeInventory, Stress, Transcription, is_reserved, stress_pattern, tokenize
-from .syllabify import MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_runs, policy_cut
+from .syllabify import (MedialPart, MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_runs,
+                        split_medial)
 
 PathPair = tuple[str, tuple[str, ...]]  # (cell label, terminal), e.g. ('Osi', ('s', 't'))
 
@@ -53,7 +54,7 @@ NO_ENTRIES = "no usable lexicon entries"
 
 @dataclass(frozen=True)
 class ModelConfig:
-    # the field defaults are training's: train_model, extract_paths and the CLI read them here
+    # the field defaults are training's: train_model and the CLI read them here
     inventory_digest: str
     medial_split: MedialSplitPolicy = MedialSplitPolicy.MAX_ONSET
     gt_mode: str = "simple"
@@ -95,9 +96,6 @@ def ingest_lexicon(document: str | Iterable[str], inv: PhonemeInventory, first: 
     entries: list[LexiconEntry] = []
     skipped: list[tuple[int, str, str]] = []
     downgraded = 0
-    # (nuclei, stresses) -> itself: entries of one layout share its two
-    # tuples, so the retained lexicon stores each layout once
-    layouts: dict[tuple, tuple] = {}
     lines = document.splitlines() if isinstance(document, str) else document
     for lineno, line in enumerate(lines, start=first):
         stripped = line.strip()
@@ -110,14 +108,11 @@ def ingest_lexicon(document: str | Iterable[str], inv: PhonemeInventory, first: 
         orthography = orthography.strip()
         try:
             t = tokenize(raw, inv)
-            stresses = t.stresses
-            if t.boundary is None and len(stresses) == 2 and set(stresses) == {1, 2}:
+            if t.boundary is None and len(t.stresses) == 2 and set(t.stresses) == {1, 2}:
                 # a 1-2 or 2-1 nucleus pair in one word is one foot: the digit-2
                 # vowel is subordinate and trains as weak (a lone 2 stays strong)
-                stresses = (0, 1) if stresses[0] == 2 else (1, 0)
+                t = t._replace(stresses=(0, 1) if t.stresses[0] == 2 else (1, 0))
                 downgraded += 1
-            layout = (t.nuclei, stresses)
-            t = Transcription(t.symbols, *layouts.setdefault(layout, layout), t.boundary)
             pattern = stress_pattern(t)
         except PhonotaxError as err:
             skipped.append((lineno, type(err).__name__, orthography))
@@ -128,26 +123,27 @@ def ingest_lexicon(document: str | Iterable[str], inv: PhonemeInventory, first: 
     return IngestResult(entries, skipped, downgraded)
 
 
-def extract_paths(
-    entry: LexiconEntry,
-    onsets: WordOnsetSet,
-    policy: MedialSplitPolicy = ModelConfig.medial_split,
-) -> list[PathPair]:
-    """The onset and rhyme paths of an entry's unique analysis.
+def extract_paths(entry: LexiconEntry) -> tuple[list[PathPair], MedialPart | None]:
+    """The paths of an entry's unique analysis that no onset set can change, and its medial part.
 
-    Each path is a (cell label, terminal) pair: the labels are the
-    template's, in slot order, and each terminal is the run of symbols
-    ``cut_runs`` slices for that slot at the cut the policy picks.
-    Training trusts the lexicon and takes the first template
-    ``templates_for`` gives: the two-word template for an entry with a
-    compound boundary, the single-word one for anything else.
-    Raises what ``templates_for`` raises (weak-weak words; a boundary
-    without two strong monosyllables).
+    Each path is a (cell label, terminal) pair of the template's label
+    and the run of symbols its slot takes. A monosyllable or a compound
+    gives all its paths and no medial part. A disyllable gives its first
+    onset and last rhyme, and for ``split_medial`` its medial part: the
+    labels of its first rhyme and second onset and its symbols from the
+    first nucleus up to the second. Training trusts the lexicon and takes
+    the first template ``templates_for`` gives: the two-word one for an
+    entry with a compound boundary, the single-word one for anything
+    else. Raises what ``templates_for`` raises (weak-weak words; a
+    boundary without two strong monosyllables).
     """
     t = entry.transcription
-    template = templates_for(entry.pattern, t.boundary is not None)[0]
-    runs = cut_runs(t.symbols, t.nuclei, policy_cut(t, onsets, policy))
-    return list(zip(template.labels, runs))
+    labels = templates_for(entry.pattern, t.boundary is not None)[0].labels
+    if len(t.nuclei) == 1 or t.boundary is not None:
+        return list(zip(labels, cut_runs(t.symbols, t.nuclei, t.boundary))), None
+    n0, n1 = t.nuclei
+    fixed = [(labels[0], t.symbols[:n0]), (labels[3], t.symbols[n1:])]
+    return fixed, (labels[1], labels[2], t.symbols[n0:n1])
 
 
 @dataclass
@@ -390,31 +386,37 @@ class TrainResult:
         return self.model.table.total
 
 
-def _train_chunk(lines: Iterable[str], first: int, link, inv: PhonemeInventory, policy: MedialSplitPolicy):
-    """A run of lexicon lines, ingested and counted as one chunk of ``run_chunks``.
+def _train_chunk(lines: Iterable[str], first: int, inv: PhonemeInventory):
+    """A run of lexicon lines, read once as one chunk of ``run_chunks``.
 
-    The chunk's word onsets go through ``link.exchange``, which returns
-    those of every chunk, so each entry is cut under the onsets of the
-    whole lexicon. Returns the chunk's (label, terminal) counts, the
+    Per block of ``ROWS_PER_SLICE`` lines: ingest them, collect their
+    word onsets, count each entry's fixed paths and tally its medial
+    part. Returns the chunk's (label, terminal) counts, medial parts and
     onsets, and its share of the report: skipped lines, downgraded and
     retained counts, unsupported entries.
     """
-    ingest = ingest_lexicon(lines, inv, first + 1)
-    onsets = link.exchange(collect_word_onsets(ingest.entries), lambda sets: frozenset().union(*sets))
-    unsupported: list[tuple[int, str]] = []
-
-    def trained_paths() -> Iterable[PathPair]:
-        # streamed into the count, so no corpus-sized list of paths is built
-        for entry in link.checked(ingest.entries):
+    tally, medial = Counter(), Counter()  # (label, terminal) paths; medial parts
+    onsets, skipped, unsupported, downgraded, retained = set(), [], [], 0, 0
+    lines = iter(lines)
+    while block := list(islice(lines, ROWS_PER_SLICE)):
+        ingest = ingest_lexicon(block, inv, first + 1)
+        first += len(block)
+        onsets |= collect_word_onsets(ingest.entries)
+        skipped += ingest.skipped
+        downgraded += ingest.downgraded
+        retained += len(ingest.entries)
+        fixed, parts = [], []  # counted once per block: one update is cheaper than one per entry
+        for entry in ingest.entries:
             try:
-                paths = extract_paths(entry, onsets, policy)
+                paths, part = extract_paths(entry)
             except UnsupportedStressPattern:
                 unsupported.append((entry.lineno, entry.orthography))
                 continue
-            yield from paths
-
-    tally = Counter(trained_paths())
-    return tally, onsets, ingest.skipped, ingest.downgraded, len(ingest.entries), unsupported
+            fixed += paths
+            parts.append(part)
+        tally.update(fixed)
+        medial.update(filter(None, parts))
+    return tally, medial, onsets, skipped, downgraded, retained, unsupported
 
 
 def train_model(
@@ -427,17 +429,24 @@ def train_model(
     """Run the whole training pipeline over a lexicon document.
 
     ``run_chunks`` cuts the document's lines into contiguous chunks, a
-    process each, and ``_train_chunk`` ingests and counts each chunk;
-    the counts are summed, then tabulated and smoothed once. A lexicon
-    under ``2 * chunks.ROWS_PER_PROCESS`` lines is one chunk, trained in
-    this process.
+    process each, and ``_train_chunk`` reads each chunk once. This
+    process then unions the chunks' word onsets, splits each distinct
+    medial part once under them, adds those paths to the summed counts,
+    and tabulates and smooths once. A lexicon under
+    ``2 * chunks.ROWS_PER_PROCESS`` lines is one chunk, read in this
+    process.
     """
     config = ModelConfig(inv.digest, policy, gt_mode, epsilon)
-    parts = run_chunks(document.splitlines(),
-                       lambda chunk, first, link: _train_chunk(chunk, first, link, inv, policy))
-    tallies, (onsets, *_), skipped, downgraded, retained, unsupported = zip(*parts)
+    results = run_chunks(document.splitlines(), lambda chunk, first: _train_chunk(chunk, first, inv))
+    tallies, medials, onsets, skipped, downgraded, retained, unsupported = zip(*results)
     if not sum(retained):
         raise EmptyCorpus(NO_ENTRIES)
-    model = good_turing(tabulate(sum(tallies, Counter())), config)
+    onsets = frozenset().union(*onsets)
+    paths, medial = Counter(), Counter()
+    for tally, parts in zip(tallies, medials):  # update, not sum(): + builds a new Counter each time
+        paths.update(tally)
+        medial.update(parts)
+    paths.update(split_medial(medial, onsets, policy))
+    model = good_turing(tabulate(paths), config)
     return TrainResult(model, onsets, sum(retained), [*chain.from_iterable(skipped)], sum(downgraded),
                        [*chain.from_iterable(unsupported)])

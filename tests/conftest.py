@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from phonotax.phonology import load_inventory
-from phonotax.train import train_model
+from phonotax.syllabify import split_medial
+from phonotax.train import ModelConfig, extract_paths, train_model
 
 INVENTORY_TEXT = (
     "\n".join(
@@ -40,6 +43,15 @@ sandal\ts æ1 n d ə0 l
 candle\tk æ1 n d ə0 l
 busboy\tb ʌ1 s + b ɔɪ1
 """
+
+
+def entry_paths(entry, onsets, policy=ModelConfig.medial_split) -> list:
+    """An entry's whole training analysis in slot order: its fixed paths, its medial part split."""
+    fixed, part = extract_paths(entry)
+    if part is None:
+        return fixed
+    rhyme, onset = split_medial(Counter({part: 1}), onsets, policy)
+    return [fixed[0], rhyme, onset, fixed[1]]
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,9 @@ from phonotax.parse import enumerate_segmentations, parse_all
 from phonotax.phonology import load_inventory, tokenize
 from phonotax.score import score_batch, score_word
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets
-from phonotax.train import extract_paths, ingest_lexicon, train_model
+from phonotax.train import ingest_lexicon, train_model
 
-from conftest import INVENTORY_TEXT
+from conftest import INVENTORY_TEXT, entry_paths
 from oracles import (
     ORACLE_TEMPLATES,
     _oracle_stress,
@@ -229,7 +229,7 @@ def test_vowel_initial_second_word_is_cut_at_the_boundary(inv, toy_model):
     assert row.error is None and row.report.best.runs == runs
     result = ingest_lexicon("x\tæ1 + ɪ1\n", inv)
     assert result.skipped == []
-    paths = extract_paths(result.entries[0], frozenset({()}))
+    paths = entry_paths(result.entries[0], frozenset({()}))
     assert tuple(terminal for _, terminal in paths) == runs
 
 
@@ -243,7 +243,7 @@ def test_training_cut_is_one_of_the_scoring_cuts(seed, size):
         candidates = enumerate_segmentations(entry.transcription)
         for policy in MedialSplitPolicy:
             try:
-                paths = extract_paths(entry, onsets, policy)
+                paths = entry_paths(entry, onsets, policy)
             except UnsupportedStressPattern:
                 continue
             assert tuple(terminal for _, terminal in paths) in candidates

@@ -2,11 +2,11 @@
 
 ``chunks.run_chunks`` cuts a command's rows into contiguous chunks, works
 on the first in the calling process and forks a worker for each of the
-others. ``score`` scores each chunk; ``train`` ingests each chunk, swaps
-word onsets between the chunks, then counts each chunk's paths. These
-tests hold the chunked outputs to the one-process outputs, and check
-that every worker is reaped, also when one fails or the command is
-killed.
+others. ``score`` scores each chunk; ``train`` reads each chunk once,
+and the parent splits the medial parts of all chunks under their
+united word onsets. These tests hold the chunked outputs to the
+one-process outputs, and check that every worker is reaped, also when
+one fails or the command is killed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from phonotax.chunks import ROWS_PER_PROCESS
 from phonotax.cli import main
 from phonotax.errors import EmptyCorpus, PhonotaxError, UnsupportedStressPattern
 from phonotax.phonology import load_inventory
-from phonotax.syllabify import collect_word_onsets
 from phonotax.train import extract_paths, ingest_lexicon, save_model, train_model
 
 from conftest import INVENTORY_TEXT
@@ -96,7 +95,7 @@ def test_chunked_text_is_the_same_for_one_to_four_processes(seed, n):
     for processes in (1, 2, 3, 4):
         with mock.patch.object(chunks, "_processes", lambda rows: processes):
             texts.append("".join(chunks.run_chunks(
-                rows, lambda chunk, first, link: cli._score_lines(model, inventory, chunk))))
+                rows, lambda chunk, first: cli._score_lines(model, inventory, chunk))))
     assert texts[0].count("\n") == n
     assert texts[1:] == texts[:1] * 3
     _assert_no_child_left()
@@ -283,14 +282,16 @@ def test_a_worker_stops_within_a_slice_of_its_parent_dying(batch_files):
 
 
 # run_chunks over rows that take about ROW_DELAY seconds each, forced into
-# two processes, with work that never calls link.checked; it says on
-# stderr when it has forked its worker
-UNCHECKED_CHUNKS = _ANNOUNCING + f"""
-import time
+# two processes, with work that walks its rows plainly; the worker says on
+# stderr when it starts on its first row
+UNCHECKED_CHUNKS = f"""
+import os, time
 from phonotax import chunks
 chunks._processes = lambda rows: 2
-def work(rows, first, link):
+def work(rows, first):
     for row in rows:
+        if first and row == first:
+            os.write(2, b"worker\\n")
         time.sleep({ROW_DELAY!r})
 chunks.run_chunks(list(range(2 * chunks.ROWS_PER_PROCESS)), work)
 """
@@ -298,7 +299,7 @@ chunks.run_chunks(list(range(2 * chunks.ROWS_PER_PROCESS)), work)
 
 @needs_fork
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to read process states")
-def test_every_worker_is_guarded_without_calling_checked():
+def test_every_worker_is_guarded_by_run_chunks():
     # run_chunks hands a worker its rows already guarded, so work that walks
     # them plainly still stops within a slice of its parent's death
     assert ROWS_PER_PROCESS >= 10 * chunks.ROWS_PER_SLICE
@@ -307,7 +308,7 @@ def test_every_worker_is_guarded_without_calling_checked():
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
     group = proc.pid
     try:
-        assert proc.stderr.readline() == b"forked\n"
+        assert proc.stderr.readline() == b"worker\n"
         os.kill(proc.pid, signal.SIGKILL)  # the parent alone, mid-chunk
         proc.wait(timeout=10)
         start = time.monotonic()
@@ -401,11 +402,10 @@ def test_chunked_training_is_the_same_for_one_to_four_processes(seed, n, kind, d
         assert library == ("EmptyCorpus", "no usable lexicon entries")
         assert (code, stdout, stderr, model) == (2, "", "error: no usable lexicon entries\n", None)
         return
-    onsets = collect_word_onsets(ingest.entries)
     unsupported = []
     for entry in ingest.entries:
         try:
-            extract_paths(entry, onsets)
+            extract_paths(entry)
         except UnsupportedStressPattern:
             unsupported.append((entry.lineno, entry.orthography))
     if len(unsupported) == len(ingest.entries):
@@ -522,8 +522,8 @@ def test_a_killed_train_leaves_no_worker_running(lexicon_files):
 
 # A train command with one training step slowed by ROW_DELAY per call.
 # A worker writes "worker" to stderr on its first call to the announced
-# function. In phase "exchange" only the parent's ingest is slow, and the
-# worker announces as it starts to wait for the merged onsets.
+# function. In phase "handoff" only the parent's ingest is slow, and the
+# worker announces as it sends its result up to the parent.
 SLOW_TRAIN_CLI = f"""
 import os, sys, time
 from phonotax import chunks, train
@@ -531,7 +531,7 @@ from phonotax.cli import main
 parent, phase = os.getpid(), sys.argv.pop(1)
 step, in_worker, module, announced = {{
     "ingest": ("tokenize", True, train, "tokenize"),
-    "exchange": ("tokenize", False, chunks, "_receive"),
+    "handoff": ("tokenize", False, chunks, "_send"),
     "count": ("extract_paths", True, train, "extract_paths"),
 }}[phase]
 def slowed(fn):
@@ -555,10 +555,11 @@ sys.exit(main())
 
 @needs_two_cpus
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to read process states")
-@pytest.mark.parametrize("phase", ["ingest", "exchange", "count"])
+@pytest.mark.parametrize("phase", ["ingest", "handoff", "count"])
 def test_a_training_worker_stops_within_a_slice_of_its_parent_dying(lexicon_files, phase):
-    # A worker's chunk takes ten slices or more in either phase, so a
-    # worker that went on to the end would run far past the limit.
+    # A worker's chunk takes ten slices or more to ingest or count, so a
+    # worker that went on to the end would run far past the limit; one
+    # that has finished its chunk must not outlive the parent it sends to.
     assert ROWS_PER_PROCESS >= 10 * chunks.ROWS_PER_SLICE
     limit = 3 * chunks.ROWS_PER_SLICE * ROW_DELAY
     proc = subprocess.Popen([sys.executable, "-c", SLOW_TRAIN_CLI, phase, *_train_argv(lexicon_files)],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import math
 import random
 import re
@@ -38,8 +39,8 @@ from phonotax.train import (
     train_model,
 )
 
-from conftest import INVENTORY_TEXT, TOY_LEXICON
-from oracles import documents, edited_documents, random_lexicon
+from conftest import INVENTORY_TEXT, TOY_LEXICON, entry_paths
+from oracles import ORACLE_TEMPLATES, documents, edited_documents, random_lexicon, read_fields
 
 OSIF, RSIF = "Osif", "Rsif"
 
@@ -95,7 +96,7 @@ def test_ingest_downgrades_secondary_next_to_primary(inv):
 def test_extract_paths_monosyllables(inv):
     result = ingest_lexicon("cat\tk æ1 t\nat\tæ1 t\n", inv)
     onsets = collect_word_onsets(result.entries)
-    paths = [p for e in result.entries for p in extract_paths(e, onsets)]
+    paths = [p for e in result.entries for p in entry_paths(e, onsets)]
     table = tabulate(paths)
     assert table.counts[OSIF] == {("k",): 1, (): 1}
     assert table.counts[RSIF] == {("æ", "t"): 2}
@@ -106,7 +107,7 @@ def test_extract_paths_monosyllables(inv):
 def test_extract_paths_compound(inv):
     result = ingest_lexicon("busboy\tb ʌ1 s + b ɔɪ1\n", inv)
     onsets = collect_word_onsets(result.entries)
-    paths = extract_paths(result.entries[0], onsets)
+    paths = entry_paths(result.entries[0], onsets)
     assert paths == [
         ("Osif", ("b",)), ("Rsif", ("ʌ", "s")),
         ("Osif", ("b",)), ("Rsif", ("ɔɪ",)),
@@ -116,11 +117,11 @@ def test_extract_paths_compound(inv):
 def test_extract_paths_rejects_bad_patterns(inv):
     weak_weak = ingest_lexicon("of-a\tə0 z ə0\n", inv).entries[0]
     with pytest.raises(UnsupportedStressPattern):
-        extract_paths(weak_weak, frozenset({()}))
+        extract_paths(weak_weak)
     # boundary demands two strong monosyllables
     bad_compound = ingest_lexicon("x\tk æ1 + t ə0\n", inv).entries[0]
     with pytest.raises(UnsupportedStressPattern):
-        extract_paths(bad_compound, frozenset({()}))
+        extract_paths(bad_compound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +134,7 @@ def test_extract_paths_match_syllabify(seed, size):
         assert entry.pattern == stress_pattern(entry.transcription)
         for policy in MedialSplitPolicy:
             try:
-                paths = extract_paths(entry, onsets, policy)
+                paths = entry_paths(entry, onsets, policy)
             except UnsupportedStressPattern:
                 continue
             syllables = [syl for word in syllabify(entry.transcription, onsets, policy)
@@ -174,6 +175,74 @@ def test_trained_counts_match_a_path_type_recount(seed, size, policy):
     table = train_model(doc, inventory, policy).model.table
     assert table.counts == expected
     assert table.total == recount.total()
+
+
+def _literal_split(cluster: tuple, onsets: set, policy: MedialSplitPolicy) -> int:
+    """How many trailing consonants of a medial cluster open the second syllable."""
+    longest = len(cluster)
+    if policy is MedialSplitPolicy.ALWAYS_SPLIT_CC and len(cluster) > 1 and cluster[0] != "s":
+        longest -= 1  # the first of two or more consonants stays back, unless it is s
+    return max(k for k in range(longest + 1) if k == 0 or cluster[len(cluster) - k :] in onsets)
+
+
+def _literal_recount(document: str, inventory, policy: MedialSplitPolicy) -> PathTable:
+    """The path counts of an oracle lexicon, read line by line with read_fields alone."""
+    entries = [read_fields(line.split("\t", 1)[1], inventory) for line in document.splitlines()]
+    onsets = {()}
+    for words in entries:
+        for word in words:
+            first = next(i for i, (_, _, vowel) in enumerate(word) if vowel)
+            onsets.add(tuple(symbol for symbol, _, _ in word[:first]))
+    counts: dict[str, dict[tuple, int]] = {}
+    for words in entries:
+        digits = [digit for word in words for _, digit, vowel in word if vowel]
+        if len(words) == 1 and sorted(digits) == [1, 2]:
+            digits = [0 if digit == 2 else 1 for digit in digits]  # a 1-2 or 2-1 pair is one foot
+        pattern = tuple("w" if digit == 0 else "s" for digit in digits)
+        categories = next(cats for n, cats in ORACLE_TEMPLATES[pattern] if n == len(words))
+        syllables = []
+        for word in words:
+            symbols = tuple(symbol for symbol, _, _ in word)
+            at = [i for i, (_, _, vowel) in enumerate(word) if vowel]
+            if len(at) == 1:
+                syllables.append((symbols[: at[0]], symbols[at[0] :]))
+                continue
+            n0, n1 = at
+            j = n1 - _literal_split(symbols[n0 + 1 : n1], onsets, policy)
+            syllables += [(symbols[:n0], symbols[n0:j]), (symbols[j:n1], symbols[n1:])]
+        for category, (onset, rhyme) in zip(categories, syllables):
+            for label, run in (("O" + category[1:], onset), ("R" + category[1:], rhyme)):
+                cell = counts.setdefault(label, {})
+                cell[run] = cell.get(run, 0) + 1
+    return PathTable(counts, sum(sum(cell.values()) for cell in counts.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40))
+def test_trained_counts_match_a_literal_recount(seed, size):
+    # the reference reads each line with the oracle's read_fields and
+    # makes its own fold, word onsets and medial split: no package step
+    inventory = load_inventory(INVENTORY_TEXT)
+    doc = random_lexicon(random.Random(seed), size)
+    for policy in MedialSplitPolicy:
+        assert train_model(doc, inventory, policy).model.table == _literal_recount(doc, inventory, policy)
+
+
+def test_training_splits_each_medial_cluster_once(inv, monkeypatch):
+    syllabify_module = importlib.import_module("phonotax.syllabify")  # phonotax.syllabify is the function
+    split = syllabify_module._split_cluster
+    calls = Counter()
+
+    def counted(cluster, onsets, policy):
+        calls[cluster] += 1
+        return split(cluster, onsets, policy)
+
+    monkeypatch.setattr(syllabify_module, "_split_cluster", counted)
+    doc = random_lexicon(random.Random(8), 400)
+    words = [e.transcription for e in ingest_lexicon(doc, inv).entries]
+    clusters = {t.symbols[t.nuclei[0] + 1 : t.nuclei[1]] for t in words if len(t.nuclei) == 2 and t.boundary is None}
+    train_model(doc, inv)
+    assert set(calls) == clusters and set(calls.values()) == {1}
 
 
 def test_tabulate_invariants(inv):
