@@ -10,6 +10,9 @@ slices of them it stops if its parent is gone. Each worker sends its
 result up a pipe, pickled, and nothing goes down to it. The results
 come back in chunk order; with one chunk nothing forks.
 
+The cyclic garbage collector is paused for the run, here and in every
+worker, then restored: the commands' work makes no reference cycles.
+
 Every worker is reaped before ``run_chunks`` returns or raises; if
 anything fails in this process, the workers are killed first. A worker
 that fails raises ChildProcessError, which the commands report as an
@@ -18,6 +21,7 @@ error with exit code 1.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -28,13 +32,14 @@ from typing import Any, BinaryIO
 # 2-vCPU host.
 ROWS_PER_SLICE = 250
 
-# Rows each process works on at least: stimuli for score, lexicon lines
-# for train. On a 2-vCPU host, forking a worker, filling its copy-on-write
-# pages and reaping it takes about 3 ms, about 3% of the time this many
-# score-wide rows take to score. Training takes about 14 us a line, so
-# this many lines take about 35 ms; forking a worker from a process that
-# holds a 50k-line lexicon, taking its result and reaping it took 8-10
-# ms, and on twice this many lines two processes took 50 ms, one 70 ms.
+# Rows each process works on at least: stimuli for score and evaluate,
+# lexicon lines for train. On a 2-vCPU host, forking a worker, filling
+# its copy-on-write pages and reaping it takes about 3 ms, about 3% of
+# the time this many score-wide rows take to score. Training takes about
+# 14 us a line, so this many lines take about 35 ms; forking a worker
+# from a process that holds a 50k-line lexicon, taking its result and
+# reaping it took 8-10 ms, and on twice this many lines two processes
+# took 50 ms, one 70 ms.
 ROWS_PER_PROCESS = 2_500
 
 
@@ -130,6 +135,8 @@ def run_chunks(rows: Sequence, work: Callable[[Iterable, int], Any]) -> list:
     processes = _processes(len(rows))
     cuts = [len(rows) * i // processes for i in range(processes + 1)]
     workers: list[_Worker] = []
+    collecting = gc.isenabled()
+    gc.disable()  # before the first fork, so every worker runs with the collector paused too
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
             workers.append(_fork(work, rows, lo, hi, workers))
@@ -146,4 +153,6 @@ def run_chunks(rows: Sequence, work: Callable[[Iterable, int], Any]) -> list:
         for worker in workers:
             worker.up.close()
             worker.reap()
+        if collecting:
+            gc.enable()
     return results

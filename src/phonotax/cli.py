@@ -10,17 +10,17 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 from collections import Counter
 from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 from .chunks import run_chunks
 from .errors import BadEncoding, PhonotaxError
 from .grammar import LABELS
 from .phonology import PhonemeInventory, load_inventory, packaged_inventory
-from .score import parse_stimuli, score_batch
+from .score import BatchRow, parse_stimuli, score_batch
 from .syllabify import MedialSplitPolicy
 from .train import (EPSILON_MAX, EPSILON_MIN, GT_MODES, FloatReprs, ModelConfig, TrainedModel, load_model,
                     save_model, top_k, train_model)
@@ -56,14 +56,6 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
-def _check_inventory(model: TrainedModel, inv: PhonemeInventory) -> None:
-    if model.config.inventory_digest != inv.digest:
-        print(
-            "warning: inventory digest differs from the one the model was trained with",
-            file=sys.stderr,
-        )
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     inv = _load_inventory(args)
     result = train_model(
@@ -90,38 +82,37 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_lines(model: TrainedModel, inv: PhonemeInventory, rows: Iterable[tuple[str, str]]) -> str:
-    """The rows' ``scores.tsv`` lines, each ending in a newline."""
+def _load_batch(args: argparse.Namespace) -> tuple[TrainedModel, PhonemeInventory, list[tuple[str, str]]]:
+    """The model, the inventory and the stimuli rows that ``score`` and ``evaluate`` read."""
+    inv = _load_inventory(args)
+    model = load_model(_read(args.model))
+    if model.config.inventory_digest != inv.digest:
+        print("warning: inventory digest differs from the one the model was trained with", file=sys.stderr)
+    return model, inv, parse_stimuli(_read(args.stimuli))
+
+
+def _score_lines(batch: Iterable[BatchRow]) -> str:
+    """The scored rows' ``scores.tsv`` lines, each ending in a newline."""
     lines = []
     part = FloatReprs()  # part probabilities are model probabilities: few distinct values
-    for word_id, rep, error in score_batch(model, rows, inv):
+    for word_id, rep, error in batch:
         if rep is None:
             lines.append("\t".join((word_id, "", "", "", "", "", error or "")))
             continue
         lines.append("\t".join((
             word_id, repr(rep.p_word), repr(rep.ln_p_word),
-            part[rep.p_worst], part[rep.p_best], rep.best.path_text, "",
+            part[rep.p_worst], part[rep.p_best], rep.path_text, "",
         )))
     lines.append("")
     return "\n".join(lines)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    inv = _load_inventory(args)
-    model = load_model(_read(args.model))
-    _check_inventory(model, inv)
-    rows = parse_stimuli(_read(args.stimuli))
+    model, inv, rows = _load_batch(args)
     if not rows:
         print("warning: stimuli file holds no rows", file=sys.stderr)
-    # scoring makes no reference cycles: collector passes over the batch would find nothing
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        texts = ["\t".join(SCORE_COLUMNS) + "\n",
-                 *run_chunks(rows, lambda chunk, first: _score_lines(model, inv, chunk))]
-    finally:
-        if collecting:
-            gc.enable()
+    texts = ["\t".join(SCORE_COLUMNS) + "\n",
+             *run_chunks(rows, lambda chunk, first: _score_lines(score_batch(model, chunk, inv)))]
     sys.stdout.writelines(texts)
     if args.out is not None:
         _write(args.out, "scores.tsv", "".join(texts))
@@ -132,10 +123,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .plot import scatter_csv, scatter_svg
     from .stats import evaluate, load_judgments, synthetic_judgments
 
-    inv = _load_inventory(args)
-    model = load_model(_read(args.model))
-    _check_inventory(model, inv)
-    batch = score_batch(model, parse_stimuli(_read(args.stimuli)), inv)
+    model, inv, rows = _load_batch(args)
+    batch = [*chain.from_iterable(run_chunks(rows, lambda chunk, first: score_batch(model, chunk, inv)))]
     failed = [row for row in batch if row.report is None]
     if failed:
         print(f"warning: {len(failed)} stimuli failed to score and are excluded", file=sys.stderr)

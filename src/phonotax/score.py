@@ -4,7 +4,8 @@ Four numbers summarize a word's best parse: the parse probability
 (product over paths), its natural log, and the probabilities of the
 worst and best single path inside that parse. The worst part often
 carries the judgment: one terrible onset sinks a word whose rhymes are
-all fine.
+all fine. A report also carries the best parse's path text, and nothing
+of the model, so a batch of reports pickles small.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .errors import PhonotaxError
-from .parse import ScoredParse, parse_all
+from .parse import parse_all
 from .phonology import PhonemeInventory, Transcription, tokenize
 from .train import TrainedModel
 
@@ -23,14 +24,14 @@ class ScoreReport(NamedTuple):
     ln_p_word: float
     p_worst: float
     p_best: float
-    best: ScoredParse
+    path_text: str
 
 
 def score_word(model: TrainedModel, t: Transcription) -> ScoreReport:
     """Score a transcription by its best parse."""
     best = parse_all(t, model)[0]
     probs = best.probabilities
-    return ScoreReport(best.product, math.log(best.product), min(probs), max(probs), best)
+    return ScoreReport(best.product, math.log(best.product), min(probs), max(probs), best.path_text)
 
 
 class BatchRow(NamedTuple):

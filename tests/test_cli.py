@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from phonotax import cli
+from phonotax import cli, train
 from phonotax.cli import SCORE_COLUMNS, main
 from phonotax.errors import PhonotaxError
 from phonotax.plot import SVG_OPEN
@@ -166,29 +166,49 @@ def test_score_stdout_and_file(model_path, tmp_path, capsys):
     assert on_disk == captured.out
 
 
-@pytest.mark.parametrize("collecting", [True, False])
+# (command, the function its work calls through a module global); the
+# score cases keep the ids they had before evaluate and train joined them
+_COLLECTED = [pytest.param(command, module, name, collecting,
+                           id=str(collecting) if command == "score" else f"{command}-{collecting}")
+              for command, module, name in (("score", cli, "score_batch"), ("evaluate", cli, "score_batch"),
+                                            ("train", train, "_train_chunk"))
+              for collecting in (True, False)]
+
+
+@pytest.mark.parametrize("command, module, name, collecting", _COLLECTED)
 def test_score_pauses_the_collector_and_restores_it(model_path, tmp_path, capsys, monkeypatch,
-                                                    collecting):
+                                                    command, module, name, collecting):
     stim = tmp_path / "stimuli.tsv"
     stim.write_text(STIMULI, encoding="utf-8")
+    lex = tmp_path / "lexicon.tsv"
+    lex.write_text(TOY_LEXICON, encoding="utf-8")
+    argv = {"score": ["score", str(model_path), str(stim)],
+            "evaluate": ["evaluate", str(model_path), str(stim), "--seed", "5"],
+            "train": ["train", str(lex), "--out", str(tmp_path / "out")]}[command]
+    real = getattr(module, name)
     during = []
 
-    def failing_batch(*args):
+    def recording(*args):
         during.append(gc.isenabled())
-        raise PhonotaxError("scoring failed")
+        return real(*args)
+
+    def failing(*args):
+        during.append(gc.isenabled())
+        raise PhonotaxError(f"{command} failed")
 
     before = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
-        assert main(["score", str(model_path), str(stim)]) == 0
+        monkeypatch.setattr(module, name, recording)
+        assert main(argv) == 0
         assert gc.isenabled() is collecting
-        monkeypatch.setattr(cli, "score_batch", failing_batch)
-        assert main(["score", str(model_path), str(stim)]) == 2
+        monkeypatch.setattr(module, name, failing)
+        assert main(argv) == 2
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if before else gc.disable)()
-    assert during == [False]
-    assert "error: scoring failed" in capsys.readouterr().err
+    assert during == [False, False]
+    assert f"error: {command} failed" in capsys.readouterr().err
 
 
 def test_score_empty_stimuli(model_path, tmp_path, capsys):

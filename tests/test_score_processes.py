@@ -12,8 +12,10 @@ one fails or the command is killed.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import io
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -32,6 +34,7 @@ from phonotax.chunks import ROWS_PER_PROCESS
 from phonotax.cli import main
 from phonotax.errors import EmptyCorpus, PhonotaxError, UnsupportedStressPattern
 from phonotax.phonology import load_inventory
+from phonotax.score import score_batch
 from phonotax.train import extract_paths, ingest_lexicon, save_model, train_model
 
 from conftest import INVENTORY_TEXT
@@ -95,10 +98,55 @@ def test_chunked_text_is_the_same_for_one_to_four_processes(seed, n):
     for processes in (1, 2, 3, 4):
         with mock.patch.object(chunks, "_processes", lambda rows: processes):
             texts.append("".join(chunks.run_chunks(
-                rows, lambda chunk, first: cli._score_lines(model, inventory, chunk))))
+                rows, lambda chunk, first: cli._score_lines(cli.score_batch(model, chunk, inventory)))))
     assert texts[0].count("\n") == n
     assert texts[1:] == texts[:1] * 3
     _assert_no_child_left()
+
+
+def _evaluate_outcome(model_text: str, rows: list[tuple[str, str]], votes: str | None, processes: int):
+    """What the evaluate command gives over a forced process count: exit code, stdout, stderr, scatter files."""
+    with mock.patch.object(chunks, "_processes", lambda rows: processes), tempfile.TemporaryDirectory() as tmp:
+        files = Path(tmp)
+        (files / "inventory.tsv").write_text(INVENTORY_TEXT, encoding="utf-8")
+        (files / "model.tsv").write_text(model_text, encoding="utf-8")
+        (files / "stimuli.tsv").write_text("".join(f"{i}\t{raw}\n" for i, raw in rows), encoding="utf-8")
+        argv = ["evaluate", str(files / "model.tsv"), str(files / "stimuli.tsv")]
+        if votes is not None:
+            (files / "votes.csv").write_text(votes, encoding="utf-8")
+            argv.append(str(files / "votes.csv"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--inventory", str(files / "inventory.tsv"), "--out", str(files / "out")])
+        scatter = [path.read_bytes() if path.exists() else None
+                   for path in (files / "out" / "scatter.csv", files / "out" / "scatter.svg")]
+        return code, out.getvalue().replace(tmp, "DIR"), err.getvalue(), *scatter
+
+
+@needs_fork
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 30), st.booleans())
+def test_evaluate_is_the_same_for_one_to_four_processes(seed, n, with_votes):
+    rng = random.Random(seed)
+    inventory = load_inventory(INVENTORY_TEXT)
+    model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
+    rows = _rows(rng, n)
+    votes = None
+    if with_votes:  # votes for most ids, and for one the stimuli lack
+        votes = "word_id,votes_against\n" + "".join(
+            f"{word_id},{rng.randint(0, 12)}\n" for word_id, _ in rows + [("extra", "")] if rng.random() < 0.9)
+    outcomes = [_evaluate_outcome(save_model(model), rows, votes, processes) for processes in (1, 2, 3, 4)]
+    assert outcomes[1:] == outcomes[:1] * 3
+    _assert_no_child_left()
+
+    # the one-process outcome warns of the failed rows as one score_batch call reports them, in input order
+    code, _, stderr, csv, svg = outcomes[0]
+    failed = [row for row in score_batch(model, rows, inventory) if row.report is None]
+    warnings = "".join(f"  {row.word_id}: {row.error}\n" for row in failed)
+    if failed:
+        warnings = f"warning: {len(failed)} stimuli failed to score and are excluded\n" + warnings
+    assert stderr.startswith(warnings)
+    assert (code == 0) == (stderr == warnings) == (csv is not None) == (svg is not None)
 
 
 def test_process_count_follows_the_affinity_mask_and_the_threshold(monkeypatch):
@@ -146,9 +194,12 @@ def test_score_is_byte_identical_pinned_to_one_cpu_and_unpinned(batch_files):
 
 
 @needs_fork
-@pytest.mark.parametrize("failing", ["worker", "parent"])
+@pytest.mark.parametrize("command, failing", [
+    pytest.param(command, failing, id=failing if command == "score" else f"{command}-{failing}")
+    for command in ("score", "evaluate") for failing in ("worker", "parent")
+])
 def test_a_failure_on_either_side_writes_nothing_and_reaps_every_worker(
-    batch_files, monkeypatch, capfd, failing
+    batch_files, monkeypatch, capfd, command, failing
 ):
     parent = os.getpid()
     real_batch = cli.score_batch
@@ -161,6 +212,7 @@ def test_a_failure_on_either_side_writes_nothing_and_reaps_every_worker(
     monkeypatch.setattr(cli, "score_batch", batch)
     monkeypatch.setattr(chunks, "_processes", lambda rows: 3)
     argv = _score_argv(batch_files, "--out", str(batch_files / "scored"))
+    argv[0] = command
     if failing == "worker":
         assert main(argv) == 1
     else:
@@ -553,6 +605,16 @@ sys.exit(main())
 """
 
 
+def _pipe_buffer() -> int:
+    """The bytes a new pipe holds before a write to it blocks."""
+    read, write = os.pipe()
+    try:
+        return fcntl.fcntl(write, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(read)
+        os.close(write)
+
+
 @needs_two_cpus
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to read process states")
 @pytest.mark.parametrize("phase", ["ingest", "handoff", "count"])
@@ -560,10 +622,22 @@ def test_a_training_worker_stops_within_a_slice_of_its_parent_dying(lexicon_file
     # A worker's chunk takes ten slices or more to ingest or count, so a
     # worker that went on to the end would run far past the limit; one
     # that has finished its chunk must not outlive the parent it sends to.
+    # The command runs on two CPUs, so in two processes.
     assert ROWS_PER_PROCESS >= 10 * chunks.ROWS_PER_SLICE
     limit = 3 * chunks.ROWS_PER_SLICE * ROW_DELAY
+    if phase == "handoff":
+        # the worker's result outgrows the pipe, so the worker blocks in its
+        # write until its parent, still ingesting, reads or dies
+        lexicon = random_lexicon(random.Random(19), 6 * ROWS_PER_PROCESS)
+        (lexicon_files / "lexicon.tsv").write_text(lexicon, encoding="utf-8")
+        lines = lexicon.splitlines()
+        cut = len(lines) // 2
+        result = train._train_chunk(lines[cut:], cut, load_inventory(INVENTORY_TEXT))
+        assert len(pickle.dumps(result, pickle.HIGHEST_PROTOCOL)) > _pipe_buffer()
+    two_cpus = set(sorted(os.sched_getaffinity(0))[:2])
     proc = subprocess.Popen([sys.executable, "-c", SLOW_TRAIN_CLI, phase, *_train_argv(lexicon_files)],
-                            env=ENV, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
+                            env=ENV, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+                            preexec_fn=lambda: os.sched_setaffinity(0, two_cpus))
     group = proc.pid
     try:
         assert proc.stderr.readline() == b"worker\n"

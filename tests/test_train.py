@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import importlib
 import math
 import random
@@ -10,6 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phonotax import chunks
 from phonotax.cli import main
 from phonotax.errors import (
     BadConfig,
@@ -514,6 +516,35 @@ def test_train_model_reports_unsupported(inv):
     assert result.trained_entries == 1
     assert result.unsupported == [(2, "ofa")]
     assert result.path_count == 2
+
+
+# one line per skip reason, an entry whose secondary stress is folded,
+# and a weak-weak entry that ingest keeps but training cannot cut
+EVERY_SKIP_LEXICON = TOY_LEXICON + "".join(f"{line}\n" for line in [
+    "noline", "e1\tk æ3 t", "e2\tq æ1 t", "e3\t  ", "e4\tk æ1 + t æ1 + t æ1", "e5\tæ ɪ", "e6\tt",
+    "e7\tb ə0 n æ1 n ə0", "rally\tr æ1 l ɪ2", "ofa\tə0 z ə0",
+])
+
+
+def test_training_makes_no_reference_cycles(inv, monkeypatch):
+    # the premise of run_chunks' collector pause for training: with the
+    # collector off, training leaves nothing that only it could free
+    monkeypatch.setattr(chunks, "_processes", lambda rows: 1)
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = train_model(EVERY_SKIP_LEXICON, inv)
+        unreachable = gc.collect()
+    finally:
+        if collecting:
+            gc.enable()
+    assert [reason for _, reason, _ in result.skipped] == [
+        "MalformedLine", "BadStressDigit", "UnknownSymbol", "EmptyTranscription", "TooManyBoundaries",
+        "MissingStress", "NoNucleus", "OutOfScope",
+    ]
+    assert (result.downgraded, result.unsupported) == (1, [(17, "ofa")])
+    assert unreachable == 0
 
 
 @settings(max_examples=60, deadline=None)
