@@ -8,10 +8,14 @@ on each other chunk in a worker forked for it. ``first`` is the index
 of the chunk's first row. A worker gets its rows guarded: between
 slices of them it stops if its parent is gone. Each worker sends its
 result up a pipe, pickled, and nothing goes down to it. The results
-come back in chunk order; with one chunk nothing forks.
+come back in chunk order; with one chunk nothing forks. All three
+commands cut the lines of their input file, comment and blank lines
+included, and each chunk reads its own lines as it works through them.
 
 The cyclic garbage collector is paused for the run, here and in every
 worker, then restored: the commands' work makes no reference cycles.
+``paused`` is that pause, for a caller whose serial work after the run
+makes none either (training's merge and smoothing).
 
 Every worker is reaped before ``run_chunks`` returns or raises; if
 anything fails in this process, the workers are killed first. A worker
@@ -25,17 +29,19 @@ import gc
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from typing import Any, BinaryIO
 
 # Rows a worker works through between checks that its parent is still
-# alive: about 10 ms of score-wide rows, or 5 ms of lexicon lines, on a
-# 2-vCPU host.
+# alive: about 5 ms of score-wide stimulus lines or of lexicon lines, on
+# a 2-vCPU host.
 ROWS_PER_SLICE = 250
 
-# Rows each process works on at least: stimuli for score and evaluate,
-# lexicon lines for train. On a 2-vCPU host, forking a worker, filling
-# its copy-on-write pages and reaping it takes about 3 ms, about 3% of
-# the time this many score-wide rows take to score. Training takes about
+# Rows each process works on at least: stimulus lines for score and
+# evaluate, lexicon lines for train. On a 2-vCPU host, forking a worker,
+# filling its copy-on-write pages and reaping it takes about 3 ms, about
+# 7% of the time this many score-wide lines take to score (about 17 us
+# a line in one process). Training takes about
 # 14 us a line, so this many lines take about 35 ms; forking a worker
 # from a process that holds a 50k-line lexicon, taking its result and
 # reaping it took 8-10 ms, and on twice this many lines two processes
@@ -130,29 +136,39 @@ def _fork(work: Callable, rows: Sequence, lo: int, hi: int, siblings: list[_Work
         os._exit(code)
 
 
+@contextmanager
+def paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then restore it as it was."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def run_chunks(rows: Sequence, work: Callable[[Iterable, int], Any]) -> list:
     """``work(chunk, first)`` on each contiguous chunk of the rows, in chunk order."""
     processes = _processes(len(rows))
     cuts = [len(rows) * i // processes for i in range(processes + 1)]
     workers: list[_Worker] = []
-    collecting = gc.isenabled()
-    gc.disable()  # before the first fork, so every worker runs with the collector paused too
-    try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            workers.append(_fork(work, rows, lo, hi, workers))
-        results = [work(rows[: cuts[1]], 0)]
-        results += [worker.receive() for worker in workers]
-    except BaseException:
-        import signal  # here, not at the top: only a run that fails pays for it
+    # paused before the first fork, so every worker runs with the collector paused too
+    with paused():
+        try:
+            for lo, hi in zip(cuts[1:], cuts[2:]):
+                workers.append(_fork(work, rows, lo, hi, workers))
+            results = [work(rows[: cuts[1]], 0)]
+            results += [worker.receive() for worker in workers]
+        except BaseException:
+            import signal  # here, not at the top: only a run that fails pays for it
 
-        for worker in workers:
-            if worker.status is None:
-                os.kill(worker.pid, signal.SIGKILL)  # unreaped, so the pid is still this worker's
-        raise
-    finally:
-        for worker in workers:
-            worker.up.close()
-            worker.reap()
-        if collecting:
-            gc.enable()
+            for worker in workers:
+                if worker.status is None:
+                    os.kill(worker.pid, signal.SIGKILL)  # unreaped, so the pid is still this worker's
+            raise
+        finally:
+            for worker in workers:
+                worker.up.close()
+                worker.reap()
     return results

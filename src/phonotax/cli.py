@@ -20,7 +20,7 @@ from .chunks import run_chunks
 from .errors import BadEncoding, PhonotaxError
 from .grammar import LABELS
 from .phonology import PhonemeInventory, load_inventory, packaged_inventory
-from .score import BatchRow, parse_stimuli, score_batch
+from .score import BatchRow, ScoreReport, score_batch, stimulus_rows
 from .syllabify import MedialSplitPolicy
 from .train import (EPSILON_MAX, EPSILON_MIN, GT_MODES, FloatReprs, ModelConfig, TrainedModel, load_model,
                     save_model, top_k, train_model)
@@ -82,37 +82,50 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_batch(args: argparse.Namespace) -> tuple[TrainedModel, PhonemeInventory, list[tuple[str, str]]]:
-    """The model, the inventory and the stimuli rows that ``score`` and ``evaluate`` read."""
+def _load_batch(args: argparse.Namespace) -> tuple[TrainedModel, PhonemeInventory, list[str]]:
+    """The model, the inventory and the stimuli lines that ``score`` and ``evaluate`` read.
+
+    The lines are left unread: each chunk of ``run_chunks`` reads its
+    own through ``stimulus_rows``.
+    """
     inv = _load_inventory(args)
     model = load_model(_read(args.model))
     if model.config.inventory_digest != inv.digest:
         print("warning: inventory digest differs from the one the model was trained with", file=sys.stderr)
-    return model, inv, parse_stimuli(_read(args.stimuli))
+    return model, inv, _read(args.stimuli).splitlines()
 
 
 def _score_lines(batch: Iterable[BatchRow]) -> str:
     """The scored rows' ``scores.tsv`` lines, each ending in a newline."""
     lines = []
     part = FloatReprs()  # part probabilities are model probabilities: few distinct values
+    # p(word) -> it and its log rendered: products of few distinct values recur
+    words: dict[float, str] = {}
     for word_id, rep, error in batch:
         if rep is None:
-            lines.append("\t".join((word_id, "", "", "", "", "", error or "")))
+            lines.append(f"{word_id}\t\t\t\t\t\t{error or ''}")
             continue
-        lines.append("\t".join((
-            word_id, repr(rep.p_word), repr(rep.ln_p_word),
-            part[rep.p_worst], part[rep.p_best], rep.path_text, "",
-        )))
+        p_word, ln_p_word, p_worst, p_best, path_text = rep
+        scores = words.get(p_word)
+        if scores is None:
+            scores = words[p_word] = f"{p_word!r}\t{ln_p_word!r}"
+        lines.append(f"{word_id}\t{scores}\t{part[p_worst]}\t{part[p_best]}\t{path_text}\t")
     lines.append("")
     return "\n".join(lines)
 
 
+def _evaluation_rows(model: TrainedModel, lines: Iterable[str], inv: PhonemeInventory) -> list[BatchRow]:
+    """The scored rows as ``evaluate`` reads them: each report without its path text."""
+    return [BatchRow(word_id, None if rep is None else ScoreReport(*rep[:4], None), error)
+            for word_id, rep, error in score_batch(model, stimulus_rows(lines), inv)]
+
+
 def cmd_score(args: argparse.Namespace) -> int:
-    model, inv, rows = _load_batch(args)
-    if not rows:
+    model, inv, lines = _load_batch(args)
+    texts = run_chunks(lines, lambda chunk, first: _score_lines(score_batch(model, stimulus_rows(chunk), inv)))
+    if not any(texts):
         print("warning: stimuli file holds no rows", file=sys.stderr)
-    texts = ["\t".join(SCORE_COLUMNS) + "\n",
-             *run_chunks(rows, lambda chunk, first: _score_lines(score_batch(model, chunk, inv)))]
+    texts.insert(0, "\t".join(SCORE_COLUMNS) + "\n")
     sys.stdout.writelines(texts)
     if args.out is not None:
         _write(args.out, "scores.tsv", "".join(texts))
@@ -123,8 +136,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .plot import scatter_csv, scatter_svg
     from .stats import evaluate, load_judgments, synthetic_judgments
 
-    model, inv, rows = _load_batch(args)
-    batch = [*chain.from_iterable(run_chunks(rows, lambda chunk, first: score_batch(model, chunk, inv)))]
+    model, inv, lines = _load_batch(args)
+    batch = [*chain.from_iterable(run_chunks(lines, lambda chunk, first: _evaluation_rows(model, chunk, inv)))]
     failed = [row for row in batch if row.report is None]
     if failed:
         print(f"warning: {len(failed)} stimuli failed to score and are excluded", file=sys.stderr)
@@ -202,12 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model from a lexicon")
     p.add_argument("lexicon", type=Path)
     _add_common(p)
+    defaults = ModelConfig._field_defaults
     p.add_argument("--medial-split", choices=[m.value for m in MedialSplitPolicy],
-                   default=ModelConfig.medial_split.value)
-    p.add_argument("--gt", choices=GT_MODES, default=ModelConfig.gt_mode)
-    p.add_argument("--epsilon", type=float, default=ModelConfig.epsilon,
+                   default=defaults["medial_split"].value)
+    p.add_argument("--gt", choices=GT_MODES, default=defaults["gt_mode"])
+    p.add_argument("--epsilon", type=float, default=defaults["epsilon"],
                    help="probability of any path in a cell the lexicon leaves empty "
-                        f"(default {ModelConfig.epsilon:g}, range [{EPSILON_MIN:g}, {EPSILON_MAX:g}])")
+                        f"(default {defaults['epsilon']:g}, range [{EPSILON_MIN:g}, {EPSILON_MAX:g}])")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_train)
 

@@ -23,7 +23,6 @@ same tags, so ``Osi`` then ``Owf`` fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import UnsupportedStressPattern
@@ -58,26 +57,38 @@ def format_path(p: PathType) -> str:
     return path_prefix(p.label) + format_terminal(p.terminal)
 
 
-@dataclass(frozen=True)
-class WordTemplate:
+class _TemplateFields(NamedTuple):
+    words: tuple[tuple[str, ...], ...]
+    labels: tuple[str, ...]
+    prefixes: tuple[str, ...]
+    text: str
+
+
+class WordTemplate(_TemplateFields):
     """One or two word slots, each an ordered run of syllable categories.
 
     A one-word disyllable runs initial then final; a monosyllabic word
     slot is initial-and-final; a two-word template is two strong
     monosyllables (compounds behave like two monosyllabic words back to
-    back).
+    back). Built from ``words`` alone, e.g. ``WordTemplate((("Ssi",
+    "Swf"),))``, it derives per path slot, onset then rhyme per
+    syllable, the constituent label and the rendered path up to its
+    terminal ('U : W : Ssi : Osi : '), and ``text``, the whole rendered
+    parse with a ``%s`` per terminal.
     """
 
-    words: tuple[tuple[str, ...], ...]  # syllable categories per word, e.g. (("Ssi", "Swf"),)
-    # per path slot, onset then rhyme per syllable: its constituent label
-    # and the rendered path up to its terminal ('U : W : Ssi : Osi : ')
-    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    prefixes: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        labels = tuple(kind + cat[1:] for word in self.words for cat in word for kind in "OR")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "prefixes", tuple(map(path_prefix, labels)))
+    def __new__(cls, words: tuple[tuple[str, ...], ...]) -> WordTemplate:
+        labels = tuple([kind + cat[1:] for word in words for cat in word for kind in "OR"])
+        prefixes = tuple(map(path_prefix, labels))
+        return super().__new__(cls, words, labels, prefixes, " ; ".join([p + "%s" for p in prefixes]))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.words,)
+
+    def __repr__(self) -> str:
+        return f"WordTemplate(words={self.words!r})"
 
 
 _S, _W = Stress.STRONG, Stress.WEAK
@@ -113,20 +124,27 @@ def templates_for(pattern: tuple[Stress, ...], compound: bool = False) -> tuple[
     return _COMPOUND
 
 
-@dataclass(frozen=True)
-class UnifiedParse:
-    """A template plus the onset/rhyme paths that fill it, in order."""
-
+class _ParseFields(NamedTuple):
     template: WordTemplate
     paths: tuple[PathType, ...]
 
-    def __post_init__(self) -> None:
-        if tuple([p.label for p in self.paths]) != self.template.labels:
+
+class UnifiedParse(_ParseFields):
+    """A template plus the onset/rhyme paths that fill it, in order."""
+
+    __slots__ = ()
+
+    def __new__(cls, template: WordTemplate, paths: tuple[PathType, ...]) -> UnifiedParse:
+        if tuple([p.label for p in paths]) != template.labels:
             raise ValueError("paths do not fill the template in onset/rhyme order")
+        return super().__new__(cls, template, paths)
+
+    @classmethod
+    def _make(cls, iterable) -> UnifiedParse:  # so that _replace checks the paths too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class UnifyFailure:
+class UnifyFailure(NamedTuple):
     """First offending adjacent pair in a failed unification."""
 
     index: int

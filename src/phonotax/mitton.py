@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .phonology import packaged_inventory
 
@@ -137,8 +137,7 @@ def _render_word(phones: list[tuple[str, int | None]], force_primary: bool) -> s
     return " ".join(fields)
 
 
-@dataclass
-class MittonImport:
+class MittonImport(NamedTuple):
     lexicon_text: str
     converted: int
     skipped: list[tuple[int, str, str]]  # (lineno, reason, headword or line)

@@ -7,14 +7,16 @@ generates; the parse probability is the product of its path
 probabilities, and the forest is ordered best first. Exact product
 ties break on the rendered path text so the ordering is reproducible.
 
-``parse_all`` looks up each template's per-slot tables once and returns
-a ``Forest``, which finds its winner in one scan of plain floats over
-template x segmentation while it is built. Only a parse that reaches the
-best product so far becomes a ``ScoredParse``, and only an exact product
-tie renders path text, so scoring pays for the winner alone. Reading
-any other entry builds and ranks the whole forest once. A forest entry
-stores only the template, the symbol runs, the per-path probabilities
-and their product; paths, the unified parse, the seen flags and the path
+``parse_all`` looks up each template's per-slot tables once per model
+and stress pattern (``TrainedModel.templates``) and returns a
+``Forest``, which finds its winner in one scan of plain floats over
+template x segmentation while it is built. The scan keeps the best
+parse so far in local variables and only the winner becomes a
+``ScoredParse``, so scoring pays for the winner alone; an exact product
+tie at the top is broken by ranking the whole forest. Reading any other
+entry builds and ranks the whole forest once too. A forest entry stores
+only the template, the symbol runs, the per-path probabilities and
+their product; paths, the unified parse, the seen flags and the path
 text are built when they are read.
 """
 
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 from .grammar import PathType, UnifiedParse, WordTemplate, format_terminal, templates_for
 from .phonology import Transcription, stress_pattern
-from .syllabify import candidate_cuts, cut_runs
+from .syllabify import cut_runs
 from .train import TrainedModel
 
 # symbol runs of one segmentation: onset, rhyme, onset, rhyme ...
@@ -41,10 +43,17 @@ def enumerate_segmentations(t: Transcription) -> list[Runs]:
     A monosyllable and a marked compound of two monosyllables have one
     split each. A disyllable with m medial consonants has m+1, ordered
     by how many of them the second onset takes: all of them first, none
-    last.
+    last. This is the one place the candidate cuts are decided. The
+    caller has checked the scope: one or two nuclei, one per compound
+    half.
     """
     symbols, nuclei = t.symbols, t.nuclei
-    return [cut_runs(symbols, nuclei, cut) for cut in candidate_cuts(t)]
+    if len(nuclei) == 1 or t.boundary is not None:
+        return [cut_runs(symbols, nuclei, t.boundary)]
+    # the second syllable starts anywhere from just after the first nucleus to the second
+    n0, n1 = nuclei
+    head, tail = symbols[:n0], symbols[n1:]
+    return [(head, symbols[n0:cut], symbols[cut:n1], tail) for cut in range(n0 + 1, n1 + 1)]
 
 
 class ScoredParse(NamedTuple):
@@ -81,8 +90,7 @@ class ScoredParse(NamedTuple):
 
     @property
     def path_text(self) -> str:
-        return " ; ".join([prefix + format_terminal(run)
-                           for prefix, run in zip(self.template.prefixes, self.runs, strict=True)])
+        return self.template.text % tuple(map(format_terminal, self.runs))
 
 
 def _order(parse: ScoredParse) -> tuple[float, str]:
@@ -95,10 +103,10 @@ class Forest(Sequence):
 
     The forest holds each template with its per-slot tables and the
     word's segmentations; ``len`` is their product. The winner is found
-    when the forest is built, by one scan that builds a ``ScoredParse``
-    only for a parse reaching the best product so far, so ``forest[0]``
-    costs nothing more. Any other index, a slice or iteration builds and
-    ranks every parse once and keeps that ranking.
+    when the forest is built, by one scan of plain floats that builds a
+    ``ScoredParse`` for the winner alone, so ``forest[0]`` costs nothing
+    more. Any other index, a slice or iteration builds and ranks every
+    parse once and keeps that ranking; so does an exact tie at the top.
     """
 
     __slots__ = ("_templates", "_segmentations", "_best", "_ranked")
@@ -113,33 +121,39 @@ class Forest(Sequence):
         # Every segmentation shares the first onset and the last rhyme, so
         # those are looked up once per template. Products multiply in slot
         # order, as math.prod does, so they carry the same bits as _rank's.
+        # The best parse so far stays in locals; an exact tie at the top
+        # product is rare, and the ranking of the whole forest breaks it.
         segmentations = self._segmentations
         first = segmentations[0]
-        ties: list[ScoredParse] = []  # the parses at the best product so far
         top = -1.0
+        tied = False
         for template, tables in self._templates:
-            (onsets, unseen_onset), *medial, (rhymes, unseen_rhyme) = tables
+            onsets, unseen_onset = tables[0]
+            rhymes, unseen_rhyme = tables[-1]
             head = onsets.get(first[0], unseen_onset)
             tail = rhymes.get(first[-1], unseen_rhyme)
-            if not medial:
+            if len(tables) == 2:
                 ((_, _),) = segmentations  # ValueError unless one segmentation of two runs
                 product = head * tail
                 if product > top:
-                    ties, top = [], product
-                if product == top:
-                    ties.append(ScoredParse(template, first, (head, tail), product, tables))
+                    top, tied, best = product, False, (template, first, (head, tail), tables)
+                elif product == top:
+                    tied = True
                 continue
-            (rhymes1, unseen1), (onsets2, unseen2) = medial
+            (rhymes1, unseen1), (onsets2, unseen2) = tables[1], tables[2]
             for runs in segmentations:
                 _, run1, run2, _ = runs  # ValueError unless four runs fill the four slots
                 p1 = rhymes1.get(run1, unseen1)
                 p2 = onsets2.get(run2, unseen2)
                 product = head * p1 * p2 * tail
                 if product > top:
-                    ties, top = [], product
-                if product == top:
-                    ties.append(ScoredParse(template, runs, (head, p1, p2, tail), product, tables))
-        return ties[0] if len(ties) == 1 else min(ties, key=_order)  # a lone winner renders no text
+                    top, tied, best = product, False, (template, runs, (head, p1, p2, tail), tables)
+                elif product == top:
+                    tied = True
+        if tied:
+            return self._rank()[0]
+        template, runs, probabilities, tables = best
+        return ScoredParse(template, runs, probabilities, top, tables)  # a lone winner renders no text
 
     def __len__(self) -> int:
         return len(self._templates) * len(self._segmentations)
@@ -173,8 +187,10 @@ def parse_all(t: Transcription, model: TrainedModel) -> Forest:
     ``stress_pattern`` and ``templates_for`` raise. The order is that of
     the key (-product, path_text).
     """
-    # stress_pattern is the scope check, before any cut
-    templates = templates_for(stress_pattern(t), t.boundary is not None)
-    lookup = model.lookup
-    return Forest([(tpl, tuple([lookup[label] for label in tpl.labels])) for tpl in templates],
-                  enumerate_segmentations(t))
+    key = stress_pattern(t), t.boundary is not None  # stress_pattern is the scope check, before any cut
+    templates = model.templates.get(key)
+    if templates is None:
+        lookup = model.lookup
+        templates = model.templates[key] = [(tpl, tuple([lookup[label] for label in tpl.labels]))
+                                            for tpl in templates_for(*key)]
+    return Forest(templates, enumerate_segmentations(t))

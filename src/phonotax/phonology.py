@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from itertools import product
 from typing import NamedTuple
 
 from .errors import (
@@ -47,19 +47,36 @@ class Stress(enum.Enum):
     STRONG = "s"
     WEAK = "w"
 
+    # each member is a singleton that compares by identity, so it can hash
+    # by identity too; Enum's own hash runs Python code on every lookup
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class PhonemeInventory:
-    """Ordered phoneme set with a V/C class per symbol."""
 
+class _InventoryFields(NamedTuple):
     symbols: tuple[str, ...]
     classes: dict[str, str]
     digest: str
-    # field text -> (symbol, stress digit or None, is_vowel), filled by tokenize
-    # with valid fields only, so it holds at most four entries per vowel
-    # (bare, 0, 1, 2) and one per consonant
-    fields: dict[str, tuple[str, int | None, bool]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+
+
+class PhonemeInventory(_InventoryFields):
+    """Ordered phoneme set with a V/C class per symbol.
+
+    ``fields`` maps field text to (symbol, stress digit or None,
+    is_vowel). It is filled by tokenize with valid fields only, so it
+    holds at most four entries per vowel (bare, 0, 1, 2) and one per
+    consonant. It is a memo, not part of the inventory's value: equality
+    and the repr are those of the three fields above. It lives in the
+    instance's ``__dict__``, which is why this class declares no slots.
+    """
+
+    def __new__(cls, symbols: tuple[str, ...], classes: dict[str, str], digest: str) -> PhonemeInventory:
+        self = super().__new__(cls, symbols, classes, digest)
+        self.fields: dict[str, tuple[str, int | None, bool]] = {}
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> PhonemeInventory:  # so that _replace starts a memo too
+        return cls(*iterable)
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.classes
@@ -170,26 +187,42 @@ def tokenize(raw: str, inv: PhonemeInventory) -> Transcription:
                 boundary = len(symbols)
                 continue
             read = memo[text] = _read_field(text, inv)
-        symbol, stress, is_vowel = read
-        if is_vowel:
+        if read[2]:  # a vowel
             nuclei.append(len(symbols))
-            stresses.append(stress)
-        symbols.append(symbol)
+            stresses.append(read[1])
+        symbols.append(read[0])
     if boundary is not None and boundary == len(symbols):
         raise EmptyTranscription(f"boundary at end of {raw!r}")
     return Transcription(tuple(symbols), tuple(nuclei), tuple(stresses), boundary)
 
 
-def _word_stresses(t: Transcription, first: int, last: int) -> tuple[Stress, ...]:
-    """Per-syllable stress of one phonological word, its nuclei ``first`` to ``last - 1``."""
-    digits = t.stresses[first:last]
+def _word_pattern(digits: tuple[int | None, ...]) -> tuple[Stress, ...] | None:
+    """Per-syllable stress of one phonological word's nucleus digits; None if a polysyllable lacks one."""
     if digits == (None,):
         # dictionaries leave monosyllables unmarked; they carry main stress
         return (Stress.STRONG,)
     if None in digits:
+        return None
+    return tuple([Stress.WEAK if d == 0 else Stress.STRONG for d in digits])
+
+
+def _word_stresses(t: Transcription, first: int, last: int) -> tuple[Stress, ...]:
+    """Per-syllable stress of one phonological word, its nuclei ``first`` to ``last - 1``."""
+    digits = t.stresses[first:last]
+    pattern = _word_pattern(digits)
+    if pattern is None:
         vowel = t.symbols[t.nuclei[first + digits.index(None)]]
         raise MissingStress(f"vowel {vowel!r} lacks a stress digit")
-    return tuple([Stress.WEAK if d == 0 else Stress.STRONG for d in digits])
+    return pattern
+
+
+# (nucleus digits, compound) -> stress pattern, or None where a digit is
+# missing, for every in-scope word whose digits tokenize can give
+_DIGITS = (None, 0, 1, 2)
+_PATTERNS = {
+    **{(digits, False): _word_pattern(digits) for digits in [*product(_DIGITS), *product(_DIGITS, repeat=2)]},
+    **{((a, b), True): _word_pattern((a,)) + _word_pattern((b,)) for a, b in product(_DIGITS, repeat=2)},
+}
 
 
 def stress_pattern(t: Transcription) -> tuple[Stress, ...]:
@@ -201,13 +234,19 @@ def stress_pattern(t: Transcription) -> tuple[Stress, ...]:
     word with a single undigited vowel defaults to STRONG; a
     polysyllabic word with any undigited vowel raises MissingStress.
     Rules apply word by word, so both halves of an unmarked compound
-    default independently.
+    default independently. Past the structure checks a pattern depends
+    only on the digits and the boundary, so a word whose digits tokenize
+    can give reads its pattern from a table built at import.
     """
     nuclei, boundary = t.nuclei, t.boundary
     if not nuclei or boundary is not None and not nuclei[0] < boundary <= nuclei[-1]:
         raise NoNucleus("phonological word has no vowel")
     if len(nuclei) > 2:
         raise OutOfScope(f"{len(nuclei)} syllables; only one or two are supported")
+    pattern = _PATTERNS.get((t.stresses, boundary is not None))
+    if pattern is not None:
+        return pattern
+    # a missing digit, whose error names its vowel, or digits tokenize never gives
     if boundary is None:
         return _word_stresses(t, 0, len(nuclei))
     # in scope, each half of a compound holds exactly one nucleus

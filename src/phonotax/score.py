@@ -6,12 +6,15 @@ worst and best single path inside that parse. The worst part often
 carries the judgment: one terrible onset sinks a word whose rhymes are
 all fine. A report also carries the best parse's path text, and nothing
 of the model, so a batch of reports pickles small.
+
+Stimulus lines are read lazily (``stimulus_rows``), so a command can
+hand each process its share of the lines and read them as it scores.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PhonotaxError
 from .parse import parse_all
@@ -40,24 +43,29 @@ class BatchRow(NamedTuple):
     error: str | None
 
 
-def parse_stimuli(document: str) -> list[tuple[str, str]]:
-    """Read stimulus lines: ``word_id<TAB>transcription-text``.
+def stimulus_rows(lines: Iterable[str]) -> Iterator[tuple[str, str]]:
+    """The rows of stimulus lines, ``word_id<TAB>transcription-text``, read as they are asked for.
 
-    ``#`` comments and blank lines are ignored; an empty document is an
-    empty batch, not an error. A line without a tab becomes a row with
-    an empty transcription, which then fails per-row downstream rather
-    than aborting the batch. The id is everything before the first tab,
-    stripped, so a line opening with a tab has an empty id. Uniqueness
-    is the caller's concern.
+    ``#`` comments and blank lines are ignored. A line without a tab
+    becomes a row with an empty transcription, which then fails per-row
+    downstream rather than aborting the batch. The id is everything
+    before the first tab, stripped, so a line opening with a tab has an
+    empty id. Uniqueness is the caller's concern.
     """
-    rows: list[tuple[str, str]] = []
-    for line in document.splitlines():
+    for line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         word_id, _, raw = line.partition("\t")
-        rows.append((word_id.strip(), raw.rstrip()))
-    return rows
+        yield word_id.strip(), raw.rstrip()
+
+
+def parse_stimuli(document: str) -> list[tuple[str, str]]:
+    """Every row of a stimuli document, as ``stimulus_rows`` reads its lines.
+
+    An empty document is an empty batch, not an error.
+    """
+    return list(stimulus_rows(document.splitlines()))
 
 
 def score_batch(

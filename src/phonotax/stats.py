@@ -15,8 +15,7 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     BadJudgment,
@@ -29,14 +28,24 @@ from .errors import (
 from .score import ScoreReport
 
 
-@dataclass(frozen=True)
-class JudgmentRecord:
+class _JudgmentFields(NamedTuple):
     word_id: str
     votes_against: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.votes_against <= 12:
-            raise ValueError(f"votes_against {self.votes_against} outside 0..12")
+
+class JudgmentRecord(_JudgmentFields):
+    """One word's votes against its well-formedness, checked to lie in 0..12."""
+
+    __slots__ = ()
+
+    def __new__(cls, word_id: str, votes_against: int) -> JudgmentRecord:
+        if not 0 <= votes_against <= 12:
+            raise ValueError(f"votes_against {votes_against} outside 0..12")
+        return super().__new__(cls, word_id, votes_against)
+
+    @classmethod
+    def _make(cls, iterable) -> JudgmentRecord:  # so that _replace checks the votes too
+        return cls(*iterable)
 
 
 JUDGMENT_HEADER = ("word_id", "votes_against")
@@ -186,8 +195,7 @@ def significance_bucket(p: float) -> str:
     return "n.s."
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     """One method's correlation; r, t and p are None when its scores never vary."""
 
     method: str

@@ -5,18 +5,18 @@ Every syllable is one onset (zero or more consonants) plus one rhyme
 word edge). For a disyllable the only open question is how to split
 the medial consonant cluster; the default policy hands the longest
 cluster suffix attested as a word onset in the training corpus to the
-second syllable. Scoring tries every candidate cut and slices its runs
-with ``cut_runs``; training tallies each disyllable's medial part, and
-``split_medial`` cuts each distinct one where the policy picks. The
+second syllable. Scoring tries every candidate cut
+(``parse.enumerate_segmentations``); training tallies each
+disyllable's medial part, and ``split_medial`` cuts each distinct one
+where the policy picks. ``cut_runs`` slices a word at one cut. The
 runs are the transcription's own symbols, so segments are conserved.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .phonology import Stress, Transcription, stress_pattern
 
@@ -35,8 +35,7 @@ class MedialSplitPolicy(Enum):
     ALWAYS_SPLIT_CC = "always-split-cc"
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
     onset: tuple[str, ...]
     rhyme: tuple[str, ...]
     stress: Stress
@@ -94,23 +93,6 @@ def split_medial(
         for path in (rhyme, run[:cut]), (onset, run[cut:]):
             paths[path] = paths.get(path, 0) + count
     return paths
-
-
-def candidate_cuts(t: Transcription) -> Sequence[int | None]:
-    """Where an in-scope word's second syllable may start, in ``t.symbols``.
-
-    A monosyllable has no cut (None), a compound cuts at its boundary,
-    and a disyllable anywhere from just after its first nucleus to its
-    second: the second onset takes the whole medial cluster first, none
-    of it last. The caller has checked the scope, one or two nuclei with
-    one per compound half.
-    """
-    nuclei = t.nuclei
-    if len(nuclei) == 1:
-        return (None,)
-    if t.boundary is not None:
-        return (t.boundary,)
-    return range(nuclei[0] + 1, nuclei[1] + 1)
 
 
 def cut_runs(seq: tuple, nuclei: tuple[int, ...], cut: int | None) -> tuple[tuple, ...]:

@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import NamedTuple
 
-from .chunks import ROWS_PER_SLICE, run_chunks
+from .chunks import ROWS_PER_SLICE, paused, run_chunks
 from .errors import (
     BadConfig,
     EmptyCorpus,
@@ -52,19 +51,33 @@ EPSILON_MIN, EPSILON_MAX = 1e-75, 1e-3
 NO_ENTRIES = "no usable lexicon entries"
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    # the field defaults are training's: train_model and the CLI read them here
+class _ConfigFields(NamedTuple):
     inventory_digest: str
     medial_split: MedialSplitPolicy = MedialSplitPolicy.MAX_ONSET
     gt_mode: str = "simple"
     epsilon: float = 1e-9
 
-    def __post_init__(self) -> None:
+
+class ModelConfig(_ConfigFields):
+    """How a model was trained; checked when it is built.
+
+    The field defaults are training's: train_model and the CLI read
+    them as ``ModelConfig._field_defaults``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ModelConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.gt_mode not in GT_MODES:
             raise BadConfig(f"gt_mode must be one of {GT_MODES}")
         if not EPSILON_MIN <= self.epsilon <= EPSILON_MAX:
             raise BadConfig(f"epsilon must lie in [{EPSILON_MIN:g}, {EPSILON_MAX:g}]")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ModelConfig:  # so that _replace checks the config too
+        return cls(*iterable)
 
 
 class LexiconEntry(NamedTuple):
@@ -74,8 +87,7 @@ class LexiconEntry(NamedTuple):
     pattern: tuple[Stress, ...]  # stress_pattern(transcription), read once at ingest
 
 
-@dataclass
-class IngestResult:
+class IngestResult(NamedTuple):
     entries: list[LexiconEntry]
     skipped: list[tuple[int, str, str]]  # (lineno, reason, orthography or raw line)
     downgraded: int  # entries whose secondary stress was folded into weak
@@ -146,8 +158,7 @@ def extract_paths(entry: LexiconEntry) -> tuple[list[PathPair], MedialPart | Non
     return fixed, (labels[1], labels[2], t.symbols[n0:n1])
 
 
-@dataclass
-class PathTable:
+class PathTable(NamedTuple):
     """Per-cell terminal counts over a corpus of paths, keyed by cell label."""
 
     counts: dict[str, dict[tuple[str, ...], int]]
@@ -173,20 +184,27 @@ def tabulate(paths: Iterable[PathPair]) -> PathTable:
     return PathTable(counts, tally.total())
 
 
-@dataclass
-class TrainedModel:
-    """Smoothed probabilities per cell; every mapping is keyed by cell label."""
-
+class _ModelFields(NamedTuple):
     table: PathTable
     p0: dict[str, float]
     probabilities: dict[str, dict[tuple[str, ...], float]]
     all_unseen: frozenset[str]
     config: ModelConfig
-    # per cell label: the seen terminals' probabilities and the unseen answer
-    lookup: dict[str, tuple[dict[tuple[str, ...], float], float]] = field(
-        init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+
+class TrainedModel(_ModelFields):
+    """Smoothed probabilities per cell; every mapping is keyed by cell label.
+
+    Two attributes sit beside the fields, out of equality and the repr
+    (so the class declares no slots). ``lookup``, derived from the
+    fields, gives per cell label the seen terminals' probabilities and
+    the unseen answer. ``templates`` is a memo that ``parse_all`` fills:
+    per (stress pattern, compound), each template ``templates_for``
+    gives with its per-slot ``lookup`` entries.
+    """
+
+    def __new__(cls, *fields) -> TrainedModel:
+        self = super().__new__(cls, *fields)
         # unseen terminals get the cell's whole reserved mass p0; a cell
         # with no training data at all answers epsilon
         self.lookup = {
@@ -196,6 +214,12 @@ class TrainedModel:
             )
             for label in LABELS
         }
+        self.templates: dict = {}
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> TrainedModel:  # so that _replace derives lookup and starts a memo too
+        return cls(*iterable)
 
 
 def good_turing(table: PathTable, config: ModelConfig) -> TrainedModel:
@@ -368,8 +392,7 @@ def load_model(document: str) -> TrainedModel:
     return model
 
 
-@dataclass
-class TrainResult:
+class TrainResult(NamedTuple):
     model: TrainedModel
     onsets: WordOnsetSet
     retained: int  # lexicon entries ingest kept
@@ -422,9 +445,9 @@ def _train_chunk(lines: Iterable[str], first: int, inv: PhonemeInventory):
 def train_model(
     document: str,
     inv: PhonemeInventory,
-    policy: MedialSplitPolicy = ModelConfig.medial_split,
-    gt_mode: str = ModelConfig.gt_mode,
-    epsilon: float = ModelConfig.epsilon,
+    policy: MedialSplitPolicy = ModelConfig._field_defaults["medial_split"],
+    gt_mode: str = ModelConfig._field_defaults["gt_mode"],
+    epsilon: float = ModelConfig._field_defaults["epsilon"],
 ) -> TrainResult:
     """Run the whole training pipeline over a lexicon document.
 
@@ -434,19 +457,21 @@ def train_model(
     medial part once under them, adds those paths to the summed counts,
     and tabulates and smooths once. A lexicon under
     ``2 * chunks.ROWS_PER_PROCESS`` lines is one chunk, read in this
-    process.
+    process. The cyclic garbage collector stays paused from the first
+    chunk to the smoothed model.
     """
     config = ModelConfig(inv.digest, policy, gt_mode, epsilon)
-    results = run_chunks(document.splitlines(), lambda chunk, first: _train_chunk(chunk, first, inv))
-    tallies, medials, onsets, skipped, downgraded, retained, unsupported = zip(*results)
-    if not sum(retained):
-        raise EmptyCorpus(NO_ENTRIES)
-    onsets = frozenset().union(*onsets)
-    paths, medial = Counter(), Counter()
-    for tally, parts in zip(tallies, medials):  # update, not sum(): + builds a new Counter each time
-        paths.update(tally)
-        medial.update(parts)
-    paths.update(split_medial(medial, onsets, policy))
-    model = good_turing(tabulate(paths), config)
+    with paused():
+        results = run_chunks(document.splitlines(), lambda chunk, first: _train_chunk(chunk, first, inv))
+        tallies, medials, onsets, skipped, downgraded, retained, unsupported = zip(*results)
+        if not sum(retained):
+            raise EmptyCorpus(NO_ENTRIES)
+        onsets = frozenset().union(*onsets)
+        paths, medial = Counter(), Counter()
+        for tally, parts in zip(tallies, medials):  # update, not sum(): + builds a new Counter each time
+            paths.update(tally)
+            medial.update(parts)
+        paths.update(split_medial(medial, onsets, policy))
+        model = good_turing(tabulate(paths), config)
     return TrainResult(model, onsets, sum(retained), [*chain.from_iterable(skipped)], sum(downgraded),
                        [*chain.from_iterable(unsupported)])

@@ -45,7 +45,7 @@ busboy\tb ʌ1 s + b ɔɪ1
 """
 
 
-def entry_paths(entry, onsets, policy=ModelConfig.medial_split) -> list:
+def entry_paths(entry, onsets, policy=ModelConfig._field_defaults["medial_split"]) -> list:
     """An entry's whole training analysis in slot order: its fixed paths, its medial part split."""
     fixed, part = extract_paths(entry)
     if part is None:

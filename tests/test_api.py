@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +34,12 @@ def test_the_package_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "phonotax", f"{path.name} imports {name}"
+
+
+def test_importing_the_command_line_leaves_dataclasses_and_inspect_out():
+    # a fresh interpreter without site hooks: only the package's own imports count
+    src = str(Path(phonotax.__file__).resolve().parents[1])
+    code = "import sys, phonotax.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "[]\n"

@@ -166,18 +166,21 @@ def test_score_stdout_and_file(model_path, tmp_path, capsys):
     assert on_disk == captured.out
 
 
-# (command, the function its work calls through a module global); the
-# score cases keep the ids they had before evaluate and train joined them
-_COLLECTED = [pytest.param(command, module, name, collecting,
+# (command, the functions its work calls through module globals, in call
+# order); the score cases keep the ids they had before evaluate and train
+# joined them. Training's functions after the first are its serial tail,
+# which runs once the chunks are in.
+_COLLECTED = [pytest.param(command, module, names, collecting,
                            id=str(collecting) if command == "score" else f"{command}-{collecting}")
-              for command, module, name in (("score", cli, "score_batch"), ("evaluate", cli, "score_batch"),
-                                            ("train", train, "_train_chunk"))
+              for command, module, names in (
+                  ("score", cli, ("score_batch",)), ("evaluate", cli, ("score_batch",)),
+                  ("train", train, ("_train_chunk", "split_medial", "tabulate", "good_turing")))
               for collecting in (True, False)]
 
 
-@pytest.mark.parametrize("command, module, name, collecting", _COLLECTED)
+@pytest.mark.parametrize("command, module, names, collecting", _COLLECTED)
 def test_score_pauses_the_collector_and_restores_it(model_path, tmp_path, capsys, monkeypatch,
-                                                    command, module, name, collecting):
+                                                    command, module, names, collecting):
     stim = tmp_path / "stimuli.tsv"
     stim.write_text(STIMULI, encoding="utf-8")
     lex = tmp_path / "lexicon.tsv"
@@ -185,12 +188,13 @@ def test_score_pauses_the_collector_and_restores_it(model_path, tmp_path, capsys
     argv = {"score": ["score", str(model_path), str(stim)],
             "evaluate": ["evaluate", str(model_path), str(stim), "--seed", "5"],
             "train": ["train", str(lex), "--out", str(tmp_path / "out")]}[command]
-    real = getattr(module, name)
     during = []
 
-    def recording(*args):
-        during.append(gc.isenabled())
-        return real(*args)
+    def recording(real):
+        def record(*args):
+            during.append(gc.isenabled())
+            return real(*args)
+        return record
 
     def failing(*args):
         during.append(gc.isenabled())
@@ -199,15 +203,16 @@ def test_score_pauses_the_collector_and_restores_it(model_path, tmp_path, capsys
     before = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
-        monkeypatch.setattr(module, name, recording)
+        for name in names:
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
         assert main(argv) == 0
         assert gc.isenabled() is collecting
-        monkeypatch.setattr(module, name, failing)
+        monkeypatch.setattr(module, names[-1], failing)  # the last call of the run fails
         assert main(argv) == 2
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if before else gc.disable)()
-    assert during == [False, False]
+    assert during == [False] * 2 * len(names)
     assert f"error: {command} failed" in capsys.readouterr().err
 
 

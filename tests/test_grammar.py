@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from phonotax.grammar import (
     PathType,
     UnifiedParse,
     UnifyFailure,
+    WordTemplate,
     format_path,
     path_prefix,
     sequential_unify,
@@ -31,6 +33,24 @@ def test_category_parts():
     assert LABELS[:6] == ("Osi", "Osf", "Osif", "Owi", "Owf", "Owif")
     assert LABELS[6:] == tuple("R" + label[1:] for label in LABELS[:6])
     assert path_prefix("Rwif") == "U : W : Swif : Rwif : "
+
+
+@pytest.mark.parametrize("member", list(Stress))
+def test_a_stress_member_survives_a_pickle_round_trip_and_still_keys_templates_for(member):
+    back = pickle.loads(pickle.dumps(member, pickle.HIGHEST_PROTOCOL))
+    assert back is member
+    assert hash(back) == hash(member)
+    assert templates_for((back, S)) == templates_for((member, S))
+    assert templates_for((back,)) == templates_for((member,))
+
+
+def test_a_word_template_derives_its_slots_and_shows_only_its_words():
+    template = WordTemplate((("Ssi", "Swf"),))
+    assert template.labels == ("Osi", "Rsi", "Owf", "Rwf")
+    assert template.prefixes == tuple(map(path_prefix, template.labels))
+    assert repr(template) == "WordTemplate(words=(('Ssi', 'Swf'),))"
+    assert template == templates_for((S, W))[0]
+    assert pickle.loads(pickle.dumps(template)) == template
 
 
 def _describe(template):
@@ -131,6 +151,9 @@ def test_unified_parse_validates():
     template = templates_for((S,))[0]
     with pytest.raises(ValueError):
         UnifiedParse(template, (PathType("Rsif", ("æ",)),))
+    parse = UnifiedParse(template, (PathType("Osif", ()), PathType("Rsif", ("æ",))))
+    with pytest.raises(ValueError):
+        parse._replace(paths=parse.paths[1:])
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,7 @@ from phonotax.errors import (
     EmptyTranscription,
     MissingStress,
     NoNucleus,
+    OutOfScope,
     PhonotaxError,
     ReservedSymbol,
     TooManyBoundaries,
@@ -43,6 +44,16 @@ def test_load_inventory_basics(inv):
     consonants = [s for s in inv.symbols if inv.classes[s] == "C"]
     assert set(vowels).isdisjoint(consonants)
     assert len(inv.symbols) == len(vowels) + len(consonants)
+
+
+def test_an_inventory_compares_and_shows_without_its_field_memo():
+    used, fresh = load_inventory(INVENTORY_TEXT), load_inventory(INVENTORY_TEXT)
+    tokenize("k æ1 t", used)
+    assert used.fields and not fresh.fields
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+    assert "fields" not in repr(used)
+    assert used._replace(digest="other").fields == {}
 
 
 def test_inventory_digest_ignores_comments():
@@ -118,6 +129,18 @@ def test_stress_pattern_rules(inv):
     assert _pattern("k æ0 n ə1", inv) == (W, S)
     # compound halves default independently
     assert _pattern("k æ + t ʌ", inv) == (S, S)
+
+
+def test_a_read_pattern_skips_no_check(inv):
+    # the same stress digits and boundary, read before, still fail each check on a new word
+    assert _pattern("k æ1 n ə0", inv) == (Stress.STRONG, Stress.WEAK)
+    with pytest.raises(OutOfScope):
+        _pattern("k æ1 n ə0 t ɪ0", inv)
+    assert _pattern("k æ + t ʌ", inv) == (Stress.STRONG, Stress.STRONG)
+    with pytest.raises(NoNucleus):
+        _pattern("k æ + t", inv)
+    with pytest.raises(MissingStress):
+        _pattern("k æ n ə", inv)
 
 
 def test_stress_pattern_errors(inv):

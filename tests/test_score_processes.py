@@ -34,7 +34,7 @@ from phonotax.chunks import ROWS_PER_PROCESS
 from phonotax.cli import main
 from phonotax.errors import EmptyCorpus, PhonotaxError, UnsupportedStressPattern
 from phonotax.phonology import load_inventory
-from phonotax.score import score_batch
+from phonotax.score import score_batch, stimulus_rows
 from phonotax.train import extract_paths, ingest_lexicon, save_model, train_model
 
 from conftest import INVENTORY_TEXT
@@ -61,6 +61,18 @@ def _rows(rng: random.Random, n: int) -> list[tuple[str, str]]:
             fields.insert(rng.randint(0, len(fields)), rng.choice(_BREAKERS))
         rows.append((f"w{i}", " ".join(fields)))
     return rows
+
+
+# stimulus lines that hold no row: comments, one after a tab, and blank lines
+_DEAD_STIMULI = ["# comment", "\t# a comment after a tab", "", "   "]
+
+
+def _stimuli_lines(rng: random.Random, rows: list[tuple[str, str]]) -> list[str]:
+    """The rows as stimulus lines, with about as many lines that hold no row spliced in."""
+    lines = [f"{word_id}\t{raw}" for word_id, raw in rows]
+    for _ in range(len(rows) + 1):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(_DEAD_STIMULI))
+    return lines
 
 
 def _assert_no_child_left():
@@ -93,24 +105,24 @@ def test_chunked_text_is_the_same_for_one_to_four_processes(seed, n):
     rng = random.Random(seed)
     inventory = load_inventory(INVENTORY_TEXT)
     model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
-    rows = _rows(rng, n)
+    lines = _stimuli_lines(rng, _rows(rng, n))
     texts = []
     for processes in (1, 2, 3, 4):
         with mock.patch.object(chunks, "_processes", lambda rows: processes):
             texts.append("".join(chunks.run_chunks(
-                rows, lambda chunk, first: cli._score_lines(cli.score_batch(model, chunk, inventory)))))
+                lines, lambda chunk, first: cli._score_lines(cli.score_batch(model, stimulus_rows(chunk), inventory)))))
     assert texts[0].count("\n") == n
     assert texts[1:] == texts[:1] * 3
     _assert_no_child_left()
 
 
-def _evaluate_outcome(model_text: str, rows: list[tuple[str, str]], votes: str | None, processes: int):
+def _evaluate_outcome(model_text: str, stimuli: str, votes: str | None, processes: int):
     """What the evaluate command gives over a forced process count: exit code, stdout, stderr, scatter files."""
     with mock.patch.object(chunks, "_processes", lambda rows: processes), tempfile.TemporaryDirectory() as tmp:
         files = Path(tmp)
         (files / "inventory.tsv").write_text(INVENTORY_TEXT, encoding="utf-8")
         (files / "model.tsv").write_text(model_text, encoding="utf-8")
-        (files / "stimuli.tsv").write_text("".join(f"{i}\t{raw}\n" for i, raw in rows), encoding="utf-8")
+        (files / "stimuli.tsv").write_text(stimuli, encoding="utf-8")
         argv = ["evaluate", str(files / "model.tsv"), str(files / "stimuli.tsv")]
         if votes is not None:
             (files / "votes.csv").write_text(votes, encoding="utf-8")
@@ -135,7 +147,8 @@ def test_evaluate_is_the_same_for_one_to_four_processes(seed, n, with_votes):
     if with_votes:  # votes for most ids, and for one the stimuli lack
         votes = "word_id,votes_against\n" + "".join(
             f"{word_id},{rng.randint(0, 12)}\n" for word_id, _ in rows + [("extra", "")] if rng.random() < 0.9)
-    outcomes = [_evaluate_outcome(save_model(model), rows, votes, processes) for processes in (1, 2, 3, 4)]
+    stimuli = "".join(line + "\n" for line in _stimuli_lines(rng, rows))
+    outcomes = [_evaluate_outcome(save_model(model), stimuli, votes, processes) for processes in (1, 2, 3, 4)]
     assert outcomes[1:] == outcomes[:1] * 3
     _assert_no_child_left()
 
@@ -147,6 +160,56 @@ def test_evaluate_is_the_same_for_one_to_four_processes(seed, n, with_votes):
         warnings = f"warning: {len(failed)} stimuli failed to score and are excluded\n" + warnings
     assert stderr.startswith(warnings)
     assert (code == 0) == (stderr == warnings) == (csv is not None) == (svg is not None)
+
+
+def _score_outcome(model_text: str, stimuli: str, processes: int):
+    """What the score command gives over a forced process count: exit code, stdout, stderr, scores.tsv."""
+    with mock.patch.object(chunks, "_processes", lambda rows: processes), tempfile.TemporaryDirectory() as tmp:
+        files = Path(tmp)
+        (files / "inventory.tsv").write_text(INVENTORY_TEXT, encoding="utf-8")
+        (files / "model.tsv").write_text(model_text, encoding="utf-8")
+        (files / "stimuli.tsv").write_text(stimuli, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["score", str(files / "model.tsv"), str(files / "stimuli.tsv"),
+                         "--inventory", str(files / "inventory.tsv"), "--out", str(files / "out")])
+        scores = files / "out" / "scores.tsv"
+        return code, out.getvalue(), err.getvalue(), scores.read_bytes() if scores.exists() else None
+
+
+def _dead_on_the_cuts(rows: list[tuple[str, str]]) -> str:
+    """The rows as stimulus lines, with a line that holds no row at and before every cut of 2-4 chunks."""
+    lines = [f"{word_id}\t{raw}" for word_id, raw in rows]
+    total = 2 * len(lines)  # as many dead lines again, so the cuts fall among all the lines
+    cuts = {total * i // processes for processes in (2, 3, 4) for i in range(1, processes)}
+    dead = iter(_DEAD_STIMULI * total)
+    live = iter(lines)
+    document = [next(dead) if i in cuts or i + 1 in cuts else next(live, None) or next(dead) for i in range(total)]
+    return "".join(line + "\n" for line in document)
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", ["rows", "comments only"])
+def test_score_and_evaluate_read_lines_without_rows_on_the_cuts_alike(kind):
+    rng = random.Random(24)
+    inventory = load_inventory(INVENTORY_TEXT)
+    model_text = save_model(train_model(random_lexicon(rng, 12), inventory).model)
+    if kind == "rows":
+        stimuli = _dead_on_the_cuts(_rows(rng, 40))
+    else:
+        stimuli = "".join(f"{rng.choice(_DEAD_STIMULI)}\n" for _ in range(40)) + "# the end\n"
+    scored = [_score_outcome(model_text, stimuli, processes) for processes in (1, 2, 3, 4)]
+    evaluated = [_evaluate_outcome(model_text, stimuli, None, processes) for processes in (1, 2, 3, 4)]
+    assert scored[1:] == scored[:1] * 3
+    assert evaluated[1:] == evaluated[:1] * 3
+    _assert_no_child_left()
+    code, stdout, stderr, scores = scored[0]
+    assert code == 0 and scores == stdout.encode("utf-8")
+    if kind == "rows":
+        assert stdout.count("\n") == 41 and stderr == ""
+    else:
+        assert stdout == "\t".join(cli.SCORE_COLUMNS) + "\n"
+        assert stderr == "warning: stimuli file holds no rows\n"
 
 
 def test_process_count_follows_the_affinity_mask_and_the_threshold(monkeypatch):

@@ -183,6 +183,8 @@ def test_judgment_record_range():
         JudgmentRecord("w", 13)
     with pytest.raises(ValueError):
         JudgmentRecord("w", -1)
+    with pytest.raises(ValueError):
+        JudgmentRecord("w", 12)._replace(votes_against=13)
 
 
 def _fixture_reports():

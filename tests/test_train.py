@@ -502,6 +502,25 @@ def test_epsilon_range_rejects(epsilon):
         ModelConfig("x" * 64, epsilon=epsilon)
 
 
+def test_a_replaced_config_is_checked_and_the_defaults_are_trainings():
+    config = ModelConfig("x" * 64)
+    assert config == ("x" * 64, *ModelConfig._field_defaults.values())
+    assert config._replace(gt_mode="full").gt_mode == "full"
+    with pytest.raises(BadConfig):
+        config._replace(epsilon=1.0)
+    with pytest.raises(BadConfig):
+        config._replace(gt_mode="other")
+
+
+def test_a_replaced_model_derives_its_lookup(toy_model):
+    config = toy_model.config._replace(epsilon=1e-6)
+    model = toy_model._replace(config=config)
+    assert model == toy_model[:4] + (config,)
+    assert model.templates == {}
+    for label in model.all_unseen:
+        assert model.lookup[label] == ({}, 1e-6)
+
+
 def test_load_model_rejects_epsilon_below_floor(toy_model):
     doc = save_model(toy_model)
     low = doc.replace("config\tepsilon\t1e-09\n", "config\tepsilon\t1e-200\n")
