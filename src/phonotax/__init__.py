@@ -4,15 +4,12 @@ Train path probabilities over a pronunciation lexicon, parse novel
 transcriptions by unifying onset and rhyme paths against word
 templates, and score how English-like a nonsense word is.
 
-The exports below are imported on first access (PEP 562), so a command
-loads only the modules it uses.
+The exports below are imported on first access (PEP 562), so
+``import phonotax`` loads no submodule and a command loads only the
+modules it uses.
 """
 
 import importlib
-
-# `syllabify` names both a module and its function; binding the function
-# before any import binds the module keeps `phonotax.syllabify` the function
-from .syllabify import syllabify
 
 __version__ = "0.1.0"
 
@@ -24,7 +21,7 @@ _EXPORTS = {
     "phonology": ("PhonemeInventory", "Stress", "Transcription", "load_inventory", "tokenize"),
     "score": ("ScoreReport", "score_batch", "score_word"),
     "stats": ("evaluate", "pearson_r", "p_two_tailed", "synthetic_judgments", "t_from_r"),
-    "syllabify": ("MedialSplitPolicy", "collect_word_onsets", "syllabify"),
+    "syllabify": ("MedialSplitPolicy", "collect_word_onsets"),
     "train": ("TrainedModel", "good_turing", "ingest_lexicon", "load_model",
               "save_model", "tabulate", "top_k", "train_model"),
 }

@@ -60,7 +60,6 @@ def format_path(p: PathType) -> str:
 class _TemplateFields(NamedTuple):
     words: tuple[tuple[str, ...], ...]
     labels: tuple[str, ...]
-    prefixes: tuple[str, ...]
     text: str
 
 
@@ -71,18 +70,16 @@ class WordTemplate(_TemplateFields):
     slot is initial-and-final; a two-word template is two strong
     monosyllables (compounds behave like two monosyllabic words back to
     back). Built from ``words`` alone, e.g. ``WordTemplate((("Ssi",
-    "Swf"),))``, it derives per path slot, onset then rhyme per
-    syllable, the constituent label and the rendered path up to its
-    terminal ('U : W : Ssi : Osi : '), and ``text``, the whole rendered
-    parse with a ``%s`` per terminal.
+    "Swf"),))``, it derives the constituent label of each path slot,
+    onset then rhyme per syllable, and ``text``, the whole rendered
+    parse with a ``%s`` per terminal after each slot's ``path_prefix``.
     """
 
     __slots__ = ()
 
     def __new__(cls, words: tuple[tuple[str, ...], ...]) -> WordTemplate:
         labels = tuple([kind + cat[1:] for word in words for cat in word for kind in "OR"])
-        prefixes = tuple(map(path_prefix, labels))
-        return super().__new__(cls, words, labels, prefixes, " ; ".join([p + "%s" for p in prefixes]))
+        return super().__new__(cls, words, labels, " ; ".join([path_prefix(label) + "%s" for label in labels]))
 
     def __getnewargs__(self) -> tuple:
         return (self.words,)

@@ -14,10 +14,11 @@ template x segmentation while it is built. The scan keeps the best
 parse so far in local variables and only the winner becomes a
 ``ScoredParse``, so scoring pays for the winner alone; an exact product
 tie at the top is broken by ranking the whole forest. Reading any other
-entry builds and ranks the whole forest once too. A forest entry stores
-only the template, the symbol runs, the per-path probabilities and
-their product; paths, the unified parse, the seen flags and the path
-text are built when they are read.
+entry builds and ranks the whole forest once too. A forest entry is a
+value: the template, the symbol runs, the per-path probabilities and
+their product, and nothing of the model. Its paths, unified parse and
+path text are built when they are read; whether a terminal was seen in
+its cell is the model's to say (``model.lookup``).
 """
 
 from __future__ import annotations
@@ -59,21 +60,15 @@ def enumerate_segmentations(t: Transcription) -> list[Runs]:
 class ScoredParse(NamedTuple):
     """One (template, segmentation) pair: per-path probabilities and their product.
 
-    Only the numbers are stored; ``paths``, ``parse``, ``seen`` and
-    ``path_text`` are built on every read. ``tables`` is the template's
-    per-slot lookup, shared by every parse under that template, and is
-    left out of the repr. Equality is tuple equality.
+    Only these four values are stored, so a parse hashes, pickles and
+    compares like the tuple it is; ``paths``, ``parse`` and
+    ``path_text`` are built on every read.
     """
 
     template: WordTemplate
     runs: Runs
     probabilities: tuple[float, ...]
     product: float
-    tables: Tables
-
-    def __repr__(self) -> str:
-        return (f"ScoredParse(template={self.template!r}, runs={self.runs!r}, "
-                f"probabilities={self.probabilities!r}, product={self.product!r})")
 
     @property
     def paths(self) -> tuple[PathType, ...]:
@@ -83,10 +78,6 @@ class ScoredParse(NamedTuple):
     @property
     def parse(self) -> UnifiedParse:
         return UnifiedParse(self.template, self.paths)  # checks the paths fill the slots in order
-
-    @property
-    def seen(self) -> tuple[bool, ...]:
-        return tuple([run in table for (table, _), run in zip(self.tables, self.runs, strict=True)])
 
     @property
     def path_text(self) -> str:
@@ -136,7 +127,7 @@ class Forest(Sequence):
                 ((_, _),) = segmentations  # ValueError unless one segmentation of two runs
                 product = head * tail
                 if product > top:
-                    top, tied, best = product, False, (template, first, (head, tail), tables)
+                    top, tied, best = product, False, (template, first, (head, tail))
                 elif product == top:
                     tied = True
                 continue
@@ -147,13 +138,12 @@ class Forest(Sequence):
                 p2 = onsets2.get(run2, unseen2)
                 product = head * p1 * p2 * tail
                 if product > top:
-                    top, tied, best = product, False, (template, runs, (head, p1, p2, tail), tables)
+                    top, tied, best = product, False, (template, runs, (head, p1, p2, tail))
                 elif product == top:
                     tied = True
         if tied:
             return self._rank()[0]
-        template, runs, probabilities, tables = best
-        return ScoredParse(template, runs, probabilities, top, tables)  # a lone winner renders no text
+        return ScoredParse(*best, top)  # a lone winner renders no text
 
     def __len__(self) -> int:
         return len(self._templates) * len(self._segmentations)
@@ -173,7 +163,7 @@ class Forest(Sequence):
                 for runs in self._segmentations:
                     probs = tuple([table.get(run, unseen)
                                    for (table, unseen), run in zip(tables, runs, strict=True)])
-                    parses.append(ScoredParse(template, runs, probs, math.prod(probs), tables))
+                    parses.append(ScoredParse(template, runs, probs, math.prod(probs)))
             self._ranked = sorted(parses, key=_order)
         return self._ranked
 

@@ -206,18 +206,9 @@ def _word_pattern(digits: tuple[int | None, ...]) -> tuple[Stress, ...] | None:
     return tuple([Stress.WEAK if d == 0 else Stress.STRONG for d in digits])
 
 
-def _word_stresses(t: Transcription, first: int, last: int) -> tuple[Stress, ...]:
-    """Per-syllable stress of one phonological word, its nuclei ``first`` to ``last - 1``."""
-    digits = t.stresses[first:last]
-    pattern = _word_pattern(digits)
-    if pattern is None:
-        vowel = t.symbols[t.nuclei[first + digits.index(None)]]
-        raise MissingStress(f"vowel {vowel!r} lacks a stress digit")
-    return pattern
-
-
 # (nucleus digits, compound) -> stress pattern, or None where a digit is
-# missing, for every in-scope word whose digits tokenize can give
+# missing, for every in-scope word whose digits tokenize can give; no
+# other key reaches a pattern
 _DIGITS = (None, 0, 1, 2)
 _PATTERNS = {
     **{(digits, False): _word_pattern(digits) for digits in [*product(_DIGITS), *product(_DIGITS, repeat=2)]},
@@ -235,19 +226,20 @@ def stress_pattern(t: Transcription) -> tuple[Stress, ...]:
     polysyllabic word with any undigited vowel raises MissingStress.
     Rules apply word by word, so both halves of an unmarked compound
     default independently. Past the structure checks a pattern depends
-    only on the digits and the boundary, so a word whose digits tokenize
-    can give reads its pattern from a table built at import.
+    only on the digits and the boundary, so every pattern and every
+    stress error is read from a table built at import: a digit outside
+    0-2 raises BadStressDigit.
     """
     nuclei, boundary = t.nuclei, t.boundary
     if not nuclei or boundary is not None and not nuclei[0] < boundary <= nuclei[-1]:
         raise NoNucleus("phonological word has no vowel")
     if len(nuclei) > 2:
         raise OutOfScope(f"{len(nuclei)} syllables; only one or two are supported")
-    pattern = _PATTERNS.get((t.stresses, boundary is not None))
-    if pattern is not None:
+    pattern = _PATTERNS.get((t.stresses, boundary is not None), ())
+    if pattern:
         return pattern
-    # a missing digit, whose error names its vowel, or digits tokenize never gives
-    if boundary is None:
-        return _word_stresses(t, 0, len(nuclei))
-    # in scope, each half of a compound holds exactly one nucleus
-    return _word_stresses(t, 0, 1) + _word_stresses(t, 1, 2)
+    if pattern is None:
+        vowel = t.symbols[nuclei[t.stresses.index(None)]]
+        raise MissingStress(f"vowel {vowel!r} lacks a stress digit")
+    # only a hand-built Transcription holds digits that tokenize never gives
+    raise BadStressDigit(f"stress digits must be 0, 1, or 2: {t.stresses!r}")

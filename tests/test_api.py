@@ -43,3 +43,12 @@ def test_importing_the_command_line_leaves_dataclasses_and_inspect_out():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True, timeout=60)
     assert proc.stdout == "[]\n"
+
+
+def test_importing_the_package_loads_no_submodule():
+    # each export loads its module when it is first read, so the bare package loads none
+    src = str(Path(phonotax.__file__).resolve().parents[1])
+    code = "import sys, phonotax; print(sorted(m for m in sys.modules if 'phonotax' in m or m == 'hashlib'))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "['phonotax']\n"

@@ -47,7 +47,8 @@ def test_a_stress_member_survives_a_pickle_round_trip_and_still_keys_templates_f
 def test_a_word_template_derives_its_slots_and_shows_only_its_words():
     template = WordTemplate((("Ssi", "Swf"),))
     assert template.labels == ("Osi", "Rsi", "Owf", "Rwf")
-    assert template.prefixes == tuple(map(path_prefix, template.labels))
+    assert WordTemplate._fields == ("words", "labels", "text")
+    assert template.text == " ; ".join([path_prefix(label) + "%s" for label in template.labels])
     assert repr(template) == "WordTemplate(words=(('Ssi', 'Swf'),))"
     assert template == templates_for((S, W))[0]
     assert pickle.loads(pickle.dumps(template)) == template
@@ -78,8 +79,8 @@ def test_templates_for_all_patterns():
 def test_template_slots():
     iamb = templates_for((W, S))[0]
     assert iamb.labels == ("Owi", "Rwi", "Osf", "Rsf")
-    assert iamb.prefixes == tuple(map(path_prefix, iamb.labels))
-    assert iamb.prefixes[0] == "U : W : Swi : Owi : "
+    assert iamb.text == " ; ".join([path_prefix(label) + "%s" for label in iamb.labels])
+    assert iamb.text.startswith("U : W : Swi : Owi : %s ; ")
     compound = templates_for((S, S))[1]
     assert compound.labels == ("Osif", "Rsif", "Osif", "Rsif")
 

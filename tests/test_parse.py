@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+import pickletools
 import random
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from phonotax import parse as parse_module
 from phonotax.errors import OutOfScope, UnsupportedStressPattern
 from phonotax.grammar import format_path
-from phonotax.parse import enumerate_segmentations, parse_all
+from phonotax.parse import ScoredParse, enumerate_segmentations, parse_all
 from phonotax.phonology import load_inventory, tokenize
 from phonotax.score import score_batch, score_word
 from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets
@@ -97,16 +99,28 @@ def test_unseen_terminals_flagged(inv, toy_model):
     top = forest[0]
     onset = top.paths[0]
     assert onset.terminal == ("m", "l")
-    assert top.seen[0] is False
+    assert onset.terminal not in toy_model.lookup[onset.label][0]
 
 
 def test_all_unseen_product_is_p0_product(inv, toy_model):
     # every constituent novel: product must be exactly the p0 product
     forest = parse_all(tokenize("ʃ ɔɪ1 ʃ", inv), toy_model)
     top = forest[0]
-    assert all(flag is False for flag in top.seen)
+    assert not any(p.terminal in toy_model.lookup[p.label][0] for p in top.paths)
     cells = [p.label for p in top.paths]
     assert top.product == math.prod(toy_model.p0[c] for c in cells)
+
+
+def test_a_forest_entry_is_a_value(inv, toy_model):
+    # an entry holds nothing of the model: it hashes and pickles as its four fields
+    for raw in ("k æ1 t", "k æ1 n d ə0 l", "b ʌ1 s + b ɔɪ1", "m l æ1 ʃ"):
+        forest = parse_all(tokenize(raw, inv), toy_model)
+        for entry in (forest[0], *forest):
+            assert hash(entry) == hash(tuple(entry))
+            data = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+            assert pickle.loads(data) == entry
+            assert not [op.name for op, _, _ in pickletools.genops(data) if "DICT" in op.name]
+    assert ScoredParse._fields == ("template", "runs", "probabilities", "product")
 
 
 def test_product_law(inv, toy_model):
@@ -163,8 +177,7 @@ def test_every_parse_carries_its_paths_lookups(seed):
             assert [p.label for p in paths] == list(sp.parse.template.labels)
             for i, path in enumerate(paths):
                 seen, unseen = model.lookup[path.label]
-                assert (sp.probabilities[i], sp.seen[i]) == (
-                    seen.get(path.terminal, unseen), path.terminal in seen)
+                assert sp.probabilities[i] == seen.get(path.terminal, unseen)
             assert sp.product == math.prod(sp.probabilities)
         winner = forest[0]
         assert score_word(model, t) == (winner.product, math.log(winner.product), min(winner.probabilities),

@@ -144,12 +144,19 @@ def test_a_read_pattern_skips_no_check(inv):
 
 
 def test_stress_pattern_errors(inv):
-    with pytest.raises(MissingStress):
+    with pytest.raises(MissingStress, match="^vowel 'æ' lacks a stress digit$"):
         _pattern("k æ n ə", inv)
-    with pytest.raises(MissingStress):
+    with pytest.raises(MissingStress, match="^vowel 'ə' lacks a stress digit$"):
         _pattern("k æ1 n ə", inv)
     with pytest.raises(NoNucleus):
         _pattern("k + æ1", inv)
+    # tokenize never gives a digit outside 0-2, so only a hand-built record holds one
+    t = tokenize("k æ1 n ə0", inv)
+    for stresses in ((3, 0), (1, -1), (None, 3)):
+        with pytest.raises(BadStressDigit):
+            stress_pattern(t._replace(stresses=stresses))
+    with pytest.raises(BadStressDigit):
+        stress_pattern(tokenize("k æ1 t", inv)._replace(stresses=(3,)))
 
 
 @st.composite

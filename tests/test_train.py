@@ -231,7 +231,7 @@ def test_trained_counts_match_a_literal_recount(seed, size):
 
 
 def test_training_splits_each_medial_cluster_once(inv, monkeypatch):
-    syllabify_module = importlib.import_module("phonotax.syllabify")  # phonotax.syllabify is the function
+    syllabify_module = importlib.import_module("phonotax.syllabify")
     split = syllabify_module._split_cluster
     calls = Counter()
 
