@@ -100,6 +100,8 @@ _TEMPLATES = {
     (_S, _S): (WordTemplate((("Ssi", "Ssf"),)), WordTemplate((("Ssif",), ("Ssif",)))),
 }
 _COMPOUND = _TEMPLATES[(_S, _S)][1:]  # what a boundary commits a strong-strong word to
+# every (stress pattern, compound) key templates_for accepts
+TEMPLATE_KEYS = (*[(pattern, False) for pattern in _TEMPLATES], ((_S, _S), True))
 
 
 def templates_for(pattern: tuple[Stress, ...], compound: bool = False) -> tuple[WordTemplate, ...]:

@@ -7,10 +7,11 @@ generates; the parse probability is the product of its path
 probabilities, and the forest is ordered best first. Exact product
 ties break on the rendered path text so the ordering is reproducible.
 
-``parse_all`` looks up each template's per-slot tables once per model
-and stress pattern (``TrainedModel.templates``) and returns a
-``Forest``, which finds its winner in one scan of plain floats over
-template x segmentation while it is built. The scan keeps the best
+``parse_all`` reads each template's per-slot tables from the model,
+which builds them once for every stress pattern in scope
+(``TrainedModel.templates``), and returns a ``Forest``, which finds
+its winner in one scan of plain floats over template x segmentation
+while it is built. The scan keeps the best
 parse so far in local variables and only the winner becomes a
 ``ScoredParse``, so scoring pays for the winner alone; an exact product
 tie at the top is broken by ranking the whole forest. Reading any other
@@ -179,8 +180,6 @@ def parse_all(t: Transcription, model: TrainedModel) -> Forest:
     """
     key = stress_pattern(t), t.boundary is not None  # stress_pattern is the scope check, before any cut
     templates = model.templates.get(key)
-    if templates is None:
-        lookup = model.lookup
-        templates = model.templates[key] = [(tpl, tuple([lookup[label] for label in tpl.labels]))
-                                            for tpl in templates_for(*key)]
+    if templates is None:  # the model holds every key templates_for accepts: let it raise
+        templates_for(*key)
     return Forest(templates, enumerate_segmentations(t))

@@ -12,7 +12,8 @@ it. The lines may be cut into contiguous chunks, a process each.
 Probability mass is reserved for unseen terminals per cell: a cell
 with N tokens of which N1 are singletons keeps p0 = N1/N (clamped to
 [1/(2N), 0.5]) aside, and every unseen terminal in that cell is quoted
-p0 whole, not a share of it.
+p0 whole, not a share of it; a cell with no counts answers the config's
+epsilon for every terminal.
 
 Lexicon documents are line-oriented: ``orthography<TAB>transcription``,
 with ``#`` comments and blank lines ignored. Bad entries are skipped
@@ -36,12 +37,14 @@ from .errors import (
     UnsupportedStressPattern,
     VersionMismatch,
 )
-from .grammar import LABELS, NULL_TERMINAL, format_terminal, templates_for
+from .grammar import LABELS, NULL_TERMINAL, TEMPLATE_KEYS, format_terminal, templates_for
 from .phonology import PhonemeInventory, Stress, Transcription, is_reserved, stress_pattern, tokenize
 from .syllabify import (MedialPart, MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_runs,
                         split_medial)
 
 PathPair = tuple[str, tuple[str, ...]]  # (cell label, terminal), e.g. ('Osi', ('s', 't'))
+# per cell label: the seen terminals' probabilities and the unseen answer
+Lookup = dict[str, tuple[dict[tuple[str, ...], float], float]]
 
 GT_MODES = ("simple", "full")
 # No cell answers below EPSILON_MIN: an all-unseen cell answers epsilon,
@@ -162,7 +165,11 @@ class PathTable(NamedTuple):
     """Per-cell terminal counts over a corpus of paths, keyed by cell label."""
 
     counts: dict[str, dict[tuple[str, ...], int]]
-    total: int
+
+    @property
+    def total(self) -> int:
+        """The corpus's path count: every cell's N, summed."""
+        return sum(sum(cell.values()) for cell in self.counts.values())
 
     def n(self, label: str) -> int:
         """N: the cell's token count."""
@@ -181,70 +188,83 @@ def tabulate(paths: Iterable[PathPair]) -> PathTable:
     counts: dict[str, dict[tuple[str, ...], int]] = {}
     for (label, terminal), c in tally.items():
         counts.setdefault(label, {})[terminal] = c
-    return PathTable(counts, tally.total())
+    return PathTable(counts)
 
 
 class _ModelFields(NamedTuple):
     table: PathTable
-    p0: dict[str, float]
-    probabilities: dict[str, dict[tuple[str, ...], float]]
-    all_unseen: frozenset[str]
     config: ModelConfig
 
 
 class TrainedModel(_ModelFields):
-    """Smoothed probabilities per cell; every mapping is keyed by cell label.
+    """A model is its counts and its config; the rest is derived from them once, when it is built.
 
     Two attributes sit beside the fields, out of equality and the repr
-    (so the class declares no slots). ``lookup``, derived from the
-    fields, gives per cell label the seen terminals' probabilities and
-    the unseen answer. ``templates`` is a memo that ``parse_all`` fills:
-    per (stress pattern, compound), each template ``templates_for``
-    gives with its per-slot ``lookup`` entries.
+    (so the class declares no slots), and nothing writes to either
+    after the model is built. ``lookup`` is what ``good_turing`` derives:
+    per cell label, the seen terminals' probabilities and the unseen
+    answer. ``templates`` holds, per (stress pattern, compound) key that
+    ``templates_for`` accepts, each template it gives with its per-slot
+    ``lookup`` entries; ``parse_all`` only reads it.
+
+    ``p0``, ``probabilities`` and ``all_unseen`` are read-only views of
+    ``lookup``, each built anew on every read. An empty cell (one with
+    no counts) has two readings: ``p0[label]`` is the mass the cell
+    reserves for the unseen, 1.0 in an empty cell, as the model file
+    writes it; ``lookup[label][1]`` is the answer an unseen terminal
+    gets, which is p0, or ``config.epsilon`` in an empty cell.
     """
 
-    def __new__(cls, *fields) -> TrainedModel:
-        self = super().__new__(cls, *fields)
-        # unseen terminals get the cell's whole reserved mass p0; a cell
-        # with no training data at all answers epsilon
-        self.lookup = {
-            label: (
-                ({}, self.config.epsilon) if label in self.all_unseen
-                else (self.probabilities[label], self.p0[label])
-            )
-            for label in LABELS
-        }
-        self.templates: dict = {}
+    def __new__(cls, table: PathTable, config: ModelConfig) -> TrainedModel:
+        self = super().__new__(cls, table, config)
+        # good_turing is read from the module when called, so a wrapper swapped in for it sees the call
+        self.lookup = lookup = good_turing(table, config)
+        self.templates = {key: [(tpl, tuple([lookup[label] for label in tpl.labels]))
+                                for tpl in templates_for(*key)]
+                          for key in TEMPLATE_KEYS}
         return self
 
     @classmethod
-    def _make(cls, iterable) -> TrainedModel:  # so that _replace derives lookup and starts a memo too
+    def _make(cls, iterable) -> TrainedModel:  # so that _replace derives lookup and templates too
         return cls(*iterable)
 
+    @property
+    def p0(self) -> dict[str, float]:
+        """Per cell label, the mass reserved for unseen terminals: 1.0 in an empty cell."""
+        return {label: unseen if seen else 1.0 for label, (seen, unseen) in self.lookup.items()}
 
-def good_turing(table: PathTable, config: ModelConfig) -> TrainedModel:
+    @property
+    def probabilities(self) -> dict[str, dict[tuple[str, ...], float]]:
+        """Per cell label, the seen terminals' probabilities: none in an empty cell."""
+        return {label: seen for label, (seen, _) in self.lookup.items()}
+
+    @property
+    def all_unseen(self) -> frozenset[str]:
+        """The labels of the empty cells."""
+        return frozenset([label for label, (seen, _) in self.lookup.items() if not seen])
+
+
+def good_turing(table: PathTable, config: ModelConfig) -> Lookup:
     """Smooth per-cell counts, reserving singleton mass for the unseen.
 
-    In ``simple`` mode every seen terminal keeps its relative frequency
-    scaled by (1 - p0). In ``full`` mode counts are first discounted
-    r -> (r+1) * N_{r+1} / N_r where the next frequency class is
-    populated (left alone otherwise), then renormalized to 1 - p0.
+    Returns per cell label the seen terminals' probabilities and the
+    answer an unseen terminal gets: the cell's reserved mass p0 whole,
+    or ``config.epsilon`` in a cell with no counts. In ``simple`` mode
+    every seen terminal keeps its relative frequency scaled by (1 - p0).
+    In ``full`` mode counts are first discounted r -> (r+1) * N_{r+1} /
+    N_r where the next frequency class is populated (left alone
+    otherwise), then renormalized to 1 - p0.
     """
-    p0: dict[str, float] = {}
-    probabilities: dict[str, dict[tuple[str, ...], float]] = {}
-    all_unseen: set[str] = set()
+    lookup: Lookup = {}
     for label in LABELS:
         counts = table.counts.get(label, {})
         n = table.n(label)
         if n == 0:
-            all_unseen.add(label)
-            p0[label] = 1.0
-            probabilities[label] = {}
+            lookup[label] = ({}, config.epsilon)
             continue
         reserved = min(0.5, max(table.n1(label) / n, 1.0 / (2 * n)))
-        p0[label] = reserved
         if config.gt_mode == "simple":
-            probabilities[label] = {t: (1.0 - reserved) * c / n for t, c in counts.items()}
+            probabilities = {t: (1.0 - reserved) * c / n for t, c in counts.items()}
         else:
             nr = Counter(counts.values())
             masses = {
@@ -252,8 +272,9 @@ def good_turing(table: PathTable, config: ModelConfig) -> TrainedModel:
                 for t, c in counts.items()
             }
             scale = (1.0 - reserved) / math.fsum(masses.values())
-            probabilities[label] = {t: m * scale for t, m in masses.items()}
-    return TrainedModel(table, p0, probabilities, frozenset(all_unseen), config)
+            probabilities = {t: m * scale for t, m in masses.items()}
+        lookup[label] = (probabilities, reserved)
+    return lookup
 
 
 def top_k(model: TrainedModel, label: str, k: int) -> list[tuple[str, int]]:
@@ -293,14 +314,15 @@ def save_model(model: TrainedModel) -> str:
     records = []
     reprs = FloatReprs()  # a cell's probabilities take few distinct values
     for label in LABELS:
-        counts, probabilities = model.table.counts.get(label, {}), model.probabilities[label]
+        counts, (probabilities, _) = model.table.counts.get(label, {}), model.lookup[label]
         for text, terminal in sorted(zip(map(format_terminal, counts), counts)):
             records.append(f"{label}\t{text}\t{counts[terminal]}\t{reprs[probabilities[terminal]]}")
     lines.append(f"records\t{len(records)}")
+    p0, all_unseen = model.p0, model.all_unseen
     for label in LABELS:
-        flag = "\tall_unseen" if label in model.all_unseen else ""
+        flag = "\tall_unseen" if label in all_unseen else ""
         lines.append(
-            f"p0\t{label}\t{reprs[model.p0[label]]}"
+            f"p0\t{label}\t{reprs[p0[label]]}"
             f"\tN\t{model.table.n(label)}\tN1\t{model.table.n1(label)}{flag}"
         )
     lines.extend(records)
@@ -314,12 +336,12 @@ def load_model(document: str) -> TrainedModel:
     terminal and count are read. Each terminal must be written as
     format_terminal writes it and hold no symbol an inventory may not
     hold (see is_reserved), and each count must be at least 1. The model
-    is what good_turing derives from those counts under that config, and
-    none of its cells may answer below EPSILON_MIN. The document must
-    then match save_model of that model line for line (a missing final
-    newline and CRLF line endings aside), so that one comparison checks
-    the total, the record count, every p0 line and every float; the
-    first line that differs is named in the error.
+    is the ``TrainedModel`` of those counts and that config, and none of
+    its cells may answer below EPSILON_MIN. The document must then match
+    save_model of that model line for line (a missing final newline and
+    CRLF line endings aside), so that one comparison checks the total,
+    the record count, every p0 line and every float; the first line that
+    differs is named in the error.
     """
     lines = document.splitlines()
     if not lines:
@@ -375,7 +397,7 @@ def load_model(document: str) -> TrainedModel:
         raise ModelFormatError(f"bad config: {err}") from None
     counts = {label: bucket for label, bucket in counts.items() if bucket}
     try:
-        model = good_turing(PathTable(counts, sum(sum(b.values()) for b in counts.values())), config)
+        model = TrainedModel(PathTable(counts), config)
     except OverflowError:
         raise ModelFormatError("counts too large to smooth: a cell's N does not fit a float") from None
     for label, (seen, unseen) in model.lookup.items():
@@ -472,6 +494,6 @@ def train_model(
             paths.update(tally)
             medial.update(parts)
         paths.update(split_medial(medial, onsets, policy))
-        model = good_turing(tabulate(paths), config)
+        model = TrainedModel(tabulate(paths), config)
     return TrainResult(model, onsets, sum(retained), [*chain.from_iterable(skipped)], sum(downgraded),
                        [*chain.from_iterable(unsupported)])

@@ -100,10 +100,14 @@ def _oracle_word_splits(word: list[Field]) -> list[list[tuple[tuple, tuple]]]:
 
 
 def _oracle_prob(model, cell: str, terminal) -> float:
-    if cell in model.all_unseen:
+    """A path's probability by the simple-mode rule, from the model's counts and config alone."""
+    assert model.config.gt_mode == "simple", "oracle fed a model smoothed in another mode"
+    counts = model.table.counts.get(cell, {})
+    n = sum(counts.values())
+    if n == 0:
         return model.config.epsilon
-    seen = model.probabilities[cell].get(terminal)
-    return seen if seen is not None else model.p0[cell]
+    p0 = min(max(sum(1 for c in counts.values() if c == 1) / n, 1 / (2 * n)), 0.5)
+    return (1 - p0) * counts[terminal] / n if terminal in counts else p0
 
 
 def oracle_best(raw: str, inv: PhonemeInventory, model) -> tuple[float, list[str]]:

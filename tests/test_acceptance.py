@@ -20,7 +20,7 @@ from phonotax.parse import parse_all
 from phonotax.phonology import tokenize
 from phonotax.score import ScoreReport, score_word
 from phonotax.stats import evaluate, p_two_tailed, synthetic_judgments, t_from_r
-from phonotax.train import ModelConfig, PathTable, good_turing, train_model
+from phonotax.train import ModelConfig, PathTable, TrainedModel, train_model
 
 from oracles import oracle_best, random_lexicon, random_transcription_text
 
@@ -90,8 +90,7 @@ def test_criterion_4_smoothing_worked_examples():
     config = ModelConfig("0" * 64)
 
     def fit(counts):
-        total = sum(counts.values())
-        return good_turing(PathTable({cell: dict(counts)}, total), config)
+        return TrainedModel(PathTable({cell: dict(counts)}), config)
 
     m = fit({("a",): 3, ("b",): 1})
     assert abs(m.p0[cell] - 0.25) <= 1e-12

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phonotax import errors
-from phonotax.grammar import LABELS
 from phonotax.parse import parse_all
 from phonotax.phonology import tokenize
 from phonotax.score import parse_stimuli, score_batch, score_word
@@ -17,40 +16,41 @@ from phonotax.train import ModelConfig, PathTable, TrainedModel, train_model
 from oracles import random_transcription_text
 
 
-def _hand_model(probabilities, p0_default=1e-4):
-    """Model with hand-set probabilities; untouched cells share one p0."""
-    p0 = {cell: p0_default for cell in LABELS}
-    probs = {cell: {} for cell in LABELS}
-    for cell, table in probabilities.items():
-        probs[cell] = dict(table)
-    return TrainedModel(PathTable({}, 0), p0, probs, frozenset(), ModelConfig("y" * 64))
+def _hand_model(counts):
+    """The model of hand-set per-cell counts; every other cell is empty."""
+    return TrainedModel(PathTable(counts), ModelConfig("y" * 64))
 
 
 def test_score_word_equal_constituents(inv):
     model = _hand_model({
-        "Osif": {("k",): 0.2},
-        "Rsif": {("æ", "t"): 0.2},
+        "Osif": {("k",): 1, ("p",): 1},
+        "Rsif": {("æ", "t"): 1, ("ɪ", "p"): 1},
     })
+    p = model.lookup["Osif"][0][("k",)]
+    assert model.lookup["Rsif"][0][("æ", "t")] == p
     rep = score_word(model, tokenize("k æ1 t", inv))
-    assert rep.p_word == pytest.approx(0.04, abs=1e-15)
-    assert rep.ln_p_word == pytest.approx(math.log(0.04), abs=1e-15)
-    assert rep.p_worst == 0.2
-    assert rep.p_best == 0.2
+    assert rep.p_word == pytest.approx(p * p, abs=1e-15)
+    assert rep.ln_p_word == pytest.approx(math.log(p * p), abs=1e-15)
+    assert rep.p_worst == p
+    assert rep.p_best == p
 
 
 def test_score_word_worst_and_best(inv):
     # no medial consonant, so the segmentation is forced
     model = _hand_model({
-        "Osi": {("k",): 0.5},
-        "Rsi": {("æ",): 0.01},
-        "Owf": {(): 0.5},
-        "Rwf": {("ə",): 0.5},
+        "Osi": {("k",): 1, ("p",): 1},
+        "Rsi": {("æ",): 1, ("ɪ",): 9},
+        "Owf": {(): 3},
+        "Rwf": {("ə",): 1, ("ɪ",): 1},
     })
+    onset, rhyme, weak_onset, weak_rhyme = (model.lookup[label][0][terminal] for label, terminal in (
+        ("Osi", ("k",)), ("Rsi", ("æ",)), ("Owf", ()), ("Rwf", ("ə",))))
+    assert rhyme < min(onset, weak_rhyme) <= max(onset, weak_rhyme) < weak_onset
     t = tokenize("k æ1 ə0", inv)
     rep = score_word(model, t)
-    assert rep.p_word == pytest.approx(0.00125, abs=1e-15)
-    assert rep.p_worst == 0.01
-    assert rep.p_best == 0.5
+    assert rep.p_word == pytest.approx(onset * rhyme * weak_onset * weak_rhyme, abs=1e-15)
+    assert rep.p_worst == rhyme
+    assert rep.p_best == weak_onset
     assert len(parse_all(t, model)[0].probabilities) == 4
 
 
@@ -66,11 +66,12 @@ def test_exp_ln_inverse(inv, toy_model):
 
 
 def test_degrading_one_constituent_is_monotone(inv):
-    base = {
-        "Osif": {("k",): 0.3, ("s",): 0.1},
-        "Rsif": {("æ", "t"): 0.4},
-    }
-    model = _hand_model(base)
+    model = _hand_model({
+        "Osif": {("k",): 3, ("s",): 1},
+        "Rsif": {("æ", "t"): 4},
+    })
+    onsets, _ = model.lookup["Osif"]
+    assert onsets[("s",)] < onsets[("k",)] < model.lookup["Rsif"][0][("æ", "t")]
     good = score_word(model, tokenize("k æ1 t", inv))
     worse = score_word(model, tokenize("s æ1 t", inv))
     assert worse.p_word < good.p_word

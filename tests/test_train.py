@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import importlib
+import itertools
 import math
 import random
 import re
@@ -31,6 +32,7 @@ from phonotax.train import (
     GT_MODES,
     ModelConfig,
     PathTable,
+    TrainedModel,
     extract_paths,
     good_turing,
     ingest_lexicon,
@@ -42,7 +44,8 @@ from phonotax.train import (
 )
 
 from conftest import INVENTORY_TEXT, TOY_LEXICON, entry_paths
-from oracles import ORACLE_TEMPLATES, documents, edited_documents, random_lexicon, read_fields
+from oracles import (ORACLE_TEMPLATES, documents, edited_documents, random_lexicon, random_transcription_text,
+                     read_fields)
 
 OSIF, RSIF = "Osif", "Rsif"
 
@@ -216,7 +219,7 @@ def _literal_recount(document: str, inventory, policy: MedialSplitPolicy) -> Pat
             for label, run in (("O" + category[1:], onset), ("R" + category[1:], rhyme)):
                 cell = counts.setdefault(label, {})
                 cell[run] = cell.get(run, 0) + 1
-    return PathTable(counts, sum(sum(cell.values()) for cell in counts.values()))
+    return PathTable(counts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -262,15 +265,14 @@ def test_tabulate_invariants(inv):
 
 
 def _table_with(counts_for_osif):
-    counts = {OSIF: dict(counts_for_osif)}
-    return PathTable(counts, sum(counts_for_osif.values()))
+    return PathTable({OSIF: dict(counts_for_osif)})
 
 
 CONFIG = ModelConfig("x" * 64)
 
 
 def test_good_turing_worked_example():
-    m = good_turing(_table_with({("a",): 3, ("b",): 1}), CONFIG)
+    m = TrainedModel(_table_with({("a",): 3, ("b",): 1}), CONFIG)
     assert m.p0[OSIF] == pytest.approx(0.25, abs=1e-12)
     seen, unseen = m.lookup[OSIF]
     assert seen[("a",)] == pytest.approx(0.5625, abs=1e-12)
@@ -280,16 +282,16 @@ def test_good_turing_worked_example():
 
 
 def test_good_turing_clamps():
-    low = good_turing(_table_with({("a",): 2, ("b",): 2}), CONFIG)
+    low = TrainedModel(_table_with({("a",): 2, ("b",): 2}), CONFIG)
     assert low.p0[OSIF] == pytest.approx(0.125, abs=1e-12)  # floor 1/(2N)
     assert low.lookup[OSIF][0][("a",)] == pytest.approx(0.4375, abs=1e-12)
-    high = good_turing(_table_with({("a",): 1}), CONFIG)
+    high = TrainedModel(_table_with({("a",): 1}), CONFIG)
     assert high.p0[OSIF] == pytest.approx(0.5, abs=1e-12)  # ceiling 0.5
     assert high.lookup[OSIF][0][("a",)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_good_turing_all_unseen_cell():
-    m = good_turing(_table_with({("a",): 1}), CONFIG)
+    m = TrainedModel(_table_with({("a",): 1}), CONFIG)
     assert RSIF in m.all_unseen
     seen, unseen = m.lookup[RSIF]
     assert ("æ",) not in seen and unseen == CONFIG.epsilon
@@ -300,7 +302,7 @@ def test_good_turing_full_discounts():
     # r*=3 for r=2 (3*N3/N2), r=3 undiscounted (no N4)
     counts = {("a",): 1, ("b",): 1, ("c",): 2, ("d",): 3}
     cfg = ModelConfig("x" * 64, gt_mode="full")
-    m = good_turing(_table_with(counts), cfg)
+    m = TrainedModel(_table_with(counts), cfg)
     assert m.p0[OSIF] == pytest.approx(2 / 7, abs=1e-12)
     masses = {"a": 1 / 7, "b": 1 / 7, "c": 3 / 7, "d": 3 / 7}
     scale = (1 - 2 / 7) / sum(masses.values())
@@ -311,7 +313,7 @@ def test_good_turing_full_discounts():
 
 
 def test_top_k_ordering():
-    m = good_turing(_table_with({("b",): 2, ("a",): 2, ("c",): 5}), CONFIG)
+    m = TrainedModel(_table_with({("b",): 2, ("a",): 2, ("c",): 5}), CONFIG)
     assert top_k(m, OSIF, 2) == [("c", 5), ("a", 2)]
     assert top_k(m, OSIF, 10) == [("c", 5), ("a", 2), ("b", 2)]
     assert top_k(m, RSIF, 3) == []
@@ -380,7 +382,7 @@ def test_load_model_rederives_probabilities(toy_model):
 
 @pytest.mark.parametrize("low, high", [(0, 4), (-1, 5)])
 def test_load_model_rejects_counts_below_one(low, high):
-    doc = save_model(good_turing(_table_with({("a",): 2, ("b",): 2}), CONFIG))
+    doc = save_model(TrainedModel(_table_with({("a",): 2, ("b",): 2}), CONFIG))
     # N, N1, the total and every probability stay as they were
     moved = _replace_line(doc, "Osif\ta\t2\t", f"Osif\ta\t{low}\t0.4375")
     moved = _replace_line(moved, "Osif\tb\t2\t", f"Osif\tb\t{high}\t0.4375")
@@ -401,7 +403,7 @@ def test_load_model_rejects_a_float_off_its_derived_value(toy_model):
 
 
 def test_load_model_rejects_counts_too_large_to_smooth(tmp_path):
-    doc = save_model(good_turing(_table_with({("a",): 2, ("b",): 2}), CONFIG))
+    doc = save_model(TrainedModel(_table_with({("a",): 2, ("b",): 2}), CONFIG))
     # the cell's N and the total agree with the huge count, so only smoothing can fail
     huge = 10**400
     edited = _replace_line(doc, "Osif\ta\t2\t", f"Osif\ta\t{huge}\t0.4375")
@@ -414,8 +416,8 @@ def test_load_model_rejects_counts_too_large_to_smooth(tmp_path):
 
 
 def _saved(counts: dict[str, dict[tuple[str, ...], int]], config: ModelConfig = CONFIG) -> str:
-    """save_model of the model good_turing smooths from per-cell counts."""
-    return save_model(good_turing(PathTable(counts, sum(sum(c.values()) for c in counts.values())), config))
+    """save_model of the model of per-cell counts."""
+    return save_model(TrainedModel(PathTable(counts), config))
 
 
 def test_load_model_rejects_counts_that_smooth_below_the_floor(tmp_path, capsys):
@@ -515,10 +517,63 @@ def test_a_replaced_config_is_checked_and_the_defaults_are_trainings():
 def test_a_replaced_model_derives_its_lookup(toy_model):
     config = toy_model.config._replace(epsilon=1e-6)
     model = toy_model._replace(config=config)
-    assert model == toy_model[:4] + (config,)
-    assert model.templates == {}
+    assert model == (toy_model.table, config)
     for label in model.all_unseen:
         assert model.lookup[label] == ({}, 1e-6)
+    assert model.templates == TrainedModel(toy_model.table, config).templates != toy_model.templates
+
+
+def test_a_model_is_its_table_and_config():
+    assert TrainedModel._fields == ("table", "config")
+    assert PathTable._fields == ("counts",)
+    assert PathTable({OSIF: {("k",): 2, ("t",): 1}}).total == 3
+
+
+def test_an_empty_cell_reserves_all_its_mass_and_answers_epsilon(inv):
+    model = train_model("cat\tk æ1 t\n", inv, epsilon=1e-6).model
+    assert "Osi" in model.all_unseen
+    assert model.p0["Osi"] == 1.0  # the cell's reserved mass, as the model file writes it
+    assert model.lookup["Osi"] == ({}, 1e-6)  # the answer an unseen terminal gets
+
+
+def _accepted_keys() -> set:
+    """Every (stress pattern, compound) key of one or two syllables that templates_for accepts."""
+    keys = set()
+    for pattern in [*itertools.product(Stress, repeat=1), *itertools.product(Stress, repeat=2)]:
+        for compound in (False, True):
+            with contextlib.suppress(UnsupportedStressPattern):
+                templates_for(pattern, compound)
+                keys.add((pattern, compound))
+    return keys
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 30), st.sampled_from(GT_MODES))
+def test_a_model_is_a_function_of_its_counts(seed, size, gt_mode):
+    inventory = load_inventory(INVENTORY_TEXT)
+    rng = random.Random(seed)
+    model = train_model(random_lexicon(rng, size), inventory, gt_mode=gt_mode).model
+    again = TrainedModel(model.table, model.config)
+    assert again.lookup == model.lookup == good_turing(model.table, model.config)
+    assert again.templates == model.templates
+    assert set(model.templates) == _accepted_keys()
+    before = {key: (tables, list(tables)) for key, tables in model.templates.items()}
+    score_batch(model, [(str(i), random_transcription_text(rng)) for i in range(20)], inventory)
+    assert model.templates.keys() == before.keys()
+    for key, (tables, copy) in before.items():
+        assert model.templates[key] is tables and tables == copy
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.sampled_from(LABELS), st.dictionaries(
+    st.lists(st.sampled_from(["k", "s", "t", "æ", "ɪ", "p"]), max_size=3).map(tuple),
+    st.integers(1, 1000), min_size=1, max_size=4)), st.sampled_from(GT_MODES))
+def test_a_model_built_from_counts_saves_a_file_that_loads(counts, gt_mode):
+    model = TrainedModel(PathTable(counts), ModelConfig("x" * 64, gt_mode=gt_mode))
+    doc = save_model(model)
+    loaded = load_model(doc)
+    assert loaded == model and loaded.lookup == model.lookup
+    assert save_model(loaded) == doc
 
 
 def test_load_model_rejects_epsilon_below_floor(toy_model):
