@@ -18,10 +18,10 @@ _EXPORTS = {
     "errors": ("PhonotaxError",),
     "grammar": ("LABELS", "PathType", "format_path", "sequential_unify", "templates_for"),
     "parse": ("parse_all",),
-    "phonology": ("PhonemeInventory", "Stress", "Transcription", "load_inventory", "tokenize"),
+    "phonology": ("PhonemeInventory", "Transcription", "load_inventory", "tokenize"),
     "score": ("ScoreReport", "score_batch", "score_word"),
     "stats": ("evaluate", "pearson_r", "p_two_tailed", "synthetic_judgments", "t_from_r"),
-    "syllabify": ("MedialSplitPolicy", "collect_word_onsets"),
+    "syllabify": ("collect_word_onsets",),
     "train": ("TrainedModel", "good_turing", "ingest_lexicon", "load_model",
               "save_model", "tabulate", "top_k", "train_model"),
 }

@@ -20,7 +20,9 @@ makes none either (training's merge and smoothing).
 Every worker is reaped before ``run_chunks`` returns or raises; if
 anything fails in this process, the workers are killed first. A worker
 that fails raises ChildProcessError, which the commands report as an
-error with exit code 1.
+error with exit code 1. A worker that a SIGINT interrupts exits
+without a traceback: Ctrl-C signals the whole process group, so the
+parent is interrupted too and reports it.
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ def _fork(work: Callable, rows: Sequence, lo: int, hi: int, siblings: list[_Work
         code = 0
     except BrokenPipeError:
         pass  # the parent is gone: nobody reads this chunk's result
+    except KeyboardInterrupt:
+        pass  # Ctrl-C reaches the whole process group: the parent reports it, once
     except BaseException:  # the worker's outermost frame: report, then exit
         import traceback  # here, not at the top: set-up of every command would pay for it
 

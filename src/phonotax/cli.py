@@ -4,7 +4,9 @@ Reports go to stdout, diagnostics to stderr, and files only under the
 directory named by --out. Every command is deterministic given its
 inputs, flags, and seed; re-running writes byte-identical outputs.
 Exit codes: 0 success, 1 I/O trouble or a failed worker, 2 bad data or
-configuration.
+configuration, 130 interrupted (SIGINT, as Ctrl-C sends it). Outputs
+are written only once the work is done, so an interrupted run writes
+none.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import BadEncoding, PhonotaxError
 from .grammar import LABELS
 from .phonology import PhonemeInventory, load_inventory, packaged_inventory
 from .score import BatchRow, ScoreReport, score_batch, stimulus_rows
-from .syllabify import MedialSplitPolicy
+from .syllabify import MEDIAL_SPLITS
 from .train import (EPSILON_MAX, EPSILON_MIN, GT_MODES, FloatReprs, ModelConfig, TrainedModel, load_model,
                     save_model, top_k, train_model)
 
@@ -60,7 +62,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     inv = _load_inventory(args)
     result = train_model(
         _read(args.lexicon), inv,
-        policy=MedialSplitPolicy(args.medial_split), gt_mode=args.gt, epsilon=args.epsilon,
+        policy=args.medial_split, gt_mode=args.gt, epsilon=args.epsilon,
     )
     model_path = _write(args.out, "model.tsv", save_model(result.model))
     print(f"lexicon entries: retained {result.retained}, skipped {len(result.skipped)}, "
@@ -105,18 +107,23 @@ def _score_lines(batch: Iterable[BatchRow]) -> str:
         if rep is None:
             lines.append(f"{word_id}\t\t\t\t\t\t{error or ''}")
             continue
-        p_word, ln_p_word, p_worst, p_best, path_text = rep
+        p_word, ln_p_word, p_worst, p_best, winner = rep
         scores = words.get(p_word)
         if scores is None:
             scores = words[p_word] = f"{p_word!r}\t{ln_p_word!r}"
-        lines.append(f"{word_id}\t{scores}\t{part[p_worst]}\t{part[p_best]}\t{path_text}\t")
+        lines.append(f"{word_id}\t{scores}\t{part[p_worst]}\t{part[p_best]}\t{winner.path_text}\t")
     lines.append("")
     return "\n".join(lines)
 
 
-def _evaluation_rows(model: TrainedModel, lines: Iterable[str], inv: PhonemeInventory) -> list[BatchRow]:
-    """The scored rows as ``evaluate`` reads them: each report without its path text."""
-    return [BatchRow(word_id, None if rep is None else ScoreReport(*rep[:4], None), error)
+def _evaluation_rows(
+    model: TrainedModel, lines: Iterable[str], inv: PhonemeInventory
+) -> list[tuple[str, tuple[float, float, float, float] | None, str | None]]:
+    """The scored rows as ``evaluate`` reads them: the word id, its four scores or None, and the error.
+
+    The rows are plain tuples, the cheapest to send up a worker's pipe.
+    """
+    return [(word_id, None if rep is None else rep[:4], error)
             for word_id, rep, error in score_batch(model, stimulus_rows(lines), inv)]
 
 
@@ -138,12 +145,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     model, inv, lines = _load_batch(args)
     batch = [*chain.from_iterable(run_chunks(lines, lambda chunk, first: _evaluation_rows(model, chunk, inv)))]
-    failed = [row for row in batch if row.report is None]
+    failed = [(word_id, error) for word_id, scores, error in batch if scores is None]
     if failed:
         print(f"warning: {len(failed)} stimuli failed to score and are excluded", file=sys.stderr)
-        for row in failed:
-            print(f"  {row.word_id}: {row.error}", file=sys.stderr)
-    reports = [(row.word_id, row.report) for row in batch if row.report is not None]
+        for word_id, error in failed:
+            print(f"  {word_id}: {error}", file=sys.stderr)
+    reports = [(word_id, ScoreReport(*scores, None)) for word_id, scores, _ in batch if scores is not None]
     if args.judgments is not None:
         judgments = load_judgments(_read(args.judgments))
         print(f"judgments: {args.judgments} ({len(judgments)} records)")
@@ -216,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lexicon", type=Path)
     _add_common(p)
     defaults = ModelConfig._field_defaults
-    p.add_argument("--medial-split", choices=[m.value for m in MedialSplitPolicy],
-                   default=defaults["medial_split"].value)
+    p.add_argument("--medial-split", choices=MEDIAL_SPLITS, default=defaults["medial_split"])
     p.add_argument("--gt", choices=GT_MODES, default=defaults["gt_mode"])
     p.add_argument("--epsilon", type=float, default=defaults["epsilon"],
                    help="probability of any path in a cell the lexicon leaves empty "
@@ -265,6 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # run_chunks has killed and reaped every worker
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

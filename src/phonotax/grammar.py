@@ -3,12 +3,13 @@
 A word expands into one or two syllables; each syllable into an onset
 and a rhyme. Because onset and rhyme inventories differ at word edges,
 a constituent is labelled by its kind (O onset, R rhyme), its stress
-(s/w) and its edge position: initial (i), final (f), or both (if).
-That gives the paper's 12 labels, ``Osi`` ... ``Rwif``, one per
-probability cell. The syllable that dominates a constituent carries
-the same tags: ``Osi`` and ``Rsi`` sit under ``Ssi``. Medial syllables
-would need further tags and have none, so the six word templates below
-are the whole one-to-two-syllable scope.
+(s/w, the letter a word's stress pattern gives its syllable) and its
+edge position: initial (i), final (f), or both (if). That gives the
+paper's 12 labels, ``Osi`` ... ``Rwif``, one per probability cell.
+The syllable that dominates a constituent carries the same tags:
+``Osi`` and ``Rsi`` sit under ``Ssi``. Medial syllables would need
+further tags and have none, so the six word templates below are the
+whole one-to-two-syllable scope.
 
 The unit of probability is the full root-to-frontier path, written
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import UnsupportedStressPattern
-from .phonology import NULL_TERMINAL, Stress
+from .phonology import NULL_TERMINAL
 
 # the 12 constituent labels, onsets first, in model-file order
 LABELS = ("Osi", "Osf", "Osif", "Owi", "Owf", "Owif", "Rsi", "Rsf", "Rsif", "Rwi", "Rwf", "Rwif")
@@ -88,27 +89,28 @@ class WordTemplate(_TemplateFields):
         return f"WordTemplate(words={self.words!r})"
 
 
-_S, _W = Stress.STRONG, Stress.WEAK
 # A double-strong pattern reads as one word or as a compound of two strong
 # monosyllables, the single word first. Reduced function words surface as
 # weak monosyllables.
 _TEMPLATES = {
-    (_S,): (WordTemplate((("Ssif",),)),),
-    (_W,): (WordTemplate((("Swif",),)),),
-    (_W, _S): (WordTemplate((("Swi", "Ssf"),)),),
-    (_S, _W): (WordTemplate((("Ssi", "Swf"),)),),
-    (_S, _S): (WordTemplate((("Ssi", "Ssf"),)), WordTemplate((("Ssif",), ("Ssif",)))),
+    "s": (WordTemplate((("Ssif",),)),),
+    "w": (WordTemplate((("Swif",),)),),
+    "ws": (WordTemplate((("Swi", "Ssf"),)),),
+    "sw": (WordTemplate((("Ssi", "Swf"),)),),
+    "ss": (WordTemplate((("Ssi", "Ssf"),)), WordTemplate((("Ssif",), ("Ssif",)))),
 }
-_COMPOUND = _TEMPLATES[(_S, _S)][1:]  # what a boundary commits a strong-strong word to
+_COMPOUND = _TEMPLATES["ss"][1:]  # what a boundary commits a strong-strong word to
 # every (stress pattern, compound) key templates_for accepts
-TEMPLATE_KEYS = (*[(pattern, False) for pattern in _TEMPLATES], ((_S, _S), True))
+TEMPLATE_KEYS = (*[(pattern, False) for pattern in _TEMPLATES], ("ss", True))
 
 
-def templates_for(pattern: tuple[Stress, ...], compound: bool = False) -> tuple[WordTemplate, ...]:
+def templates_for(pattern: str, compound: bool = False) -> tuple[WordTemplate, ...]:
     """Word templates generated for a one- or two-syllable stress pattern, order-stable.
 
-    A compound boundary commits the word to the two-word template. No
-    rule generates a weak-weak word, and a boundary needs two strong
+    The pattern is ``stress_pattern``'s string, one letter per syllable,
+    and each template's syllables carry those letters in order. A
+    compound boundary commits the word to the two-word template. No rule
+    generates a weak-weak word, and a boundary needs two strong
     monosyllables; either raises UnsupportedStressPattern, the weak-weak
     error first.
     """
@@ -118,7 +120,7 @@ def templates_for(pattern: tuple[Stress, ...], compound: bool = False) -> tuple[
         raise UnsupportedStressPattern("no rule generates a weak-weak word") from None
     if not compound:
         return templates
-    if pattern != (_S, _S):
+    if pattern != "ss":
         raise UnsupportedStressPattern("a compound boundary needs two strong monosyllables")
     return _COMPOUND
 

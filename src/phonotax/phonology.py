@@ -7,6 +7,10 @@ phoneme symbol, optionally followed by a single stress digit on vowels
 at most one is allowed. Symbols themselves are free-form UTF-8 (IPA or
 ASCII schemes both work) as long as they are declared in the inventory.
 
+A word's stress pattern is a string of the letters a constituent label
+carries, one per nucleus: ``s`` strong, ``w`` weak. So ``k æ1 n ə0``
+reads ``sw``, as its labels ``Osi`` ... ``Rwf`` do.
+
 Inventory documents are line-oriented: ``symbol<TAB>V|C`` per line,
 ``#`` comments and blank lines ignored. A symbol may not be one of the
 notation marks (``∅``, ``+``, ``;``, ``:``) nor end in a digit, which
@@ -15,7 +19,6 @@ would read as a stress digit.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from itertools import product
 from typing import NamedTuple
@@ -41,15 +44,6 @@ BOUNDARY_MARK = "+"
 NULL_TERMINAL = "∅"  # the empty onset in all textual output
 # marks of the transcription, path and model notation, never phoneme symbols
 RESERVED_SYMBOLS = frozenset((NULL_TERMINAL, BOUNDARY_MARK, ";", ":"))
-
-
-class Stress(enum.Enum):
-    STRONG = "s"
-    WEAK = "w"
-
-    # each member is a singleton that compares by identity, so it can hash
-    # by identity too; Enum's own hash runs Python code on every lookup
-    __hash__ = object.__hash__
 
 
 class _InventoryFields(NamedTuple):
@@ -196,14 +190,14 @@ def tokenize(raw: str, inv: PhonemeInventory) -> Transcription:
     return Transcription(tuple(symbols), tuple(nuclei), tuple(stresses), boundary)
 
 
-def _word_pattern(digits: tuple[int | None, ...]) -> tuple[Stress, ...] | None:
-    """Per-syllable stress of one phonological word's nucleus digits; None if a polysyllable lacks one."""
+def _word_pattern(digits: tuple[int | None, ...]) -> str | None:
+    """The stress letters of one phonological word's nucleus digits; None if a polysyllable lacks one."""
     if digits == (None,):
         # dictionaries leave monosyllables unmarked; they carry main stress
-        return (Stress.STRONG,)
+        return "s"
     if None in digits:
         return None
-    return tuple([Stress.WEAK if d == 0 else Stress.STRONG for d in digits])
+    return "".join(["w" if d == 0 else "s" for d in digits])
 
 
 # (nucleus digits, compound) -> stress pattern, or None where a digit is
@@ -216,26 +210,26 @@ _PATTERNS = {
 }
 
 
-def stress_pattern(t: Transcription) -> tuple[Stress, ...]:
-    """Per-syllable stress, one entry per nucleus; the scope check of both commands.
+def stress_pattern(t: Transcription) -> str:
+    """Per-syllable stress, one letter per nucleus; the scope check of both commands.
 
     The word structure is checked before any stress digit is read: a
     phonological word with no vowel raises NoNucleus, then more than two
-    nuclei raise OutOfScope. Digits 1 and 2 map to STRONG, 0 to WEAK. A
-    word with a single undigited vowel defaults to STRONG; a
-    polysyllabic word with any undigited vowel raises MissingStress.
-    Rules apply word by word, so both halves of an unmarked compound
-    default independently. Past the structure checks a pattern depends
-    only on the digits and the boundary, so every pattern and every
-    stress error is read from a table built at import: a digit outside
-    0-2 raises BadStressDigit.
+    nuclei raise OutOfScope. Digits 1 and 2 map to ``s``, 0 to ``w``. A
+    word with a single undigited vowel defaults to ``s``; a polysyllabic
+    word with any undigited vowel raises MissingStress. Rules apply word
+    by word, so both halves of an unmarked compound default
+    independently. Past the structure checks a pattern depends only on
+    the digits and the boundary, so every pattern and every stress error
+    is read from a table built at import: a digit outside 0-2 raises
+    BadStressDigit.
     """
     nuclei, boundary = t.nuclei, t.boundary
     if not nuclei or boundary is not None and not nuclei[0] < boundary <= nuclei[-1]:
         raise NoNucleus("phonological word has no vowel")
     if len(nuclei) > 2:
         raise OutOfScope(f"{len(nuclei)} syllables; only one or two are supported")
-    pattern = _PATTERNS.get((t.stresses, boundary is not None), ())
+    pattern = _PATTERNS.get((t.stresses, boundary is not None), "")
     if pattern:
         return pattern
     if pattern is None:

@@ -4,8 +4,9 @@ Four numbers summarize a word's best parse: the parse probability
 (product over paths), its natural log, and the probabilities of the
 worst and best single path inside that parse. The worst part often
 carries the judgment: one terrible onset sinks a word whose rhymes are
-all fine. A report also carries the best parse's path text, and nothing
-of the model, so a batch of reports pickles small.
+all fine. A report also carries the best parse itself, a value that
+holds nothing of the model; its path text is rendered only where it is
+read.
 
 Stimulus lines are read lazily (``stimulus_rows``), so a command can
 hand each process its share of the lines and read them as it scores.
@@ -17,24 +18,31 @@ import math
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PhonotaxError
-from .parse import parse_all
+from .parse import ScoredParse, parse_all
 from .phonology import PhonemeInventory, Transcription, tokenize
 from .train import TrainedModel
 
 
 class ScoreReport(NamedTuple):
+    """A word's four scores and the parse they come from, ``winner``."""
+
     p_word: float
     ln_p_word: float
     p_worst: float
     p_best: float
-    path_text: str
+    winner: ScoredParse | None  # None in a report built from the four scores alone
+
+    @property
+    def path_text(self) -> str:
+        """The winner's path text, rendered on every read."""
+        return self.winner.path_text
 
 
 def score_word(model: TrainedModel, t: Transcription) -> ScoreReport:
     """Score a transcription by its best parse."""
     best = parse_all(t, model)[0]
     probs = best.probabilities
-    return ScoreReport(best.product, math.log(best.product), min(probs), max(probs), best.path_text)
+    return ScoreReport(best.product, math.log(best.product), min(probs), max(probs), best)
 
 
 class BatchRow(NamedTuple):

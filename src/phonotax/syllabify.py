@@ -3,9 +3,11 @@
 Every syllable is one onset (zero or more consonants) plus one rhyme
 (the nucleus and everything after it up to the next nucleus or the
 word edge). For a disyllable the only open question is how to split
-the medial consonant cluster; the default policy hands the longest
+the medial consonant cluster. A policy is named by its string in
+``MEDIAL_SPLITS``: the default, ``max-onset``, hands the longest
 cluster suffix attested as a word onset in the training corpus to the
-second syllable. Scoring tries every candidate cut
+second syllable, and ``always-split-cc`` keeps the first of two or more
+consonants back unless it is ``s``. Scoring tries every candidate cut
 (``parse.enumerate_segmentations``); training tallies each
 disyllable's medial part, and ``split_medial`` cuts each distinct one
 where the policy picks. ``cut_runs`` slices a word at one cut. The
@@ -15,10 +17,9 @@ runs are the transcription's own symbols, so segments are conserved.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .phonology import Stress, Transcription, stress_pattern
+from .phonology import Transcription, stress_pattern
 
 if TYPE_CHECKING:
     from .train import LexiconEntry
@@ -30,15 +31,10 @@ WordOnsetSet = frozenset
 MedialPart = tuple[str, str, tuple[str, ...]]
 
 
-class MedialSplitPolicy(Enum):
-    MAX_ONSET = "max-onset"
-    ALWAYS_SPLIT_CC = "always-split-cc"
-
-
 class Syllable(NamedTuple):
     onset: tuple[str, ...]
     rhyme: tuple[str, ...]
-    stress: Stress
+    stress: str  # the syllable's letter of its word's stress pattern, s or w
 
 
 def collect_word_onsets(entries: Iterable[LexiconEntry]) -> WordOnsetSet:
@@ -58,13 +54,16 @@ def collect_word_onsets(entries: Iterable[LexiconEntry]) -> WordOnsetSet:
     return frozenset(onsets)
 
 
-def _split_cluster(
-    symbols: tuple[str, ...], onsets: WordOnsetSet, policy: MedialSplitPolicy
-) -> int:
+# the medial split policies, as --medial-split and the model file spell them;
+# the first is the default
+MEDIAL_SPLITS = ("max-onset", "always-split-cc")
+
+
+def _split_cluster(symbols: tuple[str, ...], onsets: WordOnsetSet, policy: str) -> int:
     """How many trailing cluster consonants open the second syllable: the longest attested onset."""
     m = len(symbols)
     longest = m  # always-split-cc keeps the first of two or more consonants back, unless it is s
-    if policy is MedialSplitPolicy.ALWAYS_SPLIT_CC and m > 1 and symbols[0] != "s":
+    if policy == "always-split-cc" and m > 1 and symbols[0] != "s":
         longest = m - 1
     for k in range(longest, 0, -1):
         if symbols[m - k :] in onsets:
@@ -73,7 +72,7 @@ def _split_cluster(
 
 
 def split_medial(
-    parts: Mapping[MedialPart, int], onsets: WordOnsetSet, policy: MedialSplitPolicy
+    parts: Mapping[MedialPart, int], onsets: WordOnsetSet, policy: str
 ) -> dict[tuple[str, tuple[str, ...]], int]:
     """The (cell label, terminal) counts of tallied medial parts, each cut where the policy cuts.
 
@@ -105,9 +104,7 @@ def cut_runs(seq: tuple, nuclei: tuple[int, ...], cut: int | None) -> tuple[tupl
 
 
 def syllabify(
-    t: Transcription,
-    onsets: WordOnsetSet,
-    policy: MedialSplitPolicy = MedialSplitPolicy.MAX_ONSET,
+    t: Transcription, onsets: WordOnsetSet, policy: str = MEDIAL_SPLITS[0]
 ) -> tuple[tuple[Syllable, ...], ...]:
     """Split a transcription into syllables, one tuple per word.
 

@@ -38,8 +38,8 @@ from .errors import (
     VersionMismatch,
 )
 from .grammar import LABELS, NULL_TERMINAL, TEMPLATE_KEYS, format_terminal, templates_for
-from .phonology import PhonemeInventory, Stress, Transcription, is_reserved, stress_pattern, tokenize
-from .syllabify import (MedialPart, MedialSplitPolicy, WordOnsetSet, collect_word_onsets, cut_runs,
+from .phonology import PhonemeInventory, Transcription, is_reserved, stress_pattern, tokenize
+from .syllabify import (MEDIAL_SPLITS, MedialPart, WordOnsetSet, collect_word_onsets, cut_runs,
                         split_medial)
 
 PathPair = tuple[str, tuple[str, ...]]  # (cell label, terminal), e.g. ('Osi', ('s', 't'))
@@ -56,7 +56,7 @@ NO_ENTRIES = "no usable lexicon entries"
 
 class _ConfigFields(NamedTuple):
     inventory_digest: str
-    medial_split: MedialSplitPolicy = MedialSplitPolicy.MAX_ONSET
+    medial_split: str = MEDIAL_SPLITS[0]
     gt_mode: str = "simple"
     epsilon: float = 1e-9
 
@@ -72,6 +72,8 @@ class ModelConfig(_ConfigFields):
 
     def __new__(cls, *args, **kwargs) -> ModelConfig:
         self = super().__new__(cls, *args, **kwargs)
+        if self.medial_split not in MEDIAL_SPLITS:
+            raise BadConfig(f"medial_split must be one of {MEDIAL_SPLITS}")
         if self.gt_mode not in GT_MODES:
             raise BadConfig(f"gt_mode must be one of {GT_MODES}")
         if not EPSILON_MIN <= self.epsilon <= EPSILON_MAX:
@@ -87,7 +89,7 @@ class LexiconEntry(NamedTuple):
     orthography: str
     transcription: Transcription
     lineno: int
-    pattern: tuple[Stress, ...]  # stress_pattern(transcription), read once at ingest
+    pattern: str  # stress_pattern(transcription), read once at ingest
 
 
 class IngestResult(NamedTuple):
@@ -199,6 +201,9 @@ class _ModelFields(NamedTuple):
 class TrainedModel(_ModelFields):
     """A model is its counts and its config; the rest is derived from them once, when it is built.
 
+    Every count must be at least 1: a lower one raises ValueError, which
+    names its cell and terminal.
+
     Two attributes sit beside the fields, out of equality and the repr
     (so the class declares no slots), and nothing writes to either
     after the model is built. ``lookup`` is what ``good_turing`` derives:
@@ -216,6 +221,11 @@ class TrainedModel(_ModelFields):
     """
 
     def __new__(cls, table: PathTable, config: ModelConfig) -> TrainedModel:
+        for label, cell in table.counts.items():
+            if min(cell.values(), default=1) < 1:
+                terminal = min(cell, key=cell.__getitem__)
+                raise ValueError(f"cell {label}: count {cell[terminal]} below 1 for terminal "
+                                 f"{format_terminal(terminal)!r}")
         self = super().__new__(cls, table, config)
         # good_turing is read from the module when called, so a wrapper swapped in for it sees the call
         self.lookup = lookup = good_turing(table, config)
@@ -306,7 +316,7 @@ def save_model(model: TrainedModel) -> str:
     lines = [
         MODEL_HEADER,
         f"config\tinventory_sha256\t{cfg.inventory_digest}",
-        f"config\tmedial_split\t{cfg.medial_split.value}",
+        f"config\tmedial_split\t{cfg.medial_split}",
         f"config\tgt\t{cfg.gt_mode}",
         f"config\tepsilon\t{cfg.epsilon!r}",
         f"total\t{model.table.total}",
@@ -388,8 +398,8 @@ def load_model(document: str) -> TrainedModel:
 
     try:
         config = ModelConfig(
-            config_fields["inventory_sha256"], MedialSplitPolicy(config_fields["medial_split"]),
-            config_fields["gt"], float(config_fields["epsilon"]),
+            config_fields["inventory_sha256"], config_fields["medial_split"], config_fields["gt"],
+            float(config_fields["epsilon"]),
         )
     except KeyError as err:
         raise ModelFormatError(f"missing config {err.args[0]}") from None
@@ -467,7 +477,7 @@ def _train_chunk(lines: Iterable[str], first: int, inv: PhonemeInventory):
 def train_model(
     document: str,
     inv: PhonemeInventory,
-    policy: MedialSplitPolicy = ModelConfig._field_defaults["medial_split"],
+    policy: str = ModelConfig._field_defaults["medial_split"],
     gt_mode: str = ModelConfig._field_defaults["gt_mode"],
     epsilon: float = ModelConfig._field_defaults["epsilon"],
 ) -> TrainResult:

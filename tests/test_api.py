@@ -18,22 +18,31 @@ def test_every_exported_name_resolves():
     assert namespace["LABELS"] is phonotax.grammar.LABELS
 
 
-def test_the_package_imports_only_the_standard_library():
-    # the package has no runtime dependencies: every absolute import names
-    # a standard-library module or the package itself
+def _absolute_imports() -> list[tuple[str, str]]:
+    """(module file name, imported name) for every absolute import in the package's modules."""
     modules = sorted(Path(phonotax.__file__).parent.glob("*.py"))
     assert len(modules) > 10
+    imports = []
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                imports += [(path.name, alias.name) for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.partition(".")[0]
-                assert top in sys.stdlib_module_names or top == "phonotax", f"{path.name} imports {name}"
+                imports.append((path.name, node.module))
+    return imports
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the package has no runtime dependencies: every absolute import names
+    # a standard-library module or the package itself
+    for module, name in _absolute_imports():
+        top = name.partition(".")[0]
+        assert top in sys.stdlib_module_names or top == "phonotax", f"{module} imports {name}"
+
+
+def test_no_module_imports_enum():
+    # closed vocabularies, such as stress letters and split policies, are checked strings
+    assert [(module, name) for module, name in _absolute_imports() if name == "enum"] == []
 
 
 def test_importing_the_command_line_leaves_dataclasses_and_inspect_out():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from phonotax.errors import UnsupportedStressPattern
 from phonotax.grammar import (
     LABELS,
+    TEMPLATE_KEYS,
     PathType,
     UnifiedParse,
     UnifyFailure,
@@ -19,13 +20,11 @@ from phonotax.grammar import (
     templates_for,
 )
 from phonotax.parse import parse_all
-from phonotax.phonology import Stress, load_inventory, tokenize
+from phonotax.phonology import _PATTERNS, load_inventory, tokenize
 from phonotax.train import train_model
 
 from conftest import INVENTORY_TEXT
 from oracles import random_lexicon, random_transcription_text
-
-S, W = Stress.STRONG, Stress.WEAK
 
 
 def test_category_parts():
@@ -35,22 +34,13 @@ def test_category_parts():
     assert path_prefix("Rwif") == "U : W : Swif : Rwif : "
 
 
-@pytest.mark.parametrize("member", list(Stress))
-def test_a_stress_member_survives_a_pickle_round_trip_and_still_keys_templates_for(member):
-    back = pickle.loads(pickle.dumps(member, pickle.HIGHEST_PROTOCOL))
-    assert back is member
-    assert hash(back) == hash(member)
-    assert templates_for((back, S)) == templates_for((member, S))
-    assert templates_for((back,)) == templates_for((member,))
-
-
 def test_a_word_template_derives_its_slots_and_shows_only_its_words():
     template = WordTemplate((("Ssi", "Swf"),))
     assert template.labels == ("Osi", "Rsi", "Owf", "Rwf")
     assert WordTemplate._fields == ("words", "labels", "text")
     assert template.text == " ; ".join([path_prefix(label) + "%s" for label in template.labels])
     assert repr(template) == "WordTemplate(words=(('Ssi', 'Swf'),))"
-    assert template == templates_for((S, W))[0]
+    assert template == templates_for("sw")[0]
     assert pickle.loads(pickle.dumps(template)) == template
 
 
@@ -59,29 +49,47 @@ def _describe(template):
 
 
 def test_templates_for_all_patterns():
-    assert [_describe(t) for t in templates_for((S,))] == ["[Ssif]"]
-    assert [_describe(t) for t in templates_for((W,))] == ["[Swif]"]
-    assert [_describe(t) for t in templates_for((W, S))] == ["[Swi Ssf]"]
-    assert [_describe(t) for t in templates_for((S, W))] == ["[Ssi Swf]"]
+    assert [_describe(t) for t in templates_for("s")] == ["[Ssif]"]
+    assert [_describe(t) for t in templates_for("w")] == ["[Swif]"]
+    assert [_describe(t) for t in templates_for("ws")] == ["[Swi Ssf]"]
+    assert [_describe(t) for t in templates_for("sw")] == ["[Ssi Swf]"]
     # double strong: one word or a compound, single-word reading first
-    assert [_describe(t) for t in templates_for((S, S))] == ["[Ssi Ssf]", "[Ssif] [Ssif]"]
+    assert [_describe(t) for t in templates_for("ss")] == ["[Ssi Ssf]", "[Ssif] [Ssif]"]
     with pytest.raises(UnsupportedStressPattern):
-        templates_for((W, W))
+        templates_for("ww")
     # a boundary commits a double-strong word to the compound; weak-weak fails first
-    assert [_describe(t) for t in templates_for((S, S), True)] == ["[Ssif] [Ssif]"]
-    for pattern in ((S, W), (W, S)):
+    assert [_describe(t) for t in templates_for("ss", True)] == ["[Ssif] [Ssif]"]
+    for pattern in ("sw", "ws"):
         with pytest.raises(UnsupportedStressPattern, match="^a compound boundary needs two strong monosyllables$"):
             templates_for(pattern, True)
     with pytest.raises(UnsupportedStressPattern, match="^no rule generates a weak-weak word$"):
-        templates_for((W, W), True)
+        templates_for("ww", True)
+
+
+def test_every_template_slot_carries_its_syllable_s_stress_letter():
+    # over every stress pattern stress_pattern can give: syllable i of each
+    # template has onset and rhyme labels tagged with the pattern's letter i
+    accepted = set()
+    for (_, compound), pattern in _PATTERNS.items():
+        if pattern is None:
+            continue
+        try:
+            templates = templates_for(pattern, compound)
+        except UnsupportedStressPattern:
+            continue
+        accepted.add((pattern, compound))
+        for template in templates:
+            assert [label[:2] for label in template.labels] == [
+                kind + letter for letter in pattern for kind in "OR"]
+    assert accepted == set(TEMPLATE_KEYS)
 
 
 def test_template_slots():
-    iamb = templates_for((W, S))[0]
+    iamb = templates_for("ws")[0]
     assert iamb.labels == ("Owi", "Rwi", "Osf", "Rsf")
     assert iamb.text == " ; ".join([path_prefix(label) + "%s" for label in iamb.labels])
     assert iamb.text.startswith("U : W : Swi : Owi : %s ; ")
-    compound = templates_for((S, S))[1]
+    compound = templates_for("ss")[1]
     assert compound.labels == ("Osif", "Rsif", "Osif", "Rsif")
 
 
@@ -96,7 +104,7 @@ def _paths_for(template):
 
 
 def test_unify_success():
-    template = templates_for((S, W))[0]
+    template = templates_for("sw")[0]
     paths = _paths_for(template)
     result = sequential_unify(template, paths)
     assert isinstance(result, UnifiedParse)
@@ -104,7 +112,7 @@ def test_unify_success():
 
 
 def test_unify_rejects_tag_mismatch():
-    template = templates_for((S, W))[0]
+    template = templates_for("sw")[0]
     paths = _paths_for(template)
     # swap the second rhyme for one with the wrong tags
     paths[3] = PathType("Rsf", ("æ",))
@@ -117,7 +125,7 @@ def test_unify_rejects_tag_mismatch():
 
 
 def test_unify_rejects_wrong_order():
-    template = templates_for((S,))[0]
+    template = templates_for("s")[0]
     onset = PathType("Osif", ("k",))
     result = sequential_unify(template, [onset, onset])
     assert isinstance(result, UnifyFailure)
@@ -126,7 +134,7 @@ def test_unify_rejects_wrong_order():
 
 
 def test_unify_rejects_wrong_lengths():
-    template = templates_for((S,))[0]
+    template = templates_for("s")[0]
     paths = _paths_for(template)
     short = sequential_unify(template, paths[:1])
     assert isinstance(short, UnifyFailure)
@@ -139,7 +147,7 @@ def test_unify_rejects_wrong_lengths():
 
 
 def test_unify_reports_first_offending_pair():
-    template = templates_for((S, S))[0]
+    template = templates_for("ss")[0]
     good = _paths_for(template)
     bad = [good[0], PathType("Rwf", ("æ",)), good[2], good[3]]
     result = sequential_unify(template, bad)
@@ -149,7 +157,7 @@ def test_unify_reports_first_offending_pair():
 
 
 def test_unified_parse_validates():
-    template = templates_for((S,))[0]
+    template = templates_for("s")[0]
     with pytest.raises(ValueError):
         UnifiedParse(template, (PathType("Rsif", ("æ",)),))
     parse = UnifiedParse(template, (PathType("Osif", ()), PathType("Rsif", ("æ",))))

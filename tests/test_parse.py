@@ -14,7 +14,7 @@ from phonotax.grammar import format_path
 from phonotax.parse import ScoredParse, enumerate_segmentations, parse_all
 from phonotax.phonology import load_inventory, tokenize
 from phonotax.score import score_batch, score_word
-from phonotax.syllabify import MedialSplitPolicy, collect_word_onsets
+from phonotax.syllabify import MEDIAL_SPLITS, collect_word_onsets
 from phonotax.train import ingest_lexicon, train_model
 
 from conftest import INVENTORY_TEXT, entry_paths
@@ -180,8 +180,10 @@ def test_every_parse_carries_its_paths_lookups(seed):
                 assert sp.probabilities[i] == seen.get(path.terminal, unseen)
             assert sp.product == math.prod(sp.probabilities)
         winner = forest[0]
-        assert score_word(model, t) == (winner.product, math.log(winner.product), min(winner.probabilities),
-                                        max(winner.probabilities), winner.path_text)
+        report = score_word(model, t)
+        assert report == (winner.product, math.log(winner.product), min(winner.probabilities),
+                          max(winner.probabilities), winner)
+        assert report.path_text == winner.path_text
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,7 +258,7 @@ def test_training_cut_is_one_of_the_scoring_cuts(seed, size):
     onsets = collect_word_onsets(entries)
     for entry in entries:
         candidates = enumerate_segmentations(entry.transcription)
-        for policy in MedialSplitPolicy:
+        for policy in MEDIAL_SPLITS:
             try:
                 paths = entry_paths(entry, onsets, policy)
             except UnsupportedStressPattern:

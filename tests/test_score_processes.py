@@ -6,12 +6,13 @@ others. ``score`` scores each chunk; ``train`` reads each chunk once,
 and the parent splits the medial parts of all chunks under their
 united word onsets. These tests hold the chunked outputs to the
 one-process outputs, and check that every worker is reaped, also when
-one fails or the command is killed.
+one fails or the command is killed or interrupted.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import fcntl
 import io
 import os
@@ -391,6 +392,99 @@ def test_a_worker_stops_within_a_slice_of_its_parent_dying(batch_files):
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(group, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+
+
+# A command forced into two processes, each of which takes about ROW_DELAY
+# seconds longer per stimulus it scores or lexicon entry it counts.
+SLOW_TWO_PROCESS_CLI = f"""
+import sys, time
+from phonotax import chunks, score, train
+from phonotax.cli import main
+chunks._processes = lambda rows: 2
+def slowed(fn):
+    def slow(*args):
+        time.sleep({ROW_DELAY!r})
+        return fn(*args)
+    return slow
+score.score_word = slowed(score.score_word)
+train.extract_paths = slowed(train.extract_paths)
+sys.exit(main())
+"""
+
+
+def _default_sigint() -> None:
+    """Run in the child before it starts: SIGINT acts, even where the test runner ignores it."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _assert_interrupted(proc: subprocess.Popen, out: Path) -> None:
+    """SIGINT the command's process group; it must end with one line, exit 130, and leave nothing."""
+    group = proc.pid
+    os.killpg(group, signal.SIGINT)
+    _, err = proc.communicate(timeout=30)
+    assert (proc.returncode, err) == (130, b"error: interrupted\n")
+    assert _running_in_group(group) == []
+    assert not out.exists()
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to read process states")
+@pytest.mark.parametrize("command", ["score", "evaluate", "train"])
+def test_an_interrupted_command_ends_with_one_line_and_no_worker(batch_files, lexicon_files, command):
+    out = batch_files / "out"
+    argv = {
+        "score": _score_argv(batch_files, "--out", str(out)),
+        "evaluate": ["evaluate", *_score_argv(batch_files, "--out", str(out))[1:]],
+        "train": _train_argv(lexicon_files),  # its --out is the same directory
+    }[command]
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_TWO_PROCESS_CLI, *argv], env=ENV,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+                            preexec_fn=_default_sigint)
+    try:
+        deadline = time.monotonic() + 30
+        while len(_running_in_group(proc.pid)) < 2:  # the command and its worker
+            assert proc.poll() is None, "the command ended before it forked"
+            assert time.monotonic() < deadline, "no worker started"
+            time.sleep(0.01)
+        _assert_interrupted(proc, out)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_an_interrupt_while_reading_input_ends_with_one_line(batch_files):
+    fifo = batch_files / "stimuli.fifo"
+    os.mkfifo(fifo)
+    out = batch_files / "out"
+    argv = ["score", str(batch_files / "model.tsv"), str(fifo), "--inventory", str(batch_files / "inventory.tsv"),
+            "--out", str(out)]
+    proc = subprocess.Popen([sys.executable, "-c", CLI, *argv], env=ENV, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, start_new_session=True, preexec_fn=_default_sigint)
+    writer = None
+    try:
+        deadline = time.monotonic() + 30
+        while writer is None:
+            try:  # opens once the command has the pipe open to read; the command then waits for lines
+                writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+            except OSError as err:
+                if err.errno != errno.ENXIO:
+                    raise
+                assert proc.poll() is None, "the command ended before it read its input"
+                assert time.monotonic() < deadline, "the command never opened its input"
+                time.sleep(0.01)
+        _assert_interrupted(proc, out)
+    finally:
+        if writer is not None:
+            os.close(writer)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
         proc.kill()
         proc.wait(timeout=10)
         proc.stderr.close()
