@@ -31,9 +31,9 @@ SCORE_COLUMNS = ("word_id", "p_word", "ln_p_word", "p_worst", "p_best", "best_pa
 
 
 def _read(path: Path) -> str:
-    """An input file's text; a file that is not UTF-8 is bad data, not a crash."""
+    """An input file's text, less any leading byte-order mark; bad UTF-8 is bad data, not a crash."""
     try:
-        return path.read_text("utf-8")
+        return path.read_text("utf-8-sig")
     except UnicodeDecodeError as err:
         raise BadEncoding(f"{path}: not valid UTF-8 ({err.reason})") from None
 
@@ -76,9 +76,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"word onsets: {len(result.onsets)}")
     print("per-cell totals:")
     for kind in "OR":
-        row = "  ".join(
-            f"{label} {result.model.table.n(label)}" for label in LABELS if label[0] == kind
-        )
+        row = "  ".join(f"{label} {result.model.n(label)}" for label in LABELS if label[0] == kind)
         print(f"  {row}")
     print(f"model: {model_path}")
     return 0
@@ -196,7 +194,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_import_mitton(args: argparse.Namespace) -> int:
     from .mitton import convert_mitton
 
-    result = convert_mitton(args.dictionary.read_text("utf-8", errors="replace"))
+    result = convert_mitton(args.dictionary.read_text("utf-8-sig", errors="replace"))
     path = _write(args.out, "lexicon.tsv", result.lexicon_text)
     print(f"converted entries: {result.converted}")
     if result.skipped:

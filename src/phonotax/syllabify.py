@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING, NamedTuple
 
+from .errors import BadConfig
 from .phonology import Transcription, stress_pattern
 
 if TYPE_CHECKING:
@@ -60,7 +61,12 @@ MEDIAL_SPLITS = ("max-onset", "always-split-cc")
 
 
 def _split_cluster(symbols: tuple[str, ...], onsets: WordOnsetSet, policy: str) -> int:
-    """How many trailing cluster consonants open the second syllable: the longest attested onset."""
+    """How many trailing cluster consonants open the second syllable: the longest attested onset.
+
+    Raises BadConfig for a policy outside ``MEDIAL_SPLITS``.
+    """
+    if policy not in MEDIAL_SPLITS:
+        raise BadConfig(f"medial_split must be one of {MEDIAL_SPLITS}")
     m = len(symbols)
     longest = m  # always-split-cc keeps the first of two or more consonants back, unless it is s
     if policy == "always-split-cc" and m > 1 and symbols[0] != "s":

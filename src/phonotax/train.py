@@ -5,8 +5,9 @@ entries, collects their word onsets and counts each entry's (cell label,
 terminal) paths under its stress template. Only a disyllable's medial
 split depends on the onsets of the whole lexicon, so its medial part is
 tallied instead, and ``split_medial`` cuts each distinct one once at
-the end. The counts are tabulated per cell label and each cell smoothed
-into a probability table. Every cell is keyed by its constituent label
+the end. The counts are tabulated per cell label; a model is those
+counts and its config, and building it smooths each cell into a
+probability table. Every cell is keyed by its constituent label
 (``Osi`` ... ``Rwif``), as the paper names it and the model file writes
 it. The lines may be cut into contiguous chunks, a process each.
 Probability mass is reserved for unseen terminals per cell: a cell
@@ -163,10 +164,58 @@ def extract_paths(entry: LexiconEntry) -> tuple[list[PathPair], MedialPart | Non
     return fixed, (labels[1], labels[2], t.symbols[n0:n1])
 
 
-class PathTable(NamedTuple):
-    """Per-cell terminal counts over a corpus of paths, keyed by cell label."""
+def tabulate(paths: Iterable[PathPair]) -> dict[str, dict[tuple[str, ...], int]]:
+    """Count (label, terminal) paths per cell; ``paths`` may be a generator, or a Counter of them."""
+    tally = Counter(paths)
+    if not tally:
+        raise EmptyCorpus("no paths to tabulate")
+    counts: dict[str, dict[tuple[str, ...], int]] = {}
+    for (label, terminal), c in tally.items():
+        counts.setdefault(label, {})[terminal] = c
+    return counts
 
-    counts: dict[str, dict[tuple[str, ...], int]]
+
+class _ModelFields(NamedTuple):
+    counts: dict[str, dict[tuple[str, ...], int]]  # per cell label, each terminal's count
+    config: ModelConfig
+
+
+class TrainedModel(_ModelFields):
+    """A model is its counts and its config; the rest is derived from them once, when it is built.
+
+    ``counts`` holds, per cell label of ``grammar.LABELS``, each seen
+    terminal's count. A label outside ``LABELS`` or a count below 1
+    raises ValueError, which names the label, or the count's cell and
+    terminal; so ``total`` is the sum of the twelve cells' N.
+
+    Two attributes sit beside the fields, out of equality and the repr
+    (so the class declares no slots), and nothing writes to either
+    after the model is built. ``lookup`` is what ``good_turing`` derives:
+    per cell label, the seen terminals' probabilities and the answer an
+    unseen terminal gets. ``templates`` holds, per (stress pattern,
+    compound) key that ``templates_for`` accepts, each template it gives
+    with its per-slot ``lookup`` entries; ``parse_all`` only reads it.
+    """
+
+    def __new__(cls, counts: dict[str, dict[tuple[str, ...], int]], config: ModelConfig) -> TrainedModel:
+        for label, cell in counts.items():
+            if label not in LABELS:
+                raise ValueError(f"unknown cell label {label!r}")
+            if min(cell.values(), default=1) < 1:
+                terminal = min(cell, key=cell.__getitem__)
+                raise ValueError(f"cell {label}: count {cell[terminal]} below 1 for terminal "
+                                 f"{format_terminal(terminal)!r}")
+        self = super().__new__(cls, counts, config)
+        # good_turing is read from the module when called, so a wrapper swapped in for it sees the call
+        self.lookup = lookup = good_turing(self)
+        self.templates = {key: [(tpl, tuple([lookup[label] for label in tpl.labels]))
+                                for tpl in templates_for(*key)]
+                          for key in TEMPLATE_KEYS}
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> TrainedModel:  # so that _replace derives lookup and templates too
+        return cls(*iterable)
 
     @property
     def total(self) -> int:
@@ -182,84 +231,13 @@ class PathTable(NamedTuple):
         return sum(1 for c in self.counts.get(label, {}).values() if c == 1)
 
 
-def tabulate(paths: Iterable[PathPair]) -> PathTable:
-    """Count (label, terminal) paths per cell; ``paths`` may be a generator, or a Counter of them."""
-    tally = Counter(paths)
-    if not tally:
-        raise EmptyCorpus("no paths to tabulate")
-    counts: dict[str, dict[tuple[str, ...], int]] = {}
-    for (label, terminal), c in tally.items():
-        counts.setdefault(label, {})[terminal] = c
-    return PathTable(counts)
+def good_turing(model: TrainedModel) -> Lookup:
+    """Smooth a model's per-cell counts, reserving singleton mass for the unseen.
 
-
-class _ModelFields(NamedTuple):
-    table: PathTable
-    config: ModelConfig
-
-
-class TrainedModel(_ModelFields):
-    """A model is its counts and its config; the rest is derived from them once, when it is built.
-
-    Every count must be at least 1: a lower one raises ValueError, which
-    names its cell and terminal.
-
-    Two attributes sit beside the fields, out of equality and the repr
-    (so the class declares no slots), and nothing writes to either
-    after the model is built. ``lookup`` is what ``good_turing`` derives:
-    per cell label, the seen terminals' probabilities and the unseen
-    answer. ``templates`` holds, per (stress pattern, compound) key that
-    ``templates_for`` accepts, each template it gives with its per-slot
-    ``lookup`` entries; ``parse_all`` only reads it.
-
-    ``p0``, ``probabilities`` and ``all_unseen`` are read-only views of
-    ``lookup``, each built anew on every read. An empty cell (one with
-    no counts) has two readings: ``p0[label]`` is the mass the cell
-    reserves for the unseen, 1.0 in an empty cell, as the model file
-    writes it; ``lookup[label][1]`` is the answer an unseen terminal
-    gets, which is p0, or ``config.epsilon`` in an empty cell.
-    """
-
-    def __new__(cls, table: PathTable, config: ModelConfig) -> TrainedModel:
-        for label, cell in table.counts.items():
-            if min(cell.values(), default=1) < 1:
-                terminal = min(cell, key=cell.__getitem__)
-                raise ValueError(f"cell {label}: count {cell[terminal]} below 1 for terminal "
-                                 f"{format_terminal(terminal)!r}")
-        self = super().__new__(cls, table, config)
-        # good_turing is read from the module when called, so a wrapper swapped in for it sees the call
-        self.lookup = lookup = good_turing(table, config)
-        self.templates = {key: [(tpl, tuple([lookup[label] for label in tpl.labels]))
-                                for tpl in templates_for(*key)]
-                          for key in TEMPLATE_KEYS}
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> TrainedModel:  # so that _replace derives lookup and templates too
-        return cls(*iterable)
-
-    @property
-    def p0(self) -> dict[str, float]:
-        """Per cell label, the mass reserved for unseen terminals: 1.0 in an empty cell."""
-        return {label: unseen if seen else 1.0 for label, (seen, unseen) in self.lookup.items()}
-
-    @property
-    def probabilities(self) -> dict[str, dict[tuple[str, ...], float]]:
-        """Per cell label, the seen terminals' probabilities: none in an empty cell."""
-        return {label: seen for label, (seen, _) in self.lookup.items()}
-
-    @property
-    def all_unseen(self) -> frozenset[str]:
-        """The labels of the empty cells."""
-        return frozenset([label for label, (seen, _) in self.lookup.items() if not seen])
-
-
-def good_turing(table: PathTable, config: ModelConfig) -> Lookup:
-    """Smooth per-cell counts, reserving singleton mass for the unseen.
-
-    Returns per cell label the seen terminals' probabilities and the
-    answer an unseen terminal gets: the cell's reserved mass p0 whole,
-    or ``config.epsilon`` in a cell with no counts. In ``simple`` mode
+    ``TrainedModel`` calls it on the model it is building. Returns per
+    cell label the seen terminals' probabilities and the answer an
+    unseen terminal gets: the cell's reserved mass p0 whole, or the
+    config's epsilon in a cell with no counts. In ``simple`` mode
     every seen terminal keeps its relative frequency scaled by (1 - p0).
     In ``full`` mode counts are first discounted r -> (r+1) * N_{r+1} /
     N_r where the next frequency class is populated (left alone
@@ -267,13 +245,13 @@ def good_turing(table: PathTable, config: ModelConfig) -> Lookup:
     """
     lookup: Lookup = {}
     for label in LABELS:
-        counts = table.counts.get(label, {})
-        n = table.n(label)
+        counts = model.counts.get(label, {})
+        n = model.n(label)
         if n == 0:
-            lookup[label] = ({}, config.epsilon)
+            lookup[label] = ({}, model.config.epsilon)
             continue
-        reserved = min(0.5, max(table.n1(label) / n, 1.0 / (2 * n)))
-        if config.gt_mode == "simple":
+        reserved = min(0.5, max(model.n1(label) / n, 1.0 / (2 * n)))
+        if model.config.gt_mode == "simple":
             probabilities = {t: (1.0 - reserved) * c / n for t, c in counts.items()}
         else:
             nr = Counter(counts.values())
@@ -289,7 +267,7 @@ def good_turing(table: PathTable, config: ModelConfig) -> Lookup:
 
 def top_k(model: TrainedModel, label: str, k: int) -> list[tuple[str, int]]:
     """Most frequent terminals of a cell: count descending, text ascending."""
-    counts = model.table.counts.get(label, {})
+    counts = model.counts.get(label, {})
     ranked = sorted(counts.items(), key=lambda item: (-item[1], format_terminal(item[0])))
     return [(format_terminal(t), c) for t, c in ranked[:k]]
 
@@ -319,24 +297,19 @@ def save_model(model: TrainedModel) -> str:
         f"config\tmedial_split\t{cfg.medial_split}",
         f"config\tgt\t{cfg.gt_mode}",
         f"config\tepsilon\t{cfg.epsilon!r}",
-        f"total\t{model.table.total}",
+        f"total\t{model.total}",
     ]
-    records = []
+    p0_lines, records = [], []
     reprs = FloatReprs()  # a cell's probabilities take few distinct values
     for label in LABELS:
-        counts, (probabilities, _) = model.table.counts.get(label, {}), model.lookup[label]
+        counts, (seen, unseen) = model.counts.get(label, {}), model.lookup[label]
         for text, terminal in sorted(zip(map(format_terminal, counts), counts)):
-            records.append(f"{label}\t{text}\t{counts[terminal]}\t{reprs[probabilities[terminal]]}")
+            records.append(f"{label}\t{text}\t{counts[terminal]}\t{reprs[seen[terminal]]}")
+        # an empty cell reserves its whole mass, 1.0, and is flagged
+        reserved, flag = (unseen, "") if seen else (1.0, "\tall_unseen")
+        p0_lines.append(f"p0\t{label}\t{reprs[reserved]}\tN\t{model.n(label)}\tN1\t{model.n1(label)}{flag}")
     lines.append(f"records\t{len(records)}")
-    p0, all_unseen = model.p0, model.all_unseen
-    for label in LABELS:
-        flag = "\tall_unseen" if label in all_unseen else ""
-        lines.append(
-            f"p0\t{label}\t{reprs[p0[label]]}"
-            f"\tN\t{model.table.n(label)}\tN1\t{model.table.n1(label)}{flag}"
-        )
-    lines.extend(records)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + p0_lines + records) + "\n"
 
 
 def load_model(document: str) -> TrainedModel:
@@ -407,7 +380,7 @@ def load_model(document: str) -> TrainedModel:
         raise ModelFormatError(f"bad config: {err}") from None
     counts = {label: bucket for label, bucket in counts.items() if bucket}
     try:
-        model = TrainedModel(PathTable(counts), config)
+        model = TrainedModel(counts, config)
     except OverflowError:
         raise ModelFormatError("counts too large to smooth: a cell's N does not fit a float") from None
     for label, (seen, unseen) in model.lookup.items():
@@ -438,7 +411,7 @@ class TrainResult(NamedTuple):
 
     @property
     def path_count(self) -> int:
-        return self.model.table.total
+        return self.model.total
 
 
 def _train_chunk(lines: Iterable[str], first: int, inv: PhonemeInventory):

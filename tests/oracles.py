@@ -102,7 +102,7 @@ def _oracle_word_splits(word: list[Field]) -> list[list[tuple[tuple, tuple]]]:
 def _oracle_prob(model, cell: str, terminal) -> float:
     """A path's probability by the simple-mode rule, from the model's counts and config alone."""
     assert model.config.gt_mode == "simple", "oracle fed a model smoothed in another mode"
-    counts = model.table.counts.get(cell, {})
+    counts = model.counts.get(cell, {})
     n = sum(counts.values())
     if n == 0:
         return model.config.epsilon

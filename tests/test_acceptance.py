@@ -20,7 +20,7 @@ from phonotax.parse import parse_all
 from phonotax.phonology import tokenize
 from phonotax.score import ScoreReport, score_word
 from phonotax.stats import evaluate, p_two_tailed, synthetic_judgments, t_from_r
-from phonotax.train import ModelConfig, PathTable, TrainedModel, train_model
+from phonotax.train import ModelConfig, TrainedModel, train_model
 
 from oracles import oracle_best, random_lexicon, random_transcription_text
 
@@ -38,11 +38,11 @@ def test_criterion_1_normalization_over_random_lexica(inv):
         mode = "simple" if trial % 2 == 0 else "full"
         model = train_model(lexicon, inv, gt_mode=mode).model
         for cell in LABELS:
-            if cell in model.all_unseen:
-                assert model.p0[cell] == 1.0
-                assert model.probabilities[cell] == {}
+            seen, unseen = model.lookup[cell]
+            if not seen:
+                assert model.n(cell) == 0 and unseen == model.config.epsilon
                 continue
-            mass = model.p0[cell] + math.fsum(model.probabilities[cell].values())
+            mass = unseen + math.fsum(seen.values())
             assert abs(mass - 1.0) <= 1e-9, (trial, cell, mass)
     assert time.monotonic() - start < 5.0
 
@@ -90,21 +90,22 @@ def test_criterion_4_smoothing_worked_examples():
     config = ModelConfig("0" * 64)
 
     def fit(counts):
-        return TrainedModel(PathTable({cell: dict(counts)}), config)
+        """The cell's seen probabilities and its p0."""
+        return TrainedModel({cell: dict(counts)}, config).lookup[cell]
 
-    m = fit({("a",): 3, ("b",): 1})
-    assert abs(m.p0[cell] - 0.25) <= 1e-12
-    assert abs(m.probabilities[cell][("a",)] - 0.5625) <= 1e-12
-    assert abs(m.probabilities[cell][("b",)] - 0.1875) <= 1e-12
+    seen, p0 = fit({("a",): 3, ("b",): 1})
+    assert abs(p0 - 0.25) <= 1e-12
+    assert abs(seen[("a",)] - 0.5625) <= 1e-12
+    assert abs(seen[("b",)] - 0.1875) <= 1e-12
 
-    m = fit({("a",): 2, ("b",): 2})
-    assert abs(m.p0[cell] - 0.125) <= 1e-12
-    assert abs(m.probabilities[cell][("a",)] - 0.4375) <= 1e-12
-    assert abs(m.probabilities[cell][("b",)] - 0.4375) <= 1e-12
+    seen, p0 = fit({("a",): 2, ("b",): 2})
+    assert abs(p0 - 0.125) <= 1e-12
+    assert abs(seen[("a",)] - 0.4375) <= 1e-12
+    assert abs(seen[("b",)] - 0.4375) <= 1e-12
 
-    m = fit({("a",): 1})
-    assert abs(m.p0[cell] - 0.5) <= 1e-12
-    assert abs(m.probabilities[cell][("a",)] - 0.5) <= 1e-12
+    seen, p0 = fit({("a",): 1})
+    assert abs(p0 - 0.5) <= 1e-12
+    assert abs(seen[("a",)] - 0.5) <= 1e-12
 
 
 def test_criterion_5_test_statistic_reference_points():
@@ -196,7 +197,7 @@ def test_criterion_8_dictionary_reproduction(default_inv, capsys):
         ("Osi null", "Osi", (), 1_180),
         ("Owf l", "Owf", ("l",), 979),
     ):
-        got = result.model.table.counts.get(cell, {}).get(terminal, 0)
+        got = result.model.counts.get(cell, {}).get(terminal, 0)
         lines.append((label, got, want))
 
     with capsys.disabled():

@@ -12,8 +12,9 @@ import pytest
 from phonotax import cli, train
 from phonotax.cli import SCORE_COLUMNS, main
 from phonotax.errors import PhonotaxError
+from phonotax.phonology import packaged_inventory
 from phonotax.plot import SVG_OPEN
-from phonotax.train import load_model
+from phonotax.train import load_model, save_model, train_model
 
 from conftest import INVENTORY_TEXT, TOY_LEXICON
 
@@ -45,7 +46,7 @@ def test_train_report(tmp_path, capsys):
     assert "per-cell totals:" in captured.out
     assert captured.err == ""
     model = load_model((tmp_path / "out" / "model.tsv").read_text("utf-8"))
-    assert model.table.total > 0
+    assert model.total > 0
 
 
 def test_train_is_deterministic(tmp_path):
@@ -84,6 +85,44 @@ def test_non_utf8_input_is_a_domain_error(command, model_path, tmp_path, capsys)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {bad}: not valid UTF-8")
+
+
+# per file kind: the files a command reads, the one given a byte-order
+# mark, and the command; each file opens as editors' files do, on a
+# comment, a header or a first record the mark would spoil
+_BOM_CASES = {
+    "inventory": ({"inventory.tsv": INVENTORY_TEXT, "lexicon.tsv": TOY_LEXICON + "pat\tp æ1 t\n"},
+                  "inventory.tsv", ["train", "lexicon.tsv", "--inventory", "inventory.tsv", "--out", "out"]),
+    "lexicon": ({"lexicon.tsv": "# toy lexicon\n" + TOY_LEXICON},
+                "lexicon.tsv", ["train", "lexicon.tsv", "--out", "out"]),
+    "stimuli": ({"model.tsv": None, "stimuli.tsv": "# stimuli\n" + STIMULI},
+                "stimuli.tsv", ["score", "model.tsv", "stimuli.tsv", "--out", "out"]),
+    "judgments": ({"model.tsv": None, "stimuli.tsv": STIMULI,
+                   "judgments.csv": "word_id,votes_against\nw1,0\nw2,3\nw3,8\nw4,12\n"},
+                  "judgments.csv", ["evaluate", "model.tsv", "stimuli.tsv", "judgments.csv", "--out", "out"]),
+    "model": ({"model.tsv": None, "stimuli.tsv": STIMULI}, "model.tsv", ["score", "model.tsv", "stimuli.tsv"]),
+    "dictionary": ({"text710.dat": "cat 'k&t K\ncandle 'k&ndl K\n"},
+                   "text710.dat", ["import-mitton", "text710.dat", "--out", "out"]),
+}
+
+
+@pytest.mark.parametrize("kind", _BOM_CASES)
+def test_a_byte_order_mark_leaves_a_file_s_reading_unchanged(kind, tmp_path, capsys):
+    files, marked, argv = _BOM_CASES[kind]
+    model_text = save_model(train_model(TOY_LEXICON, packaged_inventory()).model)
+    seen = {}
+    for variant in ("plain", "marked"):
+        work = tmp_path / variant
+        work.mkdir()
+        for name, text in files.items():
+            text = model_text if text is None else text
+            (work / name).write_text("\ufeff" * (variant == "marked" and name == marked) + text, encoding="utf-8")
+        rc = main([str(work / arg) if arg in files or arg == "out" else arg for arg in argv])
+        out, err = (text.replace(str(work), "WORK") for text in capsys.readouterr())
+        written = {path.name: path.read_bytes() for path in sorted((work / "out").glob("*"))}
+        seen[variant] = (rc, out, err, written)
+    assert (work / marked).read_bytes().startswith(b"\xef\xbb\xbf")
+    assert seen["plain"][0] == 0 and seen["marked"] == seen["plain"]
 
 
 def test_bad_epsilon_rejected(tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_all_unseen_product_is_p0_product(inv, toy_model):
     top = forest[0]
     assert not any(p.terminal in toy_model.lookup[p.label][0] for p in top.paths)
     cells = [p.label for p in top.paths]
-    assert top.product == math.prod(toy_model.p0[c] for c in cells)
+    assert top.product == math.prod(unseen if seen else 1.0 for seen, unseen in map(toy_model.lookup.get, cells))
 
 
 def test_a_forest_entry_is_a_value(inv, toy_model):

@@ -11,14 +11,14 @@ from phonotax import errors
 from phonotax.parse import parse_all
 from phonotax.phonology import tokenize
 from phonotax.score import parse_stimuli, score_batch, score_word
-from phonotax.train import ModelConfig, PathTable, TrainedModel, train_model
+from phonotax.train import ModelConfig, TrainedModel, train_model
 
 from oracles import random_transcription_text
 
 
 def _hand_model(counts):
     """The model of hand-set per-cell counts; every other cell is empty."""
-    return TrainedModel(PathTable(counts), ModelConfig("y" * 64))
+    return TrainedModel(counts, ModelConfig("y" * 64))
 
 
 def test_score_word_equal_constituents(inv):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from phonotax.errors import NoNucleus, OutOfScope
+from phonotax.errors import BadConfig, NoNucleus, OutOfScope
 from phonotax.phonology import load_inventory, tokenize
-from phonotax.syllabify import collect_word_onsets, syllabify
+from phonotax.syllabify import collect_word_onsets, split_medial, syllabify
 from phonotax.train import ingest_lexicon
 
 from conftest import INVENTORY_TEXT
@@ -67,6 +68,18 @@ def test_always_split_cc_single_consonant(inv):
     t = tokenize("æ1 t ə0", inv)
     assert _shape(t, _onsets("t"), SPLIT) == [["|æ", "t|ə"]]
     assert _shape(t, _onsets(), SPLIT) == [["|æ t", "|ə"]]
+
+
+def test_a_policy_outside_medial_splits_is_refused_where_it_is_read(inv):
+    # an unknown name does not split like max-onset: "tr" is an onset, so
+    # max-onset would cut æ | t r ə
+    message = r"^medial_split must be one of \('max-onset', 'always-split-cc'\)$"
+    onsets, part = _onsets("t r"), Counter({("Rsi", "Owf", ("æ", "t", "r")): 1})
+    assert split_medial(part, onsets, MAX) == {("Rsi", ("æ",)): 1, ("Owf", ("t", "r")): 1}
+    with pytest.raises(BadConfig, match=message):
+        split_medial(part, onsets, "bogus")
+    with pytest.raises(BadConfig, match=message):
+        syllabify(tokenize("æ1 t r ə0", inv), onsets, "always_split_cc")
 
 
 def test_compound_halves_split_independently(inv):

@@ -31,7 +31,6 @@ from phonotax.train import (
     EPSILON_MIN,
     GT_MODES,
     ModelConfig,
-    PathTable,
     TrainedModel,
     extract_paths,
     good_turing,
@@ -102,11 +101,11 @@ def test_extract_paths_monosyllables(inv):
     result = ingest_lexicon("cat\tk æ1 t\nat\tæ1 t\n", inv)
     onsets = collect_word_onsets(result.entries)
     paths = [p for e in result.entries for p in entry_paths(e, onsets)]
-    table = tabulate(paths)
-    assert table.counts[OSIF] == {("k",): 1, (): 1}
-    assert table.counts[RSIF] == {("æ", "t"): 2}
-    assert table.n(OSIF) == 2 and table.n(RSIF) == 2
-    assert table.total == 4
+    counts = tabulate(paths)
+    assert counts == {OSIF: {("k",): 1, (): 1}, RSIF: {("æ", "t"): 2}}
+    model = TrainedModel(counts, CONFIG)
+    assert model.n(OSIF) == 2 and model.n(RSIF) == 2
+    assert model.total == 4
 
 
 def test_extract_paths_compound(inv):
@@ -176,9 +175,9 @@ def test_trained_counts_match_a_path_type_recount(seed, size, policy):
         with pytest.raises(EmptyCorpus):
             train_model(doc, inventory, policy)
         return
-    table = train_model(doc, inventory, policy).model.table
-    assert table.counts == expected
-    assert table.total == recount.total()
+    model = train_model(doc, inventory, policy).model
+    assert model.counts == expected
+    assert model.total == recount.total()
 
 
 def _literal_split(cluster: tuple, onsets: set, policy: str) -> int:
@@ -189,7 +188,7 @@ def _literal_split(cluster: tuple, onsets: set, policy: str) -> int:
     return max(k for k in range(longest + 1) if k == 0 or cluster[len(cluster) - k :] in onsets)
 
 
-def _literal_recount(document: str, inventory, policy: str) -> PathTable:
+def _literal_recount(document: str, inventory, policy: str) -> dict[str, dict[tuple, int]]:
     """The path counts of an oracle lexicon, read line by line with read_fields alone."""
     entries = [read_fields(line.split("\t", 1)[1], inventory) for line in document.splitlines()]
     onsets = {()}
@@ -218,7 +217,7 @@ def _literal_recount(document: str, inventory, policy: str) -> PathTable:
             for label, run in (("O" + category[1:], onset), ("R" + category[1:], rhyme)):
                 cell = counts.setdefault(label, {})
                 cell[run] = cell.get(run, 0) + 1
-    return PathTable(counts)
+    return counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,7 +228,7 @@ def test_trained_counts_match_a_literal_recount(seed, size):
     inventory = load_inventory(INVENTORY_TEXT)
     doc = random_lexicon(random.Random(seed), size)
     for policy in MEDIAL_SPLITS:
-        assert train_model(doc, inventory, policy).model.table == _literal_recount(doc, inventory, policy)
+        assert train_model(doc, inventory, policy).model.counts == _literal_recount(doc, inventory, policy)
 
 
 def test_training_splits_each_medial_cluster_once(inv, monkeypatch):
@@ -253,26 +252,25 @@ def test_tabulate_invariants(inv):
     rng = random.Random(5)
     inventory = load_inventory(INVENTORY_TEXT)
     result = train_model(random_lexicon(rng, 25), inventory)
-    table = result.model.table
-    assert sum(table.n(c) for c in LABELS) == table.total
+    model = result.model
+    assert sum(model.n(c) for c in LABELS) == model.total
     for cell in LABELS:
-        assert table.n(cell) == sum(table.counts.get(cell, {}).values())
-        fof = Counter(table.counts.get(cell, {}).values())  # types per count r
-        assert sum(r * k for r, k in fof.items()) == table.n(cell)
+        assert model.n(cell) == sum(model.counts.get(cell, {}).values())
+        fof = Counter(model.counts.get(cell, {}).values())  # types per count r
+        assert sum(r * k for r, k in fof.items()) == model.n(cell)
     with pytest.raises(EmptyCorpus):
         tabulate([])
 
 
-def _table_with(counts_for_osif):
-    return PathTable({OSIF: dict(counts_for_osif)})
+def _counts_with(counts_for_osif):
+    return {OSIF: dict(counts_for_osif)}
 
 
 CONFIG = ModelConfig("x" * 64)
 
 
 def test_good_turing_worked_example():
-    m = TrainedModel(_table_with({("a",): 3, ("b",): 1}), CONFIG)
-    assert m.p0[OSIF] == pytest.approx(0.25, abs=1e-12)
+    m = TrainedModel(_counts_with({("a",): 3, ("b",): 1}), CONFIG)
     seen, unseen = m.lookup[OSIF]
     assert seen[("a",)] == pytest.approx(0.5625, abs=1e-12)
     assert seen[("b",)] == pytest.approx(0.1875, abs=1e-12)
@@ -281,19 +279,17 @@ def test_good_turing_worked_example():
 
 
 def test_good_turing_clamps():
-    low = TrainedModel(_table_with({("a",): 2, ("b",): 2}), CONFIG)
-    assert low.p0[OSIF] == pytest.approx(0.125, abs=1e-12)  # floor 1/(2N)
+    low = TrainedModel(_counts_with({("a",): 2, ("b",): 2}), CONFIG)
+    assert low.lookup[OSIF][1] == pytest.approx(0.125, abs=1e-12)  # floor 1/(2N)
     assert low.lookup[OSIF][0][("a",)] == pytest.approx(0.4375, abs=1e-12)
-    high = TrainedModel(_table_with({("a",): 1}), CONFIG)
-    assert high.p0[OSIF] == pytest.approx(0.5, abs=1e-12)  # ceiling 0.5
+    high = TrainedModel(_counts_with({("a",): 1}), CONFIG)
+    assert high.lookup[OSIF][1] == pytest.approx(0.5, abs=1e-12)  # ceiling 0.5
     assert high.lookup[OSIF][0][("a",)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_good_turing_all_unseen_cell():
-    m = TrainedModel(_table_with({("a",): 1}), CONFIG)
-    assert RSIF in m.all_unseen
-    seen, unseen = m.lookup[RSIF]
-    assert ("æ",) not in seen and unseen == CONFIG.epsilon
+    m = TrainedModel(_counts_with({("a",): 1}), CONFIG)
+    assert m.lookup[RSIF] == ({}, CONFIG.epsilon)
 
 
 def test_good_turing_full_discounts():
@@ -301,18 +297,18 @@ def test_good_turing_full_discounts():
     # r*=3 for r=2 (3*N3/N2), r=3 undiscounted (no N4)
     counts = {("a",): 1, ("b",): 1, ("c",): 2, ("d",): 3}
     cfg = ModelConfig("x" * 64, gt_mode="full")
-    m = TrainedModel(_table_with(counts), cfg)
-    assert m.p0[OSIF] == pytest.approx(2 / 7, abs=1e-12)
+    seen, unseen = TrainedModel(_counts_with(counts), cfg).lookup[OSIF]
+    assert unseen == pytest.approx(2 / 7, abs=1e-12)
     masses = {"a": 1 / 7, "b": 1 / 7, "c": 3 / 7, "d": 3 / 7}
     scale = (1 - 2 / 7) / sum(masses.values())
     for t, mass in masses.items():
-        assert m.lookup[OSIF][0][(t,)] == pytest.approx(mass * scale, abs=1e-12)
-    total = m.p0[OSIF] + math.fsum(m.probabilities[OSIF].values())
+        assert seen[(t,)] == pytest.approx(mass * scale, abs=1e-12)
+    total = unseen + math.fsum(seen.values())
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_top_k_ordering():
-    m = TrainedModel(_table_with({("b",): 2, ("a",): 2, ("c",): 5}), CONFIG)
+    m = TrainedModel(_counts_with({("b",): 2, ("a",): 2, ("c",): 5}), CONFIG)
     assert top_k(m, OSIF, 2) == [("c", 5), ("a", 2)]
     assert top_k(m, OSIF, 10) == [("c", 5), ("a", 2), ("b", 2)]
     assert top_k(m, RSIF, 3) == []
@@ -325,18 +321,15 @@ def test_model_round_trip(seed, size, policy, gt_mode, epsilon):
     inventory = load_inventory(INVENTORY_TEXT)
     doc = random_lexicon(random.Random(seed), size)
     model = train_model(doc, inventory, policy, gt_mode, epsilon).model
-    labels = set(LABELS)
-    assert set(model.p0) == set(model.probabilities) == labels
-    assert set(model.table.counts) <= labels and model.all_unseen <= labels
+    assert list(model.lookup) == list(LABELS)
+    assert set(model.counts) <= set(LABELS)
     doc = save_model(model)
     loaded = load_model(doc)
     assert save_model(loaded) == doc  # byte-stable
-    assert loaded.p0 == model.p0
-    assert loaded.probabilities == model.probabilities
-    assert loaded.all_unseen == model.all_unseen
+    assert loaded.lookup == model.lookup
     assert loaded.config == model.config
-    assert loaded.table.counts == model.table.counts
-    assert loaded.table.total == model.table.total
+    assert loaded.counts == model.counts
+    assert loaded.total == model.total
 
 
 def test_load_model_version_and_corruption(toy_model):
@@ -381,7 +374,7 @@ def test_load_model_rederives_probabilities(toy_model):
 
 @pytest.mark.parametrize("low, high", [(0, 4), (-1, 5)])
 def test_load_model_rejects_counts_below_one(low, high):
-    doc = save_model(TrainedModel(_table_with({("a",): 2, ("b",): 2}), CONFIG))
+    doc = save_model(TrainedModel(_counts_with({("a",): 2, ("b",): 2}), CONFIG))
     # N, N1, the total and every probability stay as they were
     moved = _replace_line(doc, "Osif\ta\t2\t", f"Osif\ta\t{low}\t0.4375")
     moved = _replace_line(moved, "Osif\tb\t2\t", f"Osif\tb\t{high}\t0.4375")
@@ -402,7 +395,7 @@ def test_load_model_rejects_a_float_off_its_derived_value(toy_model):
 
 
 def test_load_model_rejects_counts_too_large_to_smooth(tmp_path):
-    doc = save_model(TrainedModel(_table_with({("a",): 2, ("b",): 2}), CONFIG))
+    doc = save_model(TrainedModel(_counts_with({("a",): 2, ("b",): 2}), CONFIG))
     # the cell's N and the total agree with the huge count, so only smoothing can fail
     huge = 10**400
     edited = _replace_line(doc, "Osif\ta\t2\t", f"Osif\ta\t{huge}\t0.4375")
@@ -416,7 +409,7 @@ def test_load_model_rejects_counts_too_large_to_smooth(tmp_path):
 
 def _saved(counts: dict[str, dict[tuple[str, ...], int]], config: ModelConfig = CONFIG) -> str:
     """save_model of the model of per-cell counts."""
-    return save_model(TrainedModel(PathTable(counts), config))
+    return save_model(TrainedModel(counts, config))
 
 
 def test_load_model_rejects_counts_that_smooth_below_the_floor(tmp_path, capsys):
@@ -476,7 +469,7 @@ def test_load_model_takes_only_symbols_an_inventory_may_hold(toy_model, text):
     (line,) = [l for l in doc.splitlines() if l.startswith("Osif\tk\t")]
     edited = doc.replace(line, line.replace("Osif\tk\t", f"Osif\t{text}\t"))
     if all(map(declarable, text.split())):
-        assert tuple(text.split()) in load_model(edited).probabilities["Osif"]
+        assert tuple(text.split()) in load_model(edited).lookup["Osif"][0]
     else:
         with pytest.raises(ModelFormatError, match=r"line \d+: terminal"):
             load_model(edited)
@@ -551,22 +544,24 @@ def test_train_model_takes_the_policy_as_the_flag_spells_it(inv, tmp_path):
 def test_a_replaced_model_derives_its_lookup(toy_model):
     config = toy_model.config._replace(epsilon=1e-6)
     model = toy_model._replace(config=config)
-    assert model == (toy_model.table, config)
-    for label in model.all_unseen:
-        assert model.lookup[label] == ({}, 1e-6)
-    assert model.templates == TrainedModel(toy_model.table, config).templates != toy_model.templates
+    assert model == (toy_model.counts, config)
+    for label in LABELS:
+        if not model.n(label):
+            assert model.lookup[label] == ({}, 1e-6)
+    assert model.templates == TrainedModel(toy_model.counts, config).templates != toy_model.templates
 
 
-def test_a_model_is_its_table_and_config():
-    assert TrainedModel._fields == ("table", "config")
-    assert PathTable._fields == ("counts",)
-    assert PathTable({OSIF: {("k",): 2, ("t",): 1}}).total == 3
+def test_a_model_is_its_counts_and_config():
+    assert TrainedModel._fields == ("counts", "config")
+    model = TrainedModel({OSIF: {("k",): 2, ("t",): 1}}, CONFIG)
+    assert model.total == 3 and (model.n(OSIF), model.n1(OSIF)) == (3, 1)
+    assert not any(hasattr(model, name) for name in ("table", "p0", "probabilities", "all_unseen"))
 
 
 def test_an_empty_cell_reserves_all_its_mass_and_answers_epsilon(inv):
     model = train_model("cat\tk æ1 t\n", inv, epsilon=1e-6).model
-    assert "Osi" in model.all_unseen
-    assert model.p0["Osi"] == 1.0  # the cell's reserved mass, as the model file writes it
+    # the model file writes the cell's reserved mass, 1.0, and flags the cell
+    assert "p0\tOsi\t1.0\tN\t0\tN1\t0\tall_unseen" in save_model(model).splitlines()
     assert model.lookup["Osi"] == ({}, 1e-6)  # the answer an unseen terminal gets
 
 
@@ -587,8 +582,8 @@ def test_a_model_is_a_function_of_its_counts(seed, size, gt_mode):
     inventory = load_inventory(INVENTORY_TEXT)
     rng = random.Random(seed)
     model = train_model(random_lexicon(rng, size), inventory, gt_mode=gt_mode).model
-    again = TrainedModel(model.table, model.config)
-    assert again.lookup == model.lookup == good_turing(model.table, model.config)
+    again = TrainedModel(model.counts, model.config)
+    assert again.lookup == model.lookup == good_turing(model)
     assert again.templates == model.templates
     assert set(model.templates) == _accepted_keys()
     before = {key: (tables, list(tables)) for key, tables in model.templates.items()}
@@ -599,20 +594,24 @@ def test_a_model_is_a_function_of_its_counts(seed, size, gt_mode):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.sampled_from(LABELS), st.dictionaries(
+@given(st.dictionaries(st.sampled_from([*LABELS, "Xsif", "Osx", "osif"]), st.dictionaries(
     st.lists(st.sampled_from(["k", "s", "t", "æ", "ɪ", "p"]), max_size=3).map(tuple),
     st.integers(-2, 1000), min_size=1, max_size=4)), st.sampled_from(GT_MODES))
 def test_a_model_built_from_counts_saves_a_file_that_loads(counts, gt_mode):
-    # a count below 1 is refused when the model is built, naming its cell and terminal
+    # a label outside LABELS or a count below 1 is refused when the model
+    # is built, naming the label, or the count's cell and terminal
+    unknown = {f"unknown cell label {label!r}" for label in counts if label not in LABELS}
     low = {(label, format_terminal(terminal), str(c))
            for label, cell in counts.items() for terminal, c in cell.items() if c < 1}
-    if low:
+    config = ModelConfig("x" * 64, gt_mode=gt_mode)
+    if unknown or low:
         with pytest.raises(ValueError) as caught:
-            TrainedModel(PathTable(counts), ModelConfig("x" * 64, gt_mode=gt_mode))
+            TrainedModel(counts, config)
         named = re.fullmatch(r"cell (\w+): count (-?\d+) below 1 for terminal '(.*)'", str(caught.value))
-        assert named is not None and named.group(1, 3, 2) in low
+        assert str(caught.value) in unknown or named is not None and named.group(1, 3, 2) in low
         return
-    model = TrainedModel(PathTable(counts), ModelConfig("x" * 64, gt_mode=gt_mode))
+    model = TrainedModel(counts, config)
+    assert model.total == sum(model.n(label) for label in LABELS)
     doc = save_model(model)
     loaded = load_model(doc)
     assert loaded == model and loaded.lookup == model.lookup
@@ -670,13 +669,14 @@ def test_training_normalizes_every_cell(seed, size):
     inventory = load_inventory(INVENTORY_TEXT)
     model = train_model(random_lexicon(random.Random(seed), size), inventory).model
     for cell in LABELS:
-        if cell in model.all_unseen:
-            assert model.probabilities[cell] == {}
+        seen, unseen = model.lookup[cell]
+        if not model.n(cell):
+            assert seen == {}
             continue
-        mass = model.p0[cell] + math.fsum(model.probabilities[cell].values())
+        mass = unseen + math.fsum(seen.values())
         assert abs(mass - 1.0) <= 1e-9
-        assert 0 < model.p0[cell] <= 0.5
-        assert all(p > 0 for p in model.probabilities[cell].values())
+        assert 0 < unseen <= 0.5
+        assert all(p > 0 for p in seen.values())
 
 
 # a saved toy model per smoothing mode: the documents the load property edits
