@@ -21,8 +21,8 @@ from pathlib import Path
 from .chunks import run_chunks
 from .errors import BadEncoding, PhonotaxError
 from .grammar import LABELS
-from .phonology import PhonemeInventory, load_inventory, packaged_inventory
-from .score import BatchRow, ScoreReport, score_batch, stimulus_rows
+from .phonology import PhonemeInventory, load_inventory, packaged_inventory, split_lines
+from .score import BatchRow, score_batch, stimulus_rows
 from .syllabify import MEDIAL_SPLITS
 from .train import (EPSILON_MAX, EPSILON_MIN, GT_MODES, FloatReprs, ModelConfig, TrainedModel, load_model,
                     save_model, top_k, train_model)
@@ -92,7 +92,7 @@ def _load_batch(args: argparse.Namespace) -> tuple[TrainedModel, PhonemeInventor
     model = load_model(_read(args.model))
     if model.config.inventory_digest != inv.digest:
         print("warning: inventory digest differs from the one the model was trained with", file=sys.stderr)
-    return model, inv, _read(args.stimuli).splitlines()
+    return model, inv, split_lines(_read(args.stimuli))
 
 
 def _score_lines(batch: Iterable[BatchRow]) -> str:
@@ -148,7 +148,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"warning: {len(failed)} stimuli failed to score and are excluded", file=sys.stderr)
         for word_id, error in failed:
             print(f"  {word_id}: {error}", file=sys.stderr)
-    reports = [(word_id, ScoreReport(*scores, None)) for word_id, scores, _ in batch if scores is not None]
+    reports = [(word_id, scores) for word_id, scores, _ in batch if scores is not None]
     if args.judgments is not None:
         judgments = load_judgments(_read(args.judgments))
         print(f"judgments: {args.judgments} ({len(judgments)} records)")

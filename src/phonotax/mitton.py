@@ -35,7 +35,7 @@ import functools
 from collections import Counter
 from typing import NamedTuple
 
-from .phonology import packaged_inventory
+from .phonology import packaged_inventory, split_lines
 
 # ASCII phone -> inventory symbol; multi-character phones first
 MITTON_PHONES: dict[str, str] = {
@@ -150,7 +150,7 @@ def convert_mitton(document: str) -> MittonImport:
     skipped: list[tuple[int, str, str]] = []
     notes: Counter = Counter()
     converted = 0
-    for lineno, line in enumerate(document.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(document), start=1):
         if not line.strip():
             continue
         fields = line.split()

@@ -95,6 +95,20 @@ class Transcription(NamedTuple):
     boundary: int | None = None
 
 
+def split_lines(document: str) -> list[str]:
+    r"""A document's lines, cut at ``\n``, ``\r\n`` or ``\r`` and nowhere else.
+
+    This is ``str.splitlines`` on text that holds none of the other
+    characters it cuts at (``\v``, ``\f``, ``\x1c``-``\x1e``, ``\x85``,
+    ``\u2028``, ``\u2029``); inside a line each of those is whitespace.
+    The inventory, lexicon, stimuli and Mitton readers cut lines here.
+    """
+    lines = document.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:  # the empty text after the last line end, or an empty document
+        lines.pop()
+    return lines
+
+
 def is_reserved(symbol: str) -> bool:
     """Whether a symbol collides with the notation: a mark, or a trailing stress digit."""
     return symbol in RESERVED_SYMBOLS or symbol[-1].isdigit()
@@ -109,7 +123,7 @@ def load_inventory(document: str) -> PhonemeInventory:
     """
     symbols: list[str] = []
     classes: dict[str, str] = {}
-    for lineno, line in enumerate(document.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(document), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

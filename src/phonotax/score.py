@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PhonotaxError
 from .parse import ScoredParse, parse_all
-from .phonology import PhonemeInventory, Transcription, tokenize
+from .phonology import PhonemeInventory, Transcription, split_lines, tokenize
 from .train import TrainedModel
 
 
@@ -30,12 +30,7 @@ class ScoreReport(NamedTuple):
     ln_p_word: float
     p_worst: float
     p_best: float
-    winner: ScoredParse | None  # None in a report built from the four scores alone
-
-    @property
-    def path_text(self) -> str:
-        """The winner's path text, rendered on every read."""
-        return self.winner.path_text
+    winner: ScoredParse
 
 
 def score_word(model: TrainedModel, t: Transcription) -> ScoreReport:
@@ -73,7 +68,7 @@ def parse_stimuli(document: str) -> list[tuple[str, str]]:
 
     An empty document is an empty batch, not an error.
     """
-    return list(stimulus_rows(document.splitlines()))
+    return list(stimulus_rows(split_lines(document)))
 
 
 def score_batch(

@@ -15,7 +15,7 @@ import csv
 import io
 import math
 import random
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BadJudgment,
@@ -25,7 +25,6 @@ from .errors import (
     JoinEmpty,
     LengthMismatch,
 )
-from .score import ScoreReport
 
 
 class _JudgmentFields(NamedTuple):
@@ -207,13 +206,9 @@ class CorrelationResult(NamedTuple):
     significant_at: str
 
 
-# the four scoring methods, in reporting order
-METHODS: tuple[tuple[str, Callable[[ScoreReport], float]], ...] = (
-    ("p(word)", lambda rep: rep.p_word),
-    ("ln p(word)", lambda rep: rep.ln_p_word),
-    ("p(worst part)", lambda rep: rep.p_worst),
-    ("p(best part)", lambda rep: rep.p_best),
-)
+# the four scoring methods, in reporting order: the order of a word's scores,
+# as score.ScoreReport's first four fields hold them
+METHODS = ("p(word)", "ln p(word)", "p(worst part)", "p(best part)")
 
 
 def _check_unique(ids: Sequence[str], what: str) -> None:
@@ -225,22 +220,23 @@ def _check_unique(ids: Sequence[str], what: str) -> None:
 
 
 def evaluate(
-    reports: Sequence[tuple[str, ScoreReport]],
+    reports: Sequence[tuple[str, Sequence[float]]],
     judgments: Sequence[JudgmentRecord],
 ) -> tuple[list[CorrelationResult], list[tuple[str, float, int]]]:
     """Correlate each scoring method with votes over the id join.
 
-    Returns the four correlation results plus scatter rows
-    (word id, ln p(word), votes) in report order. A method whose scores
-    never vary is reported as undefined (r, t and p None) and the others
-    are kept. Raises JoinEmpty when fewer than three ids join,
-    DuplicateWordId on repeats in either input, and DegenerateVariance
-    when the votes never vary.
+    ``reports`` holds (word id, scores) pairs, where the first four
+    scores are those ``METHODS`` names, in its order. Returns the four
+    correlation results plus scatter rows (word id, ln p(word), votes)
+    in report order. A method whose scores never vary is reported as
+    undefined (r, t and p None) and the others are kept. Raises
+    JoinEmpty when fewer than three ids join, DuplicateWordId on repeats
+    in either input, and DegenerateVariance when the votes never vary.
     """
     _check_unique([wid for wid, _ in reports], "report")
     _check_unique([rec.word_id for rec in judgments], "judgment")
     votes_by_id = {rec.word_id: rec.votes_against for rec in judgments}
-    joined = [(wid, rep, votes_by_id[wid]) for wid, rep in reports if wid in votes_by_id]
+    joined = [(wid, scores, votes_by_id[wid]) for wid, scores in reports if wid in votes_by_id]
     if len(joined) < 3:
         raise JoinEmpty(f"only {len(joined)} ids joined; need at least 3")
     votes = [float(v) for _, _, v in joined]
@@ -248,30 +244,32 @@ def evaluate(
         raise DegenerateVariance("votes never vary, so no score can be correlated with them")
     n = len(joined)
     results: list[CorrelationResult] = []
-    for method, extract in METHODS:
-        scores = [extract(rep) for _, rep, _ in joined]
-        if min(scores) == max(scores):
+    for i, method in enumerate(METHODS):
+        column = [scores[i] for _, scores, _ in joined]
+        if min(column) == max(column):
             results.append(CorrelationResult(method, None, n, n - 2, None, None, "undefined"))
             continue
-        r = pearson_r(scores, votes)
+        r = pearson_r(column, votes)
         t = t_from_r(r, n)
         p = p_two_tailed(t, n - 2)
         results.append(CorrelationResult(method, r, n, n - 2, t, p, significance_bucket(p)))
-    scatter = [(wid, rep.ln_p_word, v) for wid, rep, v in joined]
+    scatter = [(wid, scores[1], v) for wid, scores, v in joined]
     return results, scatter
 
 
 SYNTHETIC_NOISE_SD = 1.5  # votes
 
 
-def synthetic_judgments(reports: Sequence[tuple[str, ScoreReport]], seed: int) -> list[JudgmentRecord]:
+def synthetic_judgments(reports: Sequence[tuple[str, Sequence[float]]], seed: int) -> list[JudgmentRecord]:
     """Seeded stand-in votes: a noisy monotone function of -ln p(word).
+
+    ``reports`` holds (word id, scores) pairs, as ``evaluate`` reads them.
 
     Scores are mapped linearly so the least probable word sits at 12
     votes, then Gaussian noise of sd SYNTHETIC_NOISE_SD is added and the
     result clamped to the 0..12 scale. Deterministic for a given seed.
     """
-    xs = [-rep.ln_p_word for _, rep in reports]
+    xs = [-scores[1] for _, scores in reports]
     top = max(xs, default=0.0)
     scale = 12.0 / top if top > 0 else 1.0
     rng = random.Random(seed)

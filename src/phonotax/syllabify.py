@@ -17,13 +17,10 @@ runs are the transcription's own symbols, so segments are conserved.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import BadConfig
 from .phonology import Transcription, stress_pattern
-
-if TYPE_CHECKING:
-    from .train import LexiconEntry
 
 # onsets attested word-initially, as tuples of symbols; () is always a member
 WordOnsetSet = frozenset
@@ -38,16 +35,15 @@ class Syllable(NamedTuple):
     stress: str  # the syllable's letter of its word's stress pattern, s or w
 
 
-def collect_word_onsets(entries: Iterable[LexiconEntry]) -> WordOnsetSet:
-    """Gather every word-initial consonant run of the ingested entries.
+def collect_word_onsets(transcriptions: Iterable[Transcription]) -> WordOnsetSet:
+    """Gather every word-initial consonant run of the transcriptions.
 
     Each phonological word contributes its symbols up to its first
     nucleus; a compound's two onsets are the runs ``cut_runs`` slices at
     its boundary. Vowel-initial words contribute the empty onset.
     """
     onsets: set[tuple[str, ...]] = {()}
-    for e in entries:
-        t = e.transcription
+    for t in transcriptions:
         if t.boundary is None:
             onsets.add(t.symbols[: t.nuclei[0]])
         else:

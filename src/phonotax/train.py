@@ -39,7 +39,7 @@ from .errors import (
     VersionMismatch,
 )
 from .grammar import LABELS, NULL_TERMINAL, TEMPLATE_KEYS, format_terminal, templates_for
-from .phonology import PhonemeInventory, Transcription, is_reserved, stress_pattern, tokenize
+from .phonology import PhonemeInventory, Transcription, is_reserved, split_lines, stress_pattern, tokenize
 from .syllabify import (MEDIAL_SPLITS, MedialPart, WordOnsetSet, collect_word_onsets, cut_runs,
                         split_medial)
 
@@ -73,6 +73,8 @@ class ModelConfig(_ConfigFields):
 
     def __new__(cls, *args, **kwargs) -> ModelConfig:
         self = super().__new__(cls, *args, **kwargs)
+        if not self.inventory_digest.isprintable():  # a tab or a line break would cut its model-file line
+            raise BadConfig(f"inventory_digest {self.inventory_digest!r} is not printable")
         if self.medial_split not in MEDIAL_SPLITS:
             raise BadConfig(f"medial_split must be one of {MEDIAL_SPLITS}")
         if self.gt_mode not in GT_MODES:
@@ -103,7 +105,7 @@ def ingest_lexicon(document: str | Iterable[str], inv: PhonemeInventory, first: 
     """Read lexicon lines, keeping entries of one or two syllables.
 
     ``document`` is a lexicon's text, or a run of its lines as
-    ``str.splitlines`` cuts them, the first of which is line ``first``.
+    ``phonology.split_lines`` cuts them, the first of which is line ``first``.
     An entry survives only if it tokenizes and ``stress_pattern`` reads
     it: every phonological word has a nucleus, the total nucleus count
     is one or two, and its stress digits are complete. Everything else
@@ -114,7 +116,7 @@ def ingest_lexicon(document: str | Iterable[str], inv: PhonemeInventory, first: 
     entries: list[LexiconEntry] = []
     skipped: list[tuple[int, str, str]] = []
     downgraded = 0
-    lines = document.splitlines() if isinstance(document, str) else document
+    lines = split_lines(document) if isinstance(document, str) else document
     for lineno, line in enumerate(lines, start=first):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -184,9 +186,10 @@ class TrainedModel(_ModelFields):
     """A model is its counts and its config; the rest is derived from them once, when it is built.
 
     ``counts`` holds, per cell label of ``grammar.LABELS``, each seen
-    terminal's count. A label outside ``LABELS`` or a count below 1
-    raises ValueError, which names the label, or the count's cell and
-    terminal; so ``total`` is the sum of the twelve cells' N.
+    terminal's count. A label outside ``LABELS``, a cell with no counts,
+    or a count that is not an int of at least 1 raises ValueError, which
+    names the label, or the count's cell and terminal; so ``total`` is
+    the sum of the twelve cells' N, and every cell saves as it loads.
 
     Two attributes sit beside the fields, out of equality and the repr
     (so the class declares no slots), and nothing writes to either
@@ -201,10 +204,15 @@ class TrainedModel(_ModelFields):
         for label, cell in counts.items():
             if label not in LABELS:
                 raise ValueError(f"unknown cell label {label!r}")
-            if min(cell.values(), default=1) < 1:
-                terminal = min(cell, key=cell.__getitem__)
-                raise ValueError(f"cell {label}: count {cell[terminal]} below 1 for terminal "
-                                 f"{format_terminal(terminal)!r}")
+            if not cell:
+                raise ValueError(f"cell {label}: holds no counts")
+            for terminal, count in cell.items():
+                if type(count) is not int:  # a bool or a float would save as text load_model rejects
+                    raise ValueError(f"cell {label}: count {count!r} for terminal "
+                                     f"{format_terminal(terminal)!r} is not an int")
+                if count < 1:
+                    raise ValueError(f"cell {label}: count {count} below 1 for terminal "
+                                     f"{format_terminal(terminal)!r}")
         self = super().__new__(cls, counts, config)
         # good_turing is read from the module when called, so a wrapper swapped in for it sees the call
         self.lookup = lookup = good_turing(self)
@@ -429,7 +437,7 @@ def _train_chunk(lines: Iterable[str], first: int, inv: PhonemeInventory):
     while block := list(islice(lines, ROWS_PER_SLICE)):
         ingest = ingest_lexicon(block, inv, first + 1)
         first += len(block)
-        onsets |= collect_word_onsets(ingest.entries)
+        onsets |= collect_word_onsets(e.transcription for e in ingest.entries)
         skipped += ingest.skipped
         downgraded += ingest.downgraded
         retained += len(ingest.entries)
@@ -467,7 +475,7 @@ def train_model(
     """
     config = ModelConfig(inv.digest, policy, gt_mode, epsilon)
     with paused():
-        results = run_chunks(document.splitlines(), lambda chunk, first: _train_chunk(chunk, first, inv))
+        results = run_chunks(split_lines(document), lambda chunk, first: _train_chunk(chunk, first, inv))
         tallies, medials, onsets, skipped, downgraded, retained, unsupported = zip(*results)
         if not sum(retained):
             raise EmptyCorpus(NO_ENTRIES)

@@ -18,7 +18,7 @@ from phonotax.grammar import LABELS
 from phonotax.mitton import convert_mitton
 from phonotax.parse import parse_all
 from phonotax.phonology import tokenize
-from phonotax.score import ScoreReport, score_word
+from phonotax.score import score_word
 from phonotax.stats import evaluate, p_two_tailed, synthetic_judgments, t_from_r
 from phonotax.train import ModelConfig, TrainedModel, train_model
 
@@ -125,7 +125,7 @@ def test_criterion_5_test_statistic_reference_points():
 
     # a 116-item experiment runs at 114 degrees of freedom
     reports = [
-        (f"w{i}", ScoreReport(p, math.log(p), p, p, None))
+        (f"w{i}", (p, math.log(p), p, p))
         for i, p in enumerate(0.5 ** (1 + (k % 13)) for k in range(116))
     ]
     judgments = synthetic_judgments(reports, seed=1)

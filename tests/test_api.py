@@ -61,3 +61,31 @@ def test_importing_the_package_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True, timeout=60)
     assert proc.stdout == "['phonotax']\n"
+
+
+# the package's modules, each above every one it may import
+LAYERS = ("errors", "chunks", "phonology", "syllabify", "grammar", "train", "parse", "score", "stats", "plot",
+          "mitton", "cli")
+
+
+def test_every_module_imports_only_modules_below_it():
+    # every relative import counts, inside a function or a TYPE_CHECKING block too
+    modules = {path.stem: path for path in Path(phonotax.__file__).parent.glob("*.py")}
+    assert sorted(modules) == sorted(["__init__", *LAYERS])
+    for module in LAYERS:
+        path = modules[module]
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                assert node.level == 1 and node.module is not None, f"{module}: line {node.lineno}"
+                assert LAYERS.index(node.module) < LAYERS.index(module), f"{module} imports {node.module}"
+    # and no module reaches round the order by an absolute import of the package
+    assert [(module, name) for module, name in _absolute_imports() if name.startswith("phonotax")] == []
+
+
+def test_importing_the_statistics_loads_only_the_errors():
+    # stats reads a word's scores by position, so it needs nothing that trains or scores
+    src = str(Path(phonotax.__file__).resolve().parents[1])
+    code = "import sys, phonotax.stats; print(sorted(m for m in sys.modules if m.startswith('phonotax.')))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "['phonotax.errors', 'phonotax.stats']\n"

@@ -106,23 +106,48 @@ _BOM_CASES = {
 }
 
 
+def _run_case(kind, work, capsys, edit=lambda text: text):
+    """Run a ``_BOM_CASES`` command in ``work``, its marked file edited: exit code, stdout, stderr, files out."""
+    files, marked, argv = _BOM_CASES[kind]
+    work.mkdir()
+    for name, text in files.items():
+        text = save_model(train_model(TOY_LEXICON, packaged_inventory()).model) if text is None else text
+        (work / name).write_text(edit(text) if name == marked else text, encoding="utf-8")
+    rc = main([str(work / arg) if arg in files or arg == "out" else arg for arg in argv])
+    out, err = (text.replace(str(work), "WORK") for text in capsys.readouterr())
+    return rc, out, err, {path.name: path.read_bytes() for path in sorted((work / "out").glob("*"))}
+
+
 @pytest.mark.parametrize("kind", _BOM_CASES)
 def test_a_byte_order_mark_leaves_a_file_s_reading_unchanged(kind, tmp_path, capsys):
-    files, marked, argv = _BOM_CASES[kind]
-    model_text = save_model(train_model(TOY_LEXICON, packaged_inventory()).model)
-    seen = {}
-    for variant in ("plain", "marked"):
-        work = tmp_path / variant
-        work.mkdir()
-        for name, text in files.items():
-            text = model_text if text is None else text
-            (work / name).write_text("\ufeff" * (variant == "marked" and name == marked) + text, encoding="utf-8")
-        rc = main([str(work / arg) if arg in files or arg == "out" else arg for arg in argv])
-        out, err = (text.replace(str(work), "WORK") for text in capsys.readouterr())
-        written = {path.name: path.read_bytes() for path in sorted((work / "out").glob("*"))}
-        seen[variant] = (rc, out, err, written)
-    assert (work / marked).read_bytes().startswith(b"\xef\xbb\xbf")
-    assert seen["plain"][0] == 0 and seen["marked"] == seen["plain"]
+    plain = _run_case(kind, tmp_path / "plain", capsys)
+    marked = _run_case(kind, tmp_path / "marked", capsys, lambda text: "\ufeff" + text)
+    assert (tmp_path / "marked" / _BOM_CASES[kind][1]).read_bytes().startswith(b"\xef\xbb\xbf")
+    assert plain[0] == 0 and marked == plain
+
+
+# per line-oriented file kind: a line of the file _BOM_CASES marks, and that
+# line with one gap between two fields turned into {gap}
+_GAPS = {
+    "inventory": ("p\tC\n", "p{gap}C\n"),
+    "lexicon": ("cat\tk æ1 t\n", "cat\tk{gap}æ1 t\n"),
+    "stimuli": ("w1\tk æ1 t\n", "w1\tk{gap}æ1 t\n"),
+    "dictionary": ("cat 'k&t K\n", "cat{gap}'k&t K\n"),
+}
+
+
+@pytest.mark.parametrize("kind", _GAPS)
+def test_a_line_ends_only_at_a_line_end(kind, tmp_path, capsys):
+    # str.splitlines also cuts at these; inside a line each is whitespace, as a tab or a space is
+    files, marked, _ = _BOM_CASES[kind]
+    line, gapped = _GAPS[kind]
+    assert line in files[marked]
+    plain = _run_case(kind, tmp_path / "plain", capsys)
+    assert plain[0] == 0
+    for i, gap in enumerate("\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        separated = _run_case(kind, tmp_path / str(i), capsys,
+                              lambda text, new=gapped.format(gap=gap): text.replace(line, new, 1))
+        assert separated == plain, repr(gap)
 
 
 def test_bad_epsilon_rejected(tmp_path, capsys):

@@ -183,7 +183,6 @@ def test_every_parse_carries_its_paths_lookups(seed):
         report = score_word(model, t)
         assert report == (winner.product, math.log(winner.product), min(winner.probabilities),
                           max(winner.probabilities), winner)
-        assert report.path_text == winner.path_text
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,7 +254,7 @@ def test_vowel_initial_second_word_is_cut_at_the_boundary(inv, toy_model):
 def test_training_cut_is_one_of_the_scoring_cuts(seed, size):
     inventory = load_inventory(INVENTORY_TEXT)
     entries = ingest_lexicon(random_lexicon(random.Random(seed), size), inventory).entries
-    onsets = collect_word_onsets(entries)
+    onsets = collect_word_onsets(e.transcription for e in entries)
     for entry in entries:
         candidates = enumerate_segmentations(entry.transcription)
         for policy in MEDIAL_SPLITS:

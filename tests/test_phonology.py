@@ -20,7 +20,7 @@ from phonotax.errors import (
     UnknownClass,
     UnknownSymbol,
 )
-from phonotax.phonology import load_inventory, stress_pattern, tokenize
+from phonotax.phonology import load_inventory, split_lines, stress_pattern, tokenize
 from phonotax.train import ingest_lexicon
 
 from conftest import INVENTORY_TEXT
@@ -244,3 +244,15 @@ def test_invalid_field_raises_on_every_call(seed, invalid, at):
 def test_load_inventory_raises_only_phonotax_errors(document):
     with contextlib.suppress(PhonotaxError):
         load_inventory(document)
+
+
+# the characters str.splitlines cuts at that do not end a line
+_NOT_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(st.text(st.sampled_from("ab \t\r\n" + _NOT_LINE_ENDS)))
+def test_split_lines_is_splitlines_with_only_line_ends(document):
+    # each other separator, read as a letter, stays where it is inside its line
+    as_letters = str.maketrans(dict.fromkeys(_NOT_LINE_ENDS, "x"))
+    assert [line.translate(as_letters) for line in split_lines(document)] == \
+        document.translate(as_letters).splitlines()

@@ -197,7 +197,7 @@ def test_score_batch_reports_each_row_once_and_its_ranked_winner(inv, toy_model,
             assert issubclass(getattr(errors, error.split(":")[0]), errors.PhonotaxError)
             continue
         ranked = list(parse_all(tokenize(raw, inv), toy_model))
-        assert report.path_text == ranked[0].path_text
+        assert report.winner.path_text == ranked[0].path_text
         assert "tables" not in repr(ranked[0])
         assert report.p_word == ranked[0].product
         assert (report.p_worst, report.p_best) == (min(ranked[0].probabilities),

@@ -17,7 +17,6 @@ from phonotax.errors import (
     LengthMismatch,
     PhonotaxError,
 )
-from phonotax.score import ScoreReport
 from phonotax.stats import (
     JudgmentRecord,
     evaluate,
@@ -32,9 +31,9 @@ from phonotax.stats import (
 from oracles import documents
 
 
-def _report(p_word: float) -> ScoreReport:
+def _report(p_word: float) -> tuple[float, float, float, float]:
     # scoring internals are irrelevant here; only the four numbers matter
-    return ScoreReport(p_word, math.log(p_word), p_word / 2, p_word * 2, None)
+    return p_word, math.log(p_word), p_word / 2, p_word * 2
 
 
 def test_pearson_exact_lines():
@@ -232,7 +231,7 @@ def test_evaluate_errors():
 def test_evaluate_keeps_methods_beside_a_flat_column():
     ps = [0.2, 0.1, 0.05, 0.01, 0.004, 0.001]
     # every word's worst part is the same path: that score column never varies
-    reports = [(f"w{i}", ScoreReport(p, math.log(p), 0.1, p * 2, None)) for i, p in enumerate(ps)]
+    reports = [(f"w{i}", (p, math.log(p), 0.1, p * 2)) for i, p in enumerate(ps)]
     votes = (1, 2, 4, 7, 9, 12)
     judgments = [JudgmentRecord(f"w{i}", v) for i, v in enumerate(votes)]
     results, scatter = evaluate(reports, judgments)
@@ -280,7 +279,7 @@ def test_synthetic_judgments_track_log_probability():
     rng = random.Random(8)
     reports = [(f"w{i}", _report(math.exp(-rng.uniform(1, 30)))) for i in range(100)]
     judgments = synthetic_judgments(reports, seed=4)
-    r = pearson_r([rep.ln_p_word for _, rep in reports],
+    r = pearson_r([scores[1] for _, scores in reports],
                   [float(j.votes_against) for j in judgments])
     assert r < -0.8  # votes rise as log probability falls
 

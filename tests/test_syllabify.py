@@ -33,7 +33,7 @@ def _shape(t, onsets, policy=MAX):
 
 def test_collect_word_onsets(inv):
     doc = "".join(f"w\t{raw}\n" for raw in ("k æ1 t", "s t ɪ1 l", "æ1 t", "b ʌ1 s + b ɔɪ1"))
-    onsets = collect_word_onsets(ingest_lexicon(doc, inv).entries)
+    onsets = collect_word_onsets(e.transcription for e in ingest_lexicon(doc, inv).entries)
     assert ("k",) in onsets
     assert ("s", "t") in onsets
     assert () in onsets

@@ -99,7 +99,7 @@ def test_ingest_downgrades_secondary_next_to_primary(inv):
 
 def test_extract_paths_monosyllables(inv):
     result = ingest_lexicon("cat\tk æ1 t\nat\tæ1 t\n", inv)
-    onsets = collect_word_onsets(result.entries)
+    onsets = collect_word_onsets(e.transcription for e in result.entries)
     paths = [p for e in result.entries for p in entry_paths(e, onsets)]
     counts = tabulate(paths)
     assert counts == {OSIF: {("k",): 1, (): 1}, RSIF: {("æ", "t"): 2}}
@@ -110,7 +110,7 @@ def test_extract_paths_monosyllables(inv):
 
 def test_extract_paths_compound(inv):
     result = ingest_lexicon("busboy\tb ʌ1 s + b ɔɪ1\n", inv)
-    onsets = collect_word_onsets(result.entries)
+    onsets = collect_word_onsets(e.transcription for e in result.entries)
     paths = entry_paths(result.entries[0], onsets)
     assert paths == [
         ("Osif", ("b",)), ("Rsif", ("ʌ", "s")),
@@ -133,7 +133,7 @@ def test_extract_paths_rejects_bad_patterns(inv):
 def test_extract_paths_match_syllabify(seed, size):
     inventory = load_inventory(INVENTORY_TEXT)
     entries = ingest_lexicon(random_lexicon(random.Random(seed), size), inventory).entries
-    onsets = collect_word_onsets(entries)
+    onsets = collect_word_onsets(e.transcription for e in entries)
     for entry in entries:
         assert entry.pattern == stress_pattern(entry.transcription)
         for policy in MEDIAL_SPLITS:
@@ -156,7 +156,7 @@ def test_trained_counts_match_a_path_type_recount(seed, size, policy):
     inventory = load_inventory(INVENTORY_TEXT)
     doc = random_lexicon(random.Random(seed), size)
     entries = ingest_lexicon(doc, inventory).entries
-    onsets = collect_word_onsets(entries)
+    onsets = collect_word_onsets(e.transcription for e in entries)
     recount = Counter()
     for entry in entries:
         words = syllabify(entry.transcription, onsets, policy)
@@ -593,22 +593,47 @@ def test_a_model_is_a_function_of_its_counts(seed, size, gt_mode):
         assert model.templates[key] is tables and tables == copy
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.sampled_from([*LABELS, "Xsif", "Osx", "osif"]), st.dictionaries(
-    st.lists(st.sampled_from(["k", "s", "t", "æ", "ɪ", "p"]), max_size=3).map(tuple),
-    st.integers(-2, 1000), min_size=1, max_size=4)), st.sampled_from(GT_MODES))
-def test_a_model_built_from_counts_saves_a_file_that_loads(counts, gt_mode):
-    # a label outside LABELS or a count below 1 is refused when the model
-    # is built, naming the label, or the count's cell and terminal
+def _mostly(good, bad):
+    """``good`` four draws in five, else ``bad``: so that most drawn models are built."""
+    return st.integers(0, 4).flatmap(lambda k: bad if k == 0 else good)
+
+
+_TERMINAL = st.lists(st.sampled_from(["k", "s", "t", "æ", "ɪ", "p"]), max_size=3).map(tuple)
+# a cell no model may hold: one with no counts, or one whose counts are floats or bools
+_FLAWED_CELL = st.dictionaries(_TERMINAL, st.floats(-2, 1000) | st.booleans(), max_size=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from([*LABELS, "Xsif", "Osx", "osif"]),
+                       st.dictionaries(_TERMINAL, st.integers(-2, 1000), min_size=1, max_size=4)),
+       _mostly(st.none(), st.tuples(st.sampled_from(LABELS), _FLAWED_CELL)), st.sampled_from(GT_MODES),
+       _mostly(st.just("x" * 64), st.text("0af \t\n\r\x0c\x85\u2028", max_size=6)))
+def test_a_model_built_from_counts_saves_a_file_that_loads(counts, flaw, gt_mode, digest):
+    if flaw is not None:
+        counts = {**counts, flaw[0]: flaw[1]}
+    # a digest that is not printable is refused when the config is built; a
+    # label outside LABELS, an empty cell or a count that is not an int of at
+    # least 1 is refused when the model is built, naming the label, or the
+    # count's cell and terminal
+    if not digest.isprintable():
+        with pytest.raises(BadConfig):
+            ModelConfig(digest, gt_mode=gt_mode)
+        return
     unknown = {f"unknown cell label {label!r}" for label in counts if label not in LABELS}
+    empty = {f"cell {label}: holds no counts" for label, cell in counts.items() if not cell}
+    not_int = {(label, format_terminal(terminal), repr(c))
+               for label, cell in counts.items() for terminal, c in cell.items() if type(c) is not int}
     low = {(label, format_terminal(terminal), str(c))
-           for label, cell in counts.items() for terminal, c in cell.items() if c < 1}
-    config = ModelConfig("x" * 64, gt_mode=gt_mode)
-    if unknown or low:
+           for label, cell in counts.items() for terminal, c in cell.items() if type(c) is int and c < 1}
+    config = ModelConfig(digest, gt_mode=gt_mode)
+    if unknown or empty or not_int or low:
         with pytest.raises(ValueError) as caught:
             TrainedModel(counts, config)
-        named = re.fullmatch(r"cell (\w+): count (-?\d+) below 1 for terminal '(.*)'", str(caught.value))
-        assert str(caught.value) in unknown or named is not None and named.group(1, 3, 2) in low
+        message = str(caught.value)
+        named = re.fullmatch(r"cell (\w+): count (-?\d+) below 1 for terminal '(.*)'", message)
+        typed = re.fullmatch(r"cell (\w+): count (.*) for terminal '(.*)' is not an int", message)
+        assert (message in unknown | empty or named is not None and named.group(1, 3, 2) in low
+                or typed is not None and typed.group(1, 3, 2) in not_int)
         return
     model = TrainedModel(counts, config)
     assert model.total == sum(model.n(label) for label in LABELS)
