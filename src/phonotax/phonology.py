@@ -55,21 +55,23 @@ class _InventoryFields(NamedTuple):
 class PhonemeInventory(_InventoryFields):
     """Ordered phoneme set with a V/C class per symbol.
 
-    ``fields`` maps field text to (symbol, stress digit or None,
-    is_vowel). It is filled by tokenize with valid fields only, so it
-    holds at most four entries per vowel (bare, 0, 1, 2) and one per
-    consonant. It is a memo, not part of the inventory's value: equality
-    and the repr are those of the three fields above. It lives in the
-    instance's ``__dict__``, which is why this class declares no slots.
+    ``fields`` maps each field text tokenize reads as a phoneme to
+    (symbol, stress digit or None, is_vowel): every symbol bare, and
+    every vowel also with 0, 1 and 2. It is derived from ``classes``
+    when the inventory is built, and left out of equality and the repr.
+    It lives in the instance's ``__dict__``, which is why this class
+    declares no slots.
     """
 
     def __new__(cls, symbols: tuple[str, ...], classes: dict[str, str], digest: str) -> PhonemeInventory:
         self = super().__new__(cls, symbols, classes, digest)
-        self.fields: dict[str, tuple[str, int | None, bool]] = {}
+        vowels = [symbol for symbol, kind in classes.items() if kind == VOWEL]
+        self.fields: dict[str, tuple[str, int | None, bool]] = {s: (s, None, s in vowels) for s in classes}
+        self.fields.update({v + d: (v, stress, True) for v in vowels for stress, d in enumerate("012")})
         return self
 
     @classmethod
-    def _make(cls, iterable) -> PhonemeInventory:  # so that _replace starts a memo too
+    def _make(cls, iterable) -> PhonemeInventory:  # so that _replace derives its own table too
         return cls(*iterable)
 
     def __contains__(self, symbol: str) -> bool:
@@ -152,49 +154,42 @@ def packaged_inventory() -> PhonemeInventory:
     return load_inventory(resources.files(__package__).joinpath("data/inventory_ipa.tsv").read_text("utf-8"))
 
 
-def _read_field(text: str, inv: PhonemeInventory) -> tuple[str, int | None, bool]:
-    """The symbol, stress digit and class one field spells; raises on anything invalid."""
-    stress: int | None = None
-    symbol = text
-    if text[-1].isdigit():
-        symbol, digit = text[:-1], text[-1]
-        if digit not in "012":
-            raise BadStressDigit(f"stress digit must be 0, 1, or 2: {text!r}")
-        stress = int(digit)
+def _field_error(text: str, inv: PhonemeInventory) -> BadStressDigit | UnknownSymbol:
+    """What tokenize raises for a field that is neither ``+`` nor in ``inv.fields``."""
+    symbol, digit = (text[:-1], text[-1]) if text[-1].isdigit() else (text, "")
+    if digit and digit not in "012":
+        return BadStressDigit(f"stress digit must be 0, 1, or 2: {text!r}")
     if symbol not in inv:
-        raise UnknownSymbol(f"symbol {symbol!r} not in inventory")
-    is_vowel = inv.is_vowel(symbol)
-    if stress is not None and not is_vowel:
-        raise BadStressDigit(f"stress digit on consonant: {text!r}")
-    return symbol, stress, is_vowel
+        return UnknownSymbol(f"symbol {symbol!r} not in inventory")
+    return BadStressDigit(f"stress digit on consonant: {text!r}")
 
 
 def tokenize(raw: str, inv: PhonemeInventory) -> Transcription:
     """Parse transcription text against an inventory.
 
     A trailing digit on a field is its stress digit and must sit on a
-    vowel; a bare ``+`` marks the compound boundary. Each valid field is
-    read once per inventory and its reading reused after that.
+    vowel; a bare ``+`` marks the compound boundary. Every other field
+    is read from ``inv.fields``.
     """
     fields = raw.split()
     if not fields:
         raise EmptyTranscription("empty transcription text")
-    memo = inv.fields
+    table = inv.fields
     symbols: list[str] = []
     nuclei: list[int] = []
     stresses: list[int | None] = []
     boundary: int | None = None
     for text in fields:
-        read = memo.get(text)
+        read = table.get(text)
         if read is None:
-            if text == BOUNDARY_MARK:
-                if boundary is not None:
-                    raise TooManyBoundaries(f"more than one {BOUNDARY_MARK!r} in {raw!r}")
-                if not symbols:
-                    raise EmptyTranscription(f"boundary at start of {raw!r}")
-                boundary = len(symbols)
-                continue
-            read = memo[text] = _read_field(text, inv)
+            if text != BOUNDARY_MARK:
+                raise _field_error(text, inv)
+            if boundary is not None:
+                raise TooManyBoundaries(f"more than one {BOUNDARY_MARK!r} in {raw!r}")
+            if not symbols:
+                raise EmptyTranscription(f"boundary at start of {raw!r}")
+            boundary = len(symbols)
+            continue
         if read[2]:  # a vowel
             nuclei.append(len(symbols))
             stresses.append(read[1])

@@ -187,9 +187,11 @@ class TrainedModel(_ModelFields):
 
     ``counts`` holds, per cell label of ``grammar.LABELS``, each seen
     terminal's count. A label outside ``LABELS``, a cell with no counts,
-    or a count that is not an int of at least 1 raises ValueError, which
-    names the label, or the count's cell and terminal; so ``total`` is
-    the sum of the twelve cells' N, and every cell saves as it loads.
+    a count that is not an int of at least 1, or a terminal symbol that
+    is empty, holds whitespace or is reserved (see ``is_reserved``)
+    raises ValueError, which names the label, or the cell and terminal;
+    so ``total`` is the sum of the twelve cells' N, and every cell saves
+    as it loads.
 
     Two attributes sit beside the fields, out of equality and the repr
     (so the class declares no slots), and nothing writes to either
@@ -201,6 +203,7 @@ class TrainedModel(_ModelFields):
     """
 
     def __new__(cls, counts: dict[str, dict[tuple[str, ...], int]], config: ModelConfig) -> TrainedModel:
+        carried: set[str] = set()  # each symbol is checked once: thousands of terminals share a few dozen
         for label, cell in counts.items():
             if label not in LABELS:
                 raise ValueError(f"unknown cell label {label!r}")
@@ -213,6 +216,10 @@ class TrainedModel(_ModelFields):
                 if count < 1:
                     raise ValueError(f"cell {label}: count {count} below 1 for terminal "
                                      f"{format_terminal(terminal)!r}")
+                if not carried.issuperset(terminal):
+                    if not all(symbol.split() == [symbol] and not is_reserved(symbol) for symbol in terminal):
+                        raise ValueError(f"cell {label}: a model file cannot carry terminal {terminal!r}")
+                    carried.update(terminal)
         self = super().__new__(cls, counts, config)
         # good_turing is read from the module when called, so a wrapper swapped in for it sees the call
         self.lookup = lookup = good_turing(self)
@@ -329,12 +336,12 @@ def load_model(document: str) -> TrainedModel:
     hold (see is_reserved), and each count must be at least 1. The model
     is the ``TrainedModel`` of those counts and that config, and none of
     its cells may answer below EPSILON_MIN. The document must then match
-    save_model of that model line for line (a missing final newline and
-    CRLF line endings aside), so that one comparison checks the total,
-    the record count, every p0 line and every float; the first line that
-    differs is named in the error.
+    save_model of that model line for line, both cut by ``split_lines``
+    (so CRLF or CR line ends and a missing final newline pass), and one
+    comparison checks the total, the record count, every p0 line and
+    every float; the first line that differs is named in the error.
     """
-    lines = document.splitlines()
+    lines = split_lines(document)
     if not lines:
         raise ModelFormatError("empty model document")
     if lines[0] != MODEL_HEADER:
@@ -395,7 +402,7 @@ def load_model(document: str) -> TrainedModel:
         if min([unseen, *seen.values()]) < EPSILON_MIN:
             raise ModelFormatError(f"cell {label}: counts so large a probability is below {EPSILON_MIN:g}")
 
-    expected = save_model(model).splitlines()
+    expected = split_lines(save_model(model))
     if lines != expected:
         # the first line that differs, or else the end of the shorter document
         i = next((i for i, (a, b) in enumerate(zip(lines, expected)) if a != b),

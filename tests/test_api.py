@@ -82,6 +82,14 @@ def test_every_module_imports_only_modules_below_it():
     assert [(module, name) for module, name in _absolute_imports() if name.startswith("phonotax")] == []
 
 
+def test_no_module_cuts_lines_with_splitlines():
+    # a line ends only where phonology.split_lines cuts it; a docstring may still name str.splitlines
+    for path in sorted(Path(phonotax.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "splitlines", f"{path.name} line {node.lineno} reads .splitlines"
+
+
 def test_importing_the_statistics_loads_only_the_errors():
     # stats reads a word's scores by position, so it needs nothing that trains or scores
     src = str(Path(phonotax.__file__).resolve().parents[1])

@@ -49,11 +49,13 @@ def test_load_inventory_basics(inv):
 def test_an_inventory_compares_and_shows_without_its_field_memo():
     used, fresh = load_inventory(INVENTORY_TEXT), load_inventory(INVENTORY_TEXT)
     tokenize("k æ1 t", used)
-    assert used.fields and not fresh.fields
     assert used == fresh
     assert repr(used) == repr(fresh)
     assert "fields" not in repr(used)
-    assert used._replace(digest="other").fields == {}
+    # a replaced inventory derives its own table from the classes it is given
+    voiced = used._replace(classes={**used.classes, "k": "V"})
+    assert voiced.fields == load_inventory(INVENTORY_TEXT.replace("k\tC", "k\tV")).fields
+    assert voiced.fields["k1"] == ("k", 1, True) and "k1" not in used.fields
 
 
 def test_inventory_digest_ignores_comments():
@@ -184,14 +186,14 @@ def test_tokenize_format_inverse(raw):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 2**32), min_size=1, max_size=6))
 def test_tokenize_is_stable_across_its_memo(seeds):
-    inventory = load_inventory(INVENTORY_TEXT)  # a fresh, empty memo
+    inventory = load_inventory(INVENTORY_TEXT)
     texts = [random_transcription_text(random.Random(seed)) for seed in seeds]
     first = [tokenize(x, inventory) for x in texts]
     second = [tokenize(x, inventory) for x in texts]
     unshared = [tokenize(x, load_inventory(INVENTORY_TEXT)) for x in texts]
     assert first == second == unshared
     assert [format_transcription(t) for t in first] == texts
-    # only valid fields are kept: one per consonant, four per vowel at most
+    # the table holds valid fields only: one per consonant, four per vowel
     assert len(inventory.fields) <= 4 * len(inventory.symbols)
     assert "+" not in inventory.fields
 
@@ -229,7 +231,7 @@ def test_invalid_field_raises_on_every_call(seed, invalid, at):
     field, error = invalid
     inventory = load_inventory(INVENTORY_TEXT)
     text = random_transcription_text(random.Random(seed))
-    expected = tokenize(text, inventory)  # fills the memo with valid fields
+    expected = tokenize(text, inventory)  # the text's reading before the invalid field goes in
     fields = text.split()
     fields.insert(at % (len(fields) + 1), field)
     for _ in range(3):
@@ -237,6 +239,29 @@ def test_invalid_field_raises_on_every_call(seed, invalid, at):
             tokenize(" ".join(fields), inventory)
     assert field not in inventory.fields
     assert tokenize(text, inventory) == expected
+
+
+# a field text: an inventory symbol, an unknown one or the boundary mark, then up to two digits
+FIELD_TEXTS = st.builds(str.__add__,
+                        st.sampled_from([*load_inventory(INVENTORY_TEXT).symbols, "q", "ʔ", "kk", "+"]),
+                        st.text("0123456789", max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FIELD_TEXTS, min_size=1, max_size=6))
+def test_the_field_table_holds_exactly_the_fields_tokenize_reads(texts):
+    inventory = load_inventory(INVENTORY_TEXT)
+    table = dict(inventory.fields)
+    for text in texts:
+        try:
+            tokenize(text, inventory)
+        except PhonotaxError:
+            assert text not in table
+        else:
+            assert text in table
+    with contextlib.suppress(PhonotaxError):
+        tokenize(" ".join(texts), inventory)
+    assert inventory.fields == table
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,7 +10,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phonotax import chunks
 from phonotax.cli import main
@@ -598,9 +598,15 @@ def _mostly(good, bad):
     return st.integers(0, 4).flatmap(lambda k: bad if k == 0 else good)
 
 
-_TERMINAL = st.lists(st.sampled_from(["k", "s", "t", "æ", "ɪ", "p"]), max_size=3).map(tuple)
-# a cell no model may hold: one with no counts, or one whose counts are floats or bools
-_FLAWED_CELL = st.dictionaries(_TERMINAL, st.floats(-2, 1000) | st.booleans(), max_size=2)
+_SYMBOL = st.sampled_from(["k", "s", "t", "æ", "ɪ", "p"])
+_TERMINAL = st.lists(_SYMBOL, max_size=3).map(tuple)
+# symbols a model file cannot carry: empty, holding whitespace, or reserved
+_UNCARRIED = ["", "k t", " ", "k\u2028", "\x1f", "∅", "+", "k1"]
+_ANY_TERMINAL = st.lists(_SYMBOL | st.sampled_from(_UNCARRIED), min_size=1, max_size=3).map(tuple)
+# a cell no model may hold: one with no counts, one whose counts are floats or
+# bools, or one whose terminals may hold a symbol a model file cannot carry
+_FLAWED_CELL = (st.dictionaries(_TERMINAL, st.floats(-2, 1000) | st.booleans(), max_size=2)
+                | st.dictionaries(_ANY_TERMINAL, st.integers(1, 1000), min_size=1, max_size=2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -608,32 +614,42 @@ _FLAWED_CELL = st.dictionaries(_TERMINAL, st.floats(-2, 1000) | st.booleans(), m
                        st.dictionaries(_TERMINAL, st.integers(-2, 1000), min_size=1, max_size=4)),
        _mostly(st.none(), st.tuples(st.sampled_from(LABELS), _FLAWED_CELL)), st.sampled_from(GT_MODES),
        _mostly(st.just("x" * 64), st.text("0af \t\n\r\x0c\x85\u2028", max_size=6)))
+@example({"Osif": {("k t",): 1}}, None, "simple", "x" * 64)
+@example({"Osif": {("∅",): 1}}, None, "simple", "x" * 64)
+@example({"Osif": {("",): 1}}, None, "simple", "x" * 64)
+@example({"Osif": {("k", ""): 1}}, None, "simple", "x" * 64)
+@example({"Osif": {("+",): 1}}, None, "simple", "x" * 64)
+@example({"Osif": {("k1",): 1}}, None, "simple", "x" * 64)
 def test_a_model_built_from_counts_saves_a_file_that_loads(counts, flaw, gt_mode, digest):
     if flaw is not None:
         counts = {**counts, flaw[0]: flaw[1]}
     # a digest that is not printable is refused when the config is built; a
-    # label outside LABELS, an empty cell or a count that is not an int of at
-    # least 1 is refused when the model is built, naming the label, or the
-    # count's cell and terminal
+    # label outside LABELS, an empty cell, a count that is not an int of at
+    # least 1 or a terminal a model file cannot carry is refused when the
+    # model is built, naming the label, or the cell and terminal
     if not digest.isprintable():
         with pytest.raises(BadConfig):
             ModelConfig(digest, gt_mode=gt_mode)
         return
     unknown = {f"unknown cell label {label!r}" for label in counts if label not in LABELS}
     empty = {f"cell {label}: holds no counts" for label, cell in counts.items() if not cell}
-    not_int = {(label, format_terminal(terminal), repr(c))
+    not_int = {(label, repr(format_terminal(terminal)), repr(c))
                for label, cell in counts.items() for terminal, c in cell.items() if type(c) is not int}
-    low = {(label, format_terminal(terminal), str(c))
+    low = {(label, repr(format_terminal(terminal)), str(c))
            for label, cell in counts.items() for terminal, c in cell.items() if type(c) is int and c < 1}
+    uncarried = {(label, repr(terminal)) for label, cell in counts.items() for terminal in cell
+                 if set(terminal) & set(_UNCARRIED)}
     config = ModelConfig(digest, gt_mode=gt_mode)
-    if unknown or empty or not_int or low:
+    if unknown or empty or not_int or low or uncarried:
         with pytest.raises(ValueError) as caught:
             TrainedModel(counts, config)
         message = str(caught.value)
-        named = re.fullmatch(r"cell (\w+): count (-?\d+) below 1 for terminal '(.*)'", message)
-        typed = re.fullmatch(r"cell (\w+): count (.*) for terminal '(.*)' is not an int", message)
+        named = re.fullmatch(r"cell (\w+): count (-?\d+) below 1 for terminal (.*)", message)
+        typed = re.fullmatch(r"cell (\w+): count (.*) for terminal (.*) is not an int", message)
+        carried = re.fullmatch(r"cell (\w+): a model file cannot carry terminal (.*)", message)
         assert (message in unknown | empty or named is not None and named.group(1, 3, 2) in low
-                or typed is not None and typed.group(1, 3, 2) in not_int)
+                or typed is not None and typed.group(1, 3, 2) in not_int
+                or carried is not None and carried.group(1, 2) in uncarried)
         return
     model = TrainedModel(counts, config)
     assert model.total == sum(model.n(label) for label in LABELS)
@@ -641,6 +657,19 @@ def test_a_model_built_from_counts_saves_a_file_that_loads(counts, flaw, gt_mode
     loaded = load_model(doc)
     assert loaded == model and loaded.lookup == model.lookup
     assert save_model(loaded) == doc
+
+
+@pytest.mark.parametrize("separator", "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+def test_a_model_file_ends_a_line_only_at_a_line_end(toy_model, separator):
+    # str.splitlines also cuts at these; no input, model files included, ends a line there
+    doc = save_model(toy_model)
+    with pytest.raises(ModelFormatError):
+        load_model(doc.replace("\n", separator))
+    for i in [i for i, c in enumerate(doc) if c == "\n"]:
+        with pytest.raises(ModelFormatError):
+            load_model(doc[:i] + separator + doc[i + 1:])
+    for ended in (doc.replace("\n", "\r\n"), doc.replace("\n", "\r"), doc[:-1]):
+        assert load_model(ended) == toy_model
 
 
 def test_load_model_rejects_epsilon_below_floor(toy_model):
