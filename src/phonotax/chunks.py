@@ -35,19 +35,20 @@ from contextlib import contextmanager
 from typing import Any, BinaryIO
 
 # Rows a worker works through between checks that its parent is still
-# alive: about 5 ms of score-wide stimulus lines or of lexicon lines, on
-# a 2-vCPU host.
+# alive: about 5 ms of score-wide stimulus lines, or 1-1.5 ms of lexicon
+# lines, on a 2-vCPU host.
 ROWS_PER_SLICE = 250
 
 # Rows each process works on at least: stimulus lines for score and
 # evaluate, lexicon lines for train. On a 2-vCPU host, forking a worker,
 # filling its copy-on-write pages and reaping it takes about 3 ms, about
 # 7% of the time this many score-wide lines take to score (about 17 us
-# a line in one process). Training takes about
-# 14 us a line, so this many lines take about 35 ms; forking a worker
-# from a process that holds a 50k-line lexicon, taking its result and
-# reaping it took 8-10 ms, and on twice this many lines two processes
-# took 50 ms, one 70 ms.
+# a line in one process). Training reads a lexicon line in 3.4-5.8 us in
+# one process (the seed-0 50k lexicon, as the shared host's load
+# varied), so this many lines take 9-15 ms; on twice this many lines, in
+# fresh processes, two processes took 60 ms and one 39 ms, on a host
+# where two busy processes ran no faster together than one after the
+# other.
 ROWS_PER_PROCESS = 2_500
 
 
@@ -107,14 +108,28 @@ def _guarded(rows: Sequence, parent: int) -> Iterator:
         yield from rows[lo : lo + ROWS_PER_SLICE]
 
 
-def _fork(work: Callable, rows: Sequence, lo: int, hi: int, siblings: list[_Worker]) -> _Worker:
-    """Fork a worker that sends ``work`` on ``rows[lo:hi]``, guarded, up its pipe."""
+def _fork(work: Callable, rows: Sequence, lo: int, hi: int, workers: list[_Worker]) -> None:
+    """Fork a worker that sends ``work`` on ``rows[lo:hi]``, guarded, up its pipe; add it to ``workers``.
+
+    SIGINT is held from just before the fork until the worker is in
+    ``workers``, and in the worker until its handlers are in place. One
+    that arrived in between would leave a worker that nothing kills, send
+    the worker back up its caller's stack, or interrupt the interpreter's
+    own after-fork hooks, which print it and go on.
+    """
+    import signal  # here, not at the top: only a run that forks pays for it
+
     parent = os.getpid()
     up_read, up_write = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
     pid = os.fork()
     if pid:
-        os.close(up_write)
-        return _Worker(pid, lo, hi, open(up_read, "rb"))
+        try:
+            os.close(up_write)
+            workers.append(_Worker(pid, lo, hi, open(up_read, "rb")))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a SIGINT held since the fork raises here
+        return
     # The worker leaves only through os._exit: it never returns into the
     # caller's stack, and a failure shows in its exit status. It keeps no
     # read end of a sibling's pipe, so once the parent is gone its write
@@ -122,8 +137,9 @@ def _fork(work: Callable, rows: Sequence, lo: int, hi: int, siblings: list[_Work
     # still there.
     code = 1
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(up_read)
-        for sibling in siblings:
+        for sibling in workers:
             sibling.up.close()
         with open(up_write, "wb") as up:
             _send(up, work(_guarded(rows[lo:hi], parent), lo))
@@ -161,7 +177,7 @@ def run_chunks(rows: Sequence, work: Callable[[Iterable, int], Any]) -> list:
     with paused():
         try:
             for lo, hi in zip(cuts[1:], cuts[2:]):
-                workers.append(_fork(work, rows, lo, hi, workers))
+                _fork(work, rows, lo, hi, workers)
             results = [work(rows[: cuts[1]], 0)]
             results += [worker.receive() for worker in workers]
         except BaseException:

@@ -12,22 +12,48 @@ none.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from collections import Counter
 from collections.abc import Iterable
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .chunks import run_chunks
 from .errors import BadEncoding, PhonotaxError
 from .grammar import LABELS
 from .phonology import PhonemeInventory, load_inventory, packaged_inventory, split_lines
-from .score import BatchRow, score_batch, stimulus_rows
 from .syllabify import MEDIAL_SPLITS
 from .train import (EPSILON_MAX, EPSILON_MIN, GT_MODES, FloatReprs, ModelConfig, TrainedModel, load_model,
                     save_model, top_k, train_model)
 
+if TYPE_CHECKING:
+    from .score import BatchRow
+
 SCORE_COLUMNS = ("word_id", "p_word", "ln_p_word", "p_worst", "p_best", "best_parse_paths", "error")
+
+
+def _run_on_first_use(*names: str) -> None:
+    """Put the named submodules in ``sys.modules`` unrun: each runs when a name in it is first read.
+
+    ``train`` reads neither ``score`` nor ``parse``, so it never runs
+    them, while code that swaps one of their functions before a command
+    runs (``bench/tracing.py`` does) finds them as if they were imported.
+    A submodule already imported is left as it is.
+    """
+    package = sys.modules[__package__]
+    for name in names:
+        spec = importlib.util.find_spec(f"{__package__}.{name}")
+        if spec.name in sys.modules:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        setattr(package, name, module)
+        spec.loader.exec_module(module)
+
+
+_run_on_first_use("parse", "score")
 
 
 def _read(path: Path) -> str:
@@ -115,17 +141,18 @@ def _score_lines(batch: Iterable[BatchRow]) -> str:
 
 
 def _evaluation_rows(
-    model: TrainedModel, lines: Iterable[str], inv: PhonemeInventory
+    batch: Iterable[BatchRow],
 ) -> list[tuple[str, tuple[float, float, float, float] | None, str | None]]:
     """The scored rows as ``evaluate`` reads them: the word id, its four scores or None, and the error.
 
     The rows are plain tuples, the cheapest to send up a worker's pipe.
     """
-    return [(word_id, None if rep is None else rep[:4], error)
-            for word_id, rep, error in score_batch(model, stimulus_rows(lines), inv)]
+    return [(word_id, None if rep is None else rep[:4], error) for word_id, rep, error in batch]
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .score import score_batch, stimulus_rows
+
     model, inv, lines = _load_batch(args)
     texts = run_chunks(lines, lambda chunk, first: _score_lines(score_batch(model, stimulus_rows(chunk), inv)))
     if not any(texts):
@@ -139,10 +166,12 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .plot import scatter_csv, scatter_svg
+    from .score import score_batch, stimulus_rows
     from .stats import evaluate, load_judgments, synthetic_judgments
 
     model, inv, lines = _load_batch(args)
-    batch = [*chain.from_iterable(run_chunks(lines, lambda chunk, first: _evaluation_rows(model, chunk, inv)))]
+    batch = [*chain.from_iterable(run_chunks(
+        lines, lambda chunk, first: _evaluation_rows(score_batch(model, stimulus_rows(chunk), inv))))]
     failed = [(word_id, error) for word_id, scores, error in batch if scores is None]
     if failed:
         print(f"warning: {len(failed)} stimuli failed to score and are excluded", file=sys.stderr)

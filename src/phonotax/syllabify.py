@@ -91,8 +91,10 @@ def split_medial(
         if k is None:
             k = splits[cluster] = _split_cluster(cluster, onsets, policy)
         cut = len(run) - k
-        for path in (rhyme, run[:cut]), (onset, run[cut:]):
-            paths[path] = paths.get(path, 0) + count
+        path = rhyme, run[:cut]
+        paths[path] = paths.get(path, 0) + count
+        path = onset, run[cut:]
+        paths[path] = paths.get(path, 0) + count
     return paths
 
 

@@ -2,8 +2,11 @@
 
 The pipeline reads the lexicon once, block by block: it ingests the
 entries, collects their word onsets and counts each entry's (cell label,
-terminal) paths under its stress template. Only a disyllable's medial
-split depends on the onsets of the whole lexicon, so its medial part is
+terminal) paths under its stress template. Every one of those rules
+reads an entry only through its shape, the classes of its fields, so
+the first line of each shape goes through them and every later line of
+that shape is cut where they cut it. Only a disyllable's medial split
+depends on the onsets of the whole lexicon, so its medial part is
 tallied instead, and ``split_medial`` cuts each distinct one once at
 the end. The counts are tabulated per cell label; a model is those
 counts and its config, and building it smooths each cell into a
@@ -39,7 +42,8 @@ from .errors import (
     VersionMismatch,
 )
 from .grammar import LABELS, NULL_TERMINAL, TEMPLATE_KEYS, format_terminal, templates_for
-from .phonology import PhonemeInventory, Transcription, is_reserved, split_lines, stress_pattern, tokenize
+from .phonology import (BOUNDARY_MARK, PhonemeInventory, Transcription, is_reserved, split_lines, stress_pattern,
+                        tokenize)
 from .syllabify import (MEDIAL_SPLITS, MedialPart, WordOnsetSet, collect_word_onsets, cut_runs,
                         split_medial)
 
@@ -429,36 +433,95 @@ class TrainResult(NamedTuple):
         return self.model.total
 
 
+def _span(run: tuple[int, ...]) -> slice:
+    """The slice of a line's fields that a run of their positions covers."""
+    return slice(run[0], run[-1] + 1) if run else slice(0)
+
+
+def _plan(entry: LexiconEntry, downgraded: int) -> tuple:
+    """What training takes from each line of an entry's shape, as slices of that line's fields.
+
+    Past ``tokenize``, every rule reads an entry only through its shape,
+    the classes of its fields. So ``collect_word_onsets`` and
+    ``extract_paths`` run here on the entry with each symbol replaced by
+    the position of its field (one further on past a ``+``), and each
+    run they give is kept as the slice of fields it covers. Returns the
+    fold flag, the positions of the fields that carry a stress digit,
+    the word onsets' slices, the fixed paths as (label, slice) or None
+    where no template takes the entry, and the medial part as (rhyme
+    label, onset label, slice) or None.
+    """
+    t = entry.transcription
+    b = len(t.symbols) if t.boundary is None else t.boundary
+    positions = tuple([i + (i >= b) for i in range(len(t.symbols))])
+    placed = entry._replace(transcription=t._replace(symbols=positions))
+    # the fold turns one digit into another, so a nucleus has a digit where its field has one
+    digited = tuple([positions[n] for n, d in zip(t.nuclei, t.stresses) if d is not None])
+    heads = tuple([_span(run) for run in collect_word_onsets([placed.transcription]) if run])
+    try:
+        fixed, part = extract_paths(placed)
+    except UnsupportedStressPattern:
+        return downgraded, digited, heads, None, None
+    return (downgraded, digited, heads, tuple([(label, _span(run)) for label, run in fixed]),
+            part and (part[0], part[1], _span(part[2])))
+
+
 def _train_chunk(lines: Iterable[str], first: int, inv: PhonemeInventory):
     """A run of lexicon lines, read once as one chunk of ``run_chunks``.
 
-    Per block of ``ROWS_PER_SLICE`` lines: ingest them, collect their
-    word onsets, count each entry's fixed paths and tally its medial
-    part. Returns the chunk's (label, terminal) counts, medial parts and
-    onsets, and its share of the report: skipped lines, downgraded and
-    retained counts, unsupported entries.
+    A line's shape key is its fields' classes (consonant, vowel with its
+    stress digit or none, ``+``), read from ``inv.fields``. The first
+    line of each shape goes through ``ingest_lexicon`` and ``_plan``,
+    which is cached; every later line of that shape maps its digited
+    vowels to their symbols (every other field is its own symbol) and is
+    cut by the plan. A line that fails,
+    and any line without a tab or with a ``#``, goes through
+    ``ingest_lexicon`` every time, so each skip is reported as it reads.
+    The paths, medial parts and word onsets are counted once per block
+    of ``ROWS_PER_SLICE`` lines. Returns the chunk's (label, terminal)
+    counts, medial parts and onsets, and its share of the report:
+    skipped lines, downgraded and retained counts, unsupported entries.
     """
+    shape = {BOUNDARY_MARK: BOUNDARY_MARK}  # field text -> its class, read as tokenize reads it
+    shape.update({text: str(stress) if stress is not None else "V" if vowel else "C"
+                  for text, (_, stress, vowel) in inv.fields.items()})
+    symbol = {text: read[0] for text, read in inv.fields.items()}
+    plans: dict[tuple, tuple] = {}  # shape key -> _plan of its first line
     tally, medial = Counter(), Counter()  # (label, terminal) paths; medial parts
-    onsets, skipped, unsupported, downgraded, retained = set(), [], [], 0, 0
+    onsets, skipped, unsupported, downgraded, retained = {()}, [], [], 0, 0
     lines = iter(lines)
     while block := list(islice(lines, ROWS_PER_SLICE)):
-        ingest = ingest_lexicon(block, inv, first + 1)
-        first += len(block)
-        onsets |= collect_word_onsets(e.transcription for e in ingest.entries)
-        skipped += ingest.skipped
-        downgraded += ingest.downgraded
-        retained += len(ingest.entries)
-        fixed, parts = [], []  # counted once per block: one update is cheaper than one per entry
-        for entry in ingest.entries:
-            try:
-                paths, part = extract_paths(entry)
-            except UnsupportedStressPattern:
-                unsupported.append((entry.lineno, entry.orthography))
+        fixed, parts, heads = [], [], []  # counted once per block: one update is cheaper than one per line
+        for lineno, line in enumerate(block, first + 1):
+            orthography, _, raw = line.partition("\t")
+            fields = raw.split()
+            key = tuple(map(shape.get, fields))
+            plan = plans.get(key)
+            if plan is None or "#" in line:  # ingest tells a comment; a line without a tab keys () and has no plan
+                ingest = ingest_lexicon((line,), inv, lineno)
+                skipped += ingest.skipped
+                if not ingest.entries:
+                    continue
+                plan = plans[key] = _plan(ingest.entries[0], ingest.downgraded)
+            folded, digited, starts, paths, part = plan
+            for i in digited:
+                fields[i] = symbol[fields[i]]
+            symbols = tuple(fields)
+            downgraded += folded
+            retained += 1
+            for s in starts:
+                heads.append(symbols[s])
+            if paths is None:
+                unsupported.append((lineno, orthography.strip()))
                 continue
-            fixed += paths
-            parts.append(part)
+            for label, s in paths:
+                fixed.append((label, symbols[s]))
+            if part:
+                parts.append((part[0], part[1], symbols[part[2]]))
+        first += len(block)
         tally.update(fixed)
-        medial.update(filter(None, parts))
+        medial.update(parts)
+        onsets.update(heads)
     return tally, medial, onsets, skipped, downgraded, retained, unsupported
 
 

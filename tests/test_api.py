@@ -97,3 +97,17 @@ def test_importing_the_statistics_loads_only_the_errors():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True, timeout=60)
     assert proc.stdout == "['phonotax.errors', 'phonotax.stats']\n"
+
+
+def test_train_leaves_the_scorer_and_the_parser_unrun(tmp_path):
+    # the command line puts score and parse in sys.modules to run when first read: train never reads them
+    src = str(Path(phonotax.__file__).resolve().parents[1])
+    (tmp_path / "lexicon.tsv").write_text("cat\tk æ1 t\n", encoding="utf-8")
+    (tmp_path / "stimuli.tsv").write_text("w1\tk æ1 t\n", encoding="utf-8")
+    code = ("import sys, types; from phonotax.cli import main; main(sys.argv[1:]); "
+            "print(sorted(n for n in ('phonotax.parse', 'phonotax.score') if type(sys.modules[n]) is types.ModuleType))")
+    for argv, ran in ((["train", "lexicon.tsv", "--out", "out"], "[]"),
+                      (["score", "out/model.tsv", "stimuli.tsv"], "['phonotax.parse', 'phonotax.score']")):
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+                              cwd=tmp_path, capture_output=True, text=True, check=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == ran

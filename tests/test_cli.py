@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from phonotax import cli, train
+from phonotax import cli, score, train
 from phonotax.cli import SCORE_COLUMNS, main
 from phonotax.errors import PhonotaxError
 from phonotax.phonology import packaged_inventory
@@ -237,7 +237,7 @@ def test_score_stdout_and_file(model_path, tmp_path, capsys):
 _COLLECTED = [pytest.param(command, module, names, collecting,
                            id=str(collecting) if command == "score" else f"{command}-{collecting}")
               for command, module, names in (
-                  ("score", cli, ("score_batch",)), ("evaluate", cli, ("score_batch",)),
+                  ("score", score, ("score_batch",)), ("evaluate", score, ("score_batch",)),
                   ("train", train, ("_train_chunk", "split_medial", "tabulate", "good_turing")))
               for collecting in (True, False)]
 

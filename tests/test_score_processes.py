@@ -11,6 +11,7 @@ one fails or the command is killed or interrupted.
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import errno
 import fcntl
@@ -30,7 +31,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phonotax import chunks, cli, train
+from phonotax import chunks, cli, score, train
 from phonotax.chunks import ROWS_PER_PROCESS
 from phonotax.cli import main
 from phonotax.errors import EmptyCorpus, PhonotaxError, UnsupportedStressPattern
@@ -111,7 +112,7 @@ def test_chunked_text_is_the_same_for_one_to_four_processes(seed, n):
     for processes in (1, 2, 3, 4):
         with mock.patch.object(chunks, "_processes", lambda rows: processes):
             texts.append("".join(chunks.run_chunks(
-                lines, lambda chunk, first: cli._score_lines(cli.score_batch(model, stimulus_rows(chunk), inventory)))))
+                lines, lambda chunk, first: cli._score_lines(score_batch(model, stimulus_rows(chunk), inventory)))))
     assert texts[0].count("\n") == n
     assert texts[1:] == texts[:1] * 3
     _assert_no_child_left()
@@ -266,14 +267,14 @@ def test_a_failure_on_either_side_writes_nothing_and_reaps_every_worker(
     batch_files, monkeypatch, capfd, command, failing
 ):
     parent = os.getpid()
-    real_batch = cli.score_batch
+    real_batch = score.score_batch
 
     def batch(model, rows, inv):
         if (os.getpid() == parent) == (failing == "parent"):
             raise ZeroDivisionError(f"{failing} fault")
         return real_batch(model, rows, inv)
 
-    monkeypatch.setattr(cli, "score_batch", batch)
+    monkeypatch.setattr(score, "score_batch", batch)
     monkeypatch.setattr(chunks, "_processes", lambda rows: 3)
     argv = _score_argv(batch_files, "--out", str(batch_files / "scored"))
     argv[0] = command
@@ -398,7 +399,9 @@ def test_a_worker_stops_within_a_slice_of_its_parent_dying(batch_files):
 
 
 # A command forced into two processes, each of which takes about ROW_DELAY
-# seconds longer per stimulus it scores or lexicon entry it counts.
+# seconds longer per stimulus it scores or lexicon line it counts. Training
+# counts each block's lines in one pass over enumerate(block), read from the
+# train module's globals, so a slowed enumerate there slows every line.
 SLOW_TWO_PROCESS_CLI = f"""
 import sys, time
 from phonotax import chunks, score, train
@@ -409,8 +412,14 @@ def slowed(fn):
         time.sleep({ROW_DELAY!r})
         return fn(*args)
     return slow
+def slowed_items(fn):
+    def slow(*args, **kwargs):
+        for item in fn(*args, **kwargs):
+            time.sleep({ROW_DELAY!r})
+            yield item
+    return slow
 score.score_word = slowed(score.score_word)
-train.extract_paths = slowed(train.extract_paths)
+train.enumerate = slowed_items(enumerate)
 sys.exit(main())
 """
 
@@ -453,6 +462,47 @@ def test_an_interrupted_command_ends_with_one_line_and_no_worker(batch_files, le
     finally:
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+
+
+# A command forced into two processes, where SIGINT reaches the command and
+# its worker the moment the fork returns in each, before either has recorded
+# or guarded the other.
+INTERRUPTED_FORK_CLI = """
+import os, signal, sys
+from phonotax import chunks
+from phonotax.cli import main
+chunks._processes = lambda rows: 2
+fork = os.fork
+def interrupted_fork():
+    pid = fork()
+    os.kill(os.getpid(), signal.SIGINT)
+    return pid
+os.fork = interrupted_fork
+sys.exit(main())
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to read process states")
+@pytest.mark.parametrize("command", ["score", "train"])
+def test_an_interrupt_as_a_worker_is_forked_ends_with_one_line_and_no_worker(batch_files, lexicon_files, command):
+    out = batch_files / "out"
+    argv = _score_argv(batch_files, "--out", str(out)) if command == "score" else _train_argv(lexicon_files)
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED_FORK_CLI, *argv], env=ENV,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+                            preexec_fn=_default_sigint)
+    group = proc.pid
+    try:
+        _, err = proc.communicate(timeout=30)
+        assert (proc.returncode, err) == (130, b"error: interrupted\n")
+        assert _running_in_group(group) == []
+        assert not out.exists()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(group, signal.SIGKILL)
         proc.kill()
         proc.wait(timeout=10)
         proc.stderr.close()
@@ -682,16 +732,18 @@ def test_train_is_byte_identical_pinned_to_one_cpu_and_unpinned(lexicon_files):
 @pytest.mark.parametrize("phase", ["ingest", "count"])
 @pytest.mark.parametrize("failing", ["worker", "parent"])
 def test_a_failed_train_writes_nothing_and_reaps_every_worker(lexicon_files, monkeypatch, capfd, failing, phase):
+    # a chunk reads its lines a block at a time through islice, then counts
+    # each block in one pass over enumerate(block), both from train's globals
     parent = os.getpid()
-    name = "collect_word_onsets" if phase == "ingest" else "extract_paths"
-    real = getattr(train, name)
+    name = "islice" if phase == "ingest" else "enumerate"
+    real = getattr(train, name, None) or getattr(builtins, name)
 
-    def failing_step(*args):
+    def failing_step(*args, **kwargs):
         if (os.getpid() == parent) == (failing == "parent"):
             raise PhonotaxError(f"{failing} fault")
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(train, name, failing_step)
+    monkeypatch.setattr(train, name, failing_step, raising=False)
     monkeypatch.setattr(chunks, "_processes", lambda rows: 3)
     code = main(_train_argv(lexicon_files))
     captured = capfd.readouterr()
@@ -729,34 +781,38 @@ def test_a_killed_train_leaves_no_worker_running(lexicon_files):
         proc.stderr.close()
 
 
-# A train command with one training step slowed by ROW_DELAY per call.
-# A worker writes "worker" to stderr on its first call to the announced
-# function. In phase "handoff" only the parent's ingest is slow, and the
-# worker announces as it sends its result up to the parent.
+# A train command with one training step slowed by ROW_DELAY per lexicon
+# line: a chunk reads each block of lines through islice ("ingest"), then
+# counts them in one pass over enumerate(block) ("count"), both read from
+# the train module's globals. A worker writes "worker" to stderr on its
+# first call to the announced function. In phase "handoff" only the
+# parent's reading is slow, and the worker announces as it sends its
+# result up to the parent.
 SLOW_TRAIN_CLI = f"""
-import os, sys, time
+import builtins, os, sys, time
 from phonotax import chunks, train
 from phonotax.cli import main
 parent, phase = os.getpid(), sys.argv.pop(1)
 step, in_worker, module, announced = {{
-    "ingest": ("tokenize", True, train, "tokenize"),
-    "handoff": ("tokenize", False, chunks, "_send"),
-    "count": ("extract_paths", True, train, "extract_paths"),
+    "ingest": ("islice", True, train, "islice"),
+    "handoff": ("islice", False, chunks, "_send"),
+    "count": ("enumerate", True, train, "enumerate"),
 }}[phase]
 def slowed(fn):
-    def slow(*args):
-        if in_worker or os.getpid() == parent:
-            time.sleep({ROW_DELAY!r})
-        return fn(*args)
+    def slow(*args, **kwargs):
+        for item in fn(*args, **kwargs):
+            if in_worker or os.getpid() == parent:
+                time.sleep({ROW_DELAY!r})
+            yield item
     return slow
 def announcing(fn):
     said = []
-    def announce(*args):
+    def announce(*args, **kwargs):
         if os.getpid() != parent and not said:
             said.append(os.write(2, b"worker\\n"))
-        return fn(*args)
+        return fn(*args, **kwargs)
     return announce
-setattr(train, step, slowed(getattr(train, step)))
+setattr(train, step, slowed(getattr(train, step, None) or getattr(builtins, step)))
 setattr(module, announced, announcing(getattr(module, announced)))
 sys.exit(main())
 """

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phonotax import chunks
+from phonotax import chunks, train
 from phonotax.cli import main
 from phonotax.errors import (
     BadConfig,
@@ -246,6 +246,62 @@ def test_training_splits_each_medial_cluster_once(inv, monkeypatch):
     clusters = {t.symbols[t.nuclei[0] + 1 : t.nuclei[1]] for t in words if len(t.nuclei) == 2 and t.boundary is None}
     train_model(doc, inv)
     assert set(calls) == clusters and set(calls.values()) == {1}
+
+
+def _planted(rng: random.Random, line: str) -> str:
+    """A random_lexicon line, or one that the rules read apart, drawn with the line's own symbols."""
+    orthography, text = line.split("\t")
+    fields = text.split()
+    roll = rng.randrange(12)
+    if roll == 0:  # a line that holds no entry, or one read as a comment
+        return rng.choice(["", "  ", "# comment", text, f"{orthography}\t", f" # {orthography}\t{text}"])
+    if roll == 1:  # a '#' that is no comment, and an empty orthography
+        return rng.choice([f"{orthography}#\t{text}", f"\t{text}"])
+    if roll == 2:  # an unknown symbol, a bad digit, a digit on a consonant, a boundary too many or at an edge
+        fields.insert(rng.randint(0, len(fields)), rng.choice(["q", "æ7", "ɪ3", "k1", "+"]))
+    elif roll == 3:  # weak-weak, and compounds with a weak half
+        fields = [re.sub("[12]$", "0", f) for f in fields]
+    elif roll == 4:  # a 1-2 or 2-1 fold, or two secondaries
+        digits = iter(rng.choice([("1", "2"), ("2", "1"), ("2", "2")]))
+        fields = [re.sub("[0-2]$", lambda _: next(digits, "0"), f) for f in fields]
+    elif roll == 5:  # no nucleus, or a missing stress digit
+        fields = rng.choice([[f for f in fields if not f[-1].isdigit()] or ["t"],
+                             [re.sub("[0-2]$", "", f) for f in fields]])
+    elif roll == 6:  # a third syllable
+        fields += ["ə0", rng.choice(["t", "n"])]
+    return f"{orthography}\t{' '.join(fields)}"
+
+
+def _chunk_reference(lines: list[str], first: int, inventory):
+    """What a chunk of lines gives, read entry by entry through ingest, path extraction and the onset rule."""
+    ingest = ingest_lexicon(lines, inventory, first + 1)
+    tally, medial, unsupported = Counter(), Counter(), []
+    for entry in ingest.entries:
+        try:
+            fixed, part = extract_paths(entry)
+        except UnsupportedStressPattern:
+            unsupported.append((entry.lineno, entry.orthography))
+            continue
+        tally.update(fixed)
+        if part is not None:
+            medial[part] += 1
+    onsets = collect_word_onsets(entry.transcription for entry in ingest.entries)
+    return tally, medial, onsets, ingest.skipped, ingest.downgraded, len(ingest.entries), unsupported
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 600), st.integers(0, 10**5))
+def test_a_chunk_replays_each_shape_as_its_entries_read(seed, size, first):
+    # each line of a known shape is cut by the plan of the first line of
+    # its shape; the outcome must be what reading every entry gives
+    rng = random.Random(seed)
+    inventory = load_inventory(INVENTORY_TEXT)
+    lines = [_planted(rng, line) for line in random_lexicon(rng, size).splitlines()]
+    chunk = train._train_chunk(lines, first, inventory)
+    reference = _chunk_reference(lines, first, inventory)
+    fields = ("tally", "medial", "onsets", "skipped", "downgraded", "retained", "unsupported")
+    for name, got, want in zip(fields, chunk, reference):
+        assert got == want, name
 
 
 def test_tabulate_invariants(inv):
