@@ -11,10 +11,13 @@ A word's stress pattern is a string of the letters a constituent label
 carries, one per nucleus: ``s`` strong, ``w`` weak. So ``k æ1 n ə0``
 reads ``sw``, as its labels ``Osi`` ... ``Rwf`` do.
 
+An inventory is its classes, an ordered map of symbol to ``V`` or
+``C``; ``PhonemeInventory`` checks them when it is built and derives
+its digest and field table from them. A symbol may not be empty, hold
+whitespace, be one of the notation marks (``∅``, ``+``, ``;``, ``:``),
+end in a digit, which would read as a stress digit, or open with ``#``.
 Inventory documents are line-oriented: ``symbol<TAB>V|C`` per line,
-``#`` comments and blank lines ignored. A symbol may not be one of the
-notation marks (``∅``, ``+``, ``;``, ``:``) nor end in a digit, which
-would read as a stress digit.
+``#`` comments and blank lines ignored.
 """
 
 from __future__ import annotations
@@ -47,32 +50,50 @@ RESERVED_SYMBOLS = frozenset((NULL_TERMINAL, BOUNDARY_MARK, ";", ":"))
 
 
 class _InventoryFields(NamedTuple):
-    symbols: tuple[str, ...]
-    classes: dict[str, str]
-    digest: str
+    classes: dict[str, str]  # each symbol's class, V or C, in the inventory's order
 
 
 class PhonemeInventory(_InventoryFields):
-    """Ordered phoneme set with a V/C class per symbol.
+    """An inventory is its classes: an ordered map of phoneme symbol to ``V`` or ``C``.
 
-    ``fields`` maps each field text tokenize reads as a phoneme to
-    (symbol, stress digit or None, is_vowel): every symbol bare, and
-    every vowel also with 0, 1 and 2. It is derived from ``classes``
-    when the inventory is built, and left out of equality and the repr.
-    It lives in the instance's ``__dict__``, which is why this class
-    declares no slots.
+    Building one checks each entry as ``load_inventory`` checks a line
+    (``_check_entry``) and raises EmptyDocument for an empty map. Two
+    values are derived once, when it is built, and left out of the repr:
+    ``digest``, a sha256 over the ``symbol<TAB>class`` lines in order,
+    and ``fields``, which maps each field text tokenize reads as a
+    phoneme to (symbol, stress digit or None, is_vowel): every symbol
+    bare, and every vowel also with 0, 1 and 2. They live in the
+    instance's ``__dict__``, which is why this class declares no slots.
+    Equality is the digest's, so symbol order counts, as it does in a
+    model file's name for the inventory.
     """
 
-    def __new__(cls, symbols: tuple[str, ...], classes: dict[str, str], digest: str) -> PhonemeInventory:
-        self = super().__new__(cls, symbols, classes, digest)
-        vowels = [symbol for symbol, kind in classes.items() if kind == VOWEL]
-        self.fields: dict[str, tuple[str, int | None, bool]] = {s: (s, None, s in vowels) for s in classes}
-        self.fields.update({v + d: (v, stress, True) for v in vowels for stress, d in enumerate("012")})
+    def __new__(cls, classes: dict[str, str]) -> PhonemeInventory:
+        if not classes:
+            raise EmptyDocument("inventory declares no symbols")
+        for symbol, kind in classes.items():
+            _check_entry(symbol, kind)
+        self = super().__new__(cls, classes)
+        canon = "\n".join([f"{symbol}\t{kind}" for symbol, kind in classes.items()])
+        self.digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        self.fields: dict[str, tuple[str, int | None, bool]] = {s: (s, None, k == VOWEL) for s, k in classes.items()}
+        self.fields.update({s + d: (s, stress, True)
+                            for s, k in classes.items() if k == VOWEL for stress, d in enumerate("012")})
         return self
 
     @classmethod
-    def _make(cls, iterable) -> PhonemeInventory:  # so that _replace derives its own table too
+    def _make(cls, iterable) -> PhonemeInventory:  # so that _replace checks and derives too
         return cls(*iterable)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PhonemeInventory) and self.digest == other.digest
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return tuple(self.classes)
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.classes
@@ -116,14 +137,23 @@ def is_reserved(symbol: str) -> bool:
     return symbol in RESERVED_SYMBOLS or symbol[-1].isdigit()
 
 
+def _check_entry(symbol: str, kind: str, where: str = "") -> None:
+    """Raise unless an inventory may hold ``symbol`` with class ``kind``; ``where`` opens the message."""
+    if kind not in (VOWEL, CONSONANT):
+        raise UnknownClass(f"{where}class must be V or C, got {kind!r}")
+    # a symbol that is empty or holds whitespace is not one field; one opening with # reads as a comment
+    if symbol.split() != [symbol] or is_reserved(symbol) or symbol[0] == "#":
+        raise ReservedSymbol(f"{where}symbol {symbol!r} collides with the notation")
+
+
 def load_inventory(document: str) -> PhonemeInventory:
     """Parse an inventory document into a PhonemeInventory.
 
-    Raises DuplicateSymbol, ReservedSymbol, UnknownClass, or
-    EmptyDocument. The digest is a sha256 over the canonical
-    symbol/class pairs, so comments and blank lines do not affect it.
+    Each line's entry is checked as ``PhonemeInventory`` checks it, its
+    message opened by the line number. Raises UnknownClass, also for a
+    line that is not two fields, ReservedSymbol, DuplicateSymbol, or
+    EmptyDocument. Comments and blank lines do not reach the digest.
     """
-    symbols: list[str] = []
     classes: dict[str, str] = {}
     for lineno, line in enumerate(split_lines(document), start=1):
         line = line.strip()
@@ -132,20 +162,14 @@ def load_inventory(document: str) -> PhonemeInventory:
         parts = line.split()
         if len(parts) != 2:
             raise UnknownClass(f"line {lineno}: expected 'symbol<TAB>V|C', got {line!r}")
-        symbol, cls = parts
-        if cls not in (VOWEL, CONSONANT):
-            raise UnknownClass(f"line {lineno}: class must be V or C, got {cls!r}")
-        if is_reserved(symbol):
-            raise ReservedSymbol(f"line {lineno}: symbol {symbol!r} collides with the notation")
+        symbol, kind = parts
+        _check_entry(symbol, kind, f"line {lineno}: ")
         if symbol in classes:
             raise DuplicateSymbol(f"line {lineno}: symbol {symbol!r} declared twice")
-        symbols.append(symbol)
-        classes[symbol] = cls
-    if not symbols:
+        classes[symbol] = kind
+    if not classes:
         raise EmptyDocument("inventory document declares no symbols")
-    canon = "\n".join(f"{s}\t{classes[s]}" for s in symbols)
-    digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    return PhonemeInventory(tuple(symbols), classes, digest)
+    return PhonemeInventory(classes)
 
 
 def packaged_inventory() -> PhonemeInventory:

@@ -336,8 +336,8 @@ def load_model(document: str) -> TrainedModel:
 
     Past the header, only the config lines and each record's cell label,
     terminal and count are read. Each terminal must be written as
-    format_terminal writes it and hold no symbol an inventory may not
-    hold (see is_reserved), and each count must be at least 1. The model
+    format_terminal writes it and hold no symbol that is_reserved
+    flags, and each count must be at least 1. The model
     is the ``TrainedModel`` of those counts and that config, and none of
     its cells may answer below EPSILON_MIN. The document must then match
     save_model of that model line for line, both cut by ``split_lines``

@@ -163,6 +163,18 @@ def test_forest_order_is_product_then_text(seed):
         assert list(forest) == sorted(forest, key=lambda sp: (-sp.product, sp.path_text))
 
 
+def test_an_exact_tie_goes_to_the_first_path_text():
+    # "-" sorts before ";", so text order is not build order here; the one training
+    # line leaves every disyllable cell empty, so the three cuts of "-l t" tie at the top
+    inventory = load_inventory("k\tC\nt\tC\n-l\tC\na\tV\ne\tV\n")
+    model = train_model("x\tk a1\n", inventory).model
+    t = tokenize("k a1 -l t e1", inventory)
+    forest = parse_all(t, model)
+    assert [sp.product for sp in forest].count(forest[0].product) == 3
+    winner = "U : W : Ssif : Osif : k ; U : W : Ssif : Rsif : a -l ; U : W : Ssif : Osif : t ; U : W : Ssif : Rsif : e"
+    assert forest[0].path_text == score_word(model, t).winner.path_text == winner
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 100_000))
 def test_every_parse_carries_its_paths_lookups(seed):

@@ -20,7 +20,7 @@ from phonotax.errors import (
     UnknownClass,
     UnknownSymbol,
 )
-from phonotax.phonology import load_inventory, split_lines, stress_pattern, tokenize
+from phonotax.phonology import PhonemeInventory, load_inventory, split_lines, stress_pattern, tokenize
 from phonotax.train import ingest_lexicon
 
 from conftest import INVENTORY_TEXT
@@ -50,12 +50,73 @@ def test_an_inventory_compares_and_shows_without_its_field_memo():
     used, fresh = load_inventory(INVENTORY_TEXT), load_inventory(INVENTORY_TEXT)
     tokenize("k æ1 t", used)
     assert used == fresh
-    assert repr(used) == repr(fresh)
-    assert "fields" not in repr(used)
+    assert repr(used) == repr(fresh) == f"PhonemeInventory(classes={used.classes!r})"
+    assert PhonemeInventory._fields == ("classes",)
     # a replaced inventory derives its own table from the classes it is given
     voiced = used._replace(classes={**used.classes, "k": "V"})
     assert voiced.fields == load_inventory(INVENTORY_TEXT.replace("k\tC", "k\tV")).fields
     assert voiced.fields["k1"] == ("k", 1, True) and "k1" not in used.fields
+
+
+def test_a_replaced_inventory_derives_its_own_digest(inv):
+    voiced = inv._replace(classes={**inv.classes, "k": "V"})
+    assert voiced.digest == load_inventory(INVENTORY_TEXT.replace("k\tC", "k\tV")).digest != inv.digest
+    assert voiced != inv
+    with pytest.raises(ValueError):
+        inv._replace(digest=inv.digest)
+
+
+def test_symbol_order_counts_in_equality_and_the_digest(inv):
+    reordered = PhonemeInventory(dict(reversed(inv.classes.items())))
+    assert reordered.classes == inv.classes  # as dicts, without order
+    assert reordered != inv and not reordered == inv
+    assert reordered.digest != inv.digest
+    assert reordered.symbols == inv.symbols[::-1]
+
+
+@pytest.mark.parametrize("classes, error", [
+    ({}, EmptyDocument),
+    ({"k": "X"}, UnknownClass),
+    ({"k": None}, UnknownClass),  # a symbol with no class
+    ({"": "C"}, ReservedSymbol),
+    ({"k t": "C"}, ReservedSymbol),
+    ({"k\t": "C"}, ReservedSymbol),
+    ({"∅": "C"}, ReservedSymbol),
+    ({"k1": "C"}, ReservedSymbol),
+    ({"+": "V"}, ReservedSymbol),  # else "k æ1 t + t æ1" reads three nuclei and no boundary
+    ({"#k": "C"}, ReservedSymbol),  # a document would read its line as a comment
+])
+def test_an_inventory_checks_its_classes_when_it_is_built(inv, classes, error):
+    with pytest.raises(error):  # _replace builds the inventory anew
+        inv._replace(classes={**inv.classes, **classes} if classes else classes)
+
+
+# symbols an inventory may hold and ones it may not: reserved marks, digit-final,
+# empty, whitespace and comment-opening symbols; and classes outside V/C
+INVENTORY_SYMBOLS = st.one_of(
+    st.sampled_from(["k", "t", "æ", "tʃ", "-l", "'a", "", " ", "k t", "k\x85", "∅", "+", ";", ":", "k1", "æ0",
+                     "#", "#k", "k#"]),
+    st.text(max_size=3),
+)
+INVENTORY_CLASSES = st.sampled_from(["V", "C", "X", "", "v", "V C"])
+
+
+def _render(classes: dict[str, str]) -> str:
+    return "".join(f"{symbol}\t{kind}\n" for symbol, kind in classes.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(INVENTORY_SYMBOLS, INVENTORY_CLASSES, max_size=5))
+def test_an_inventory_is_the_document_its_classes_render(classes):
+    try:
+        inventory = PhonemeInventory(classes)
+    except PhonotaxError:
+        return
+    loaded = load_inventory(_render(classes))
+    assert loaded == inventory
+    assert loaded.digest == inventory.digest
+    assert list(loaded.classes.items()) == list(classes.items())
+    assert loaded.fields == inventory.fields
 
 
 def test_inventory_digest_ignores_comments():
