@@ -13,9 +13,10 @@ reads ``sw``, as its labels ``Osi`` ... ``Rwf`` do.
 
 An inventory is its classes, an ordered map of symbol to ``V`` or
 ``C``; ``PhonemeInventory`` checks them when it is built and derives
-its digest and field table from them. A symbol may not be empty, hold
-whitespace, be one of the notation marks (``∅``, ``+``, ``;``, ``:``),
-end in a digit, which would read as a stress digit, or open with ``#``.
+its digest and field table from them. ``is_symbol`` is the one rule for
+every symbol the package reads or writes, in an inventory, a model or a
+model file: one field, not a notation mark (``∅``, ``+``, ``;``, ``:``),
+not ending in a digit (stress) and not opening with ``#`` (a comment).
 Inventory documents are line-oriented: ``symbol<TAB>V|C`` per line,
 ``#`` comments and blank lines ignored.
 """
@@ -132,17 +133,16 @@ def split_lines(document: str) -> list[str]:
     return lines
 
 
-def is_reserved(symbol: str) -> bool:
-    """Whether a symbol collides with the notation: a mark, or a trailing stress digit."""
-    return symbol in RESERVED_SYMBOLS or symbol[-1].isdigit()
+def is_symbol(text: str) -> bool:
+    """Whether ``text`` may be a phoneme symbol: one field, no notation mark, no final digit, no opening ``#``."""
+    return text.split() == [text] and text not in RESERVED_SYMBOLS and not text[-1].isdigit() and text[0] != "#"
 
 
 def _check_entry(symbol: str, kind: str, where: str = "") -> None:
     """Raise unless an inventory may hold ``symbol`` with class ``kind``; ``where`` opens the message."""
     if kind not in (VOWEL, CONSONANT):
         raise UnknownClass(f"{where}class must be V or C, got {kind!r}")
-    # a symbol that is empty or holds whitespace is not one field; one opening with # reads as a comment
-    if symbol.split() != [symbol] or is_reserved(symbol) or symbol[0] == "#":
+    if not is_symbol(symbol):
         raise ReservedSymbol(f"{where}symbol {symbol!r} collides with the notation")
 
 

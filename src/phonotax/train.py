@@ -42,7 +42,7 @@ from .errors import (
     VersionMismatch,
 )
 from .grammar import LABELS, NULL_TERMINAL, TEMPLATE_KEYS, format_terminal, templates_for
-from .phonology import (BOUNDARY_MARK, PhonemeInventory, Transcription, is_reserved, split_lines, stress_pattern,
+from .phonology import (BOUNDARY_MARK, PhonemeInventory, Transcription, is_symbol, split_lines, stress_pattern,
                         tokenize)
 from .syllabify import (MEDIAL_SPLITS, MedialPart, WordOnsetSet, collect_word_onsets, cut_runs,
                         split_medial)
@@ -192,10 +192,10 @@ class TrainedModel(_ModelFields):
     ``counts`` holds, per cell label of ``grammar.LABELS``, each seen
     terminal's count. A label outside ``LABELS``, a cell with no counts,
     a count that is not an int of at least 1, or a terminal symbol that
-    is empty, holds whitespace or is reserved (see ``is_reserved``)
-    raises ValueError, which names the label, or the cell and terminal;
-    so ``total`` is the sum of the twelve cells' N, and every cell saves
-    as it loads.
+    no inventory may declare (see ``phonology.is_symbol``) raises
+    ValueError, which names the label, or the cell and terminal; so
+    ``total`` is the sum of the twelve cells' N, and every cell saves as
+    it loads.
 
     Two attributes sit beside the fields, out of equality and the repr
     (so the class declares no slots), and nothing writes to either
@@ -221,7 +221,7 @@ class TrainedModel(_ModelFields):
                     raise ValueError(f"cell {label}: count {count} below 1 for terminal "
                                      f"{format_terminal(terminal)!r}")
                 if not carried.issuperset(terminal):
-                    if not all(symbol.split() == [symbol] and not is_reserved(symbol) for symbol in terminal):
+                    if not all(map(is_symbol, terminal)):
                         raise ValueError(f"cell {label}: a model file cannot carry terminal {terminal!r}")
                     carried.update(terminal)
         self = super().__new__(cls, counts, config)
@@ -336,14 +336,14 @@ def load_model(document: str) -> TrainedModel:
 
     Past the header, only the config lines and each record's cell label,
     terminal and count are read. Each terminal must be written as
-    format_terminal writes it and hold no symbol that is_reserved
-    flags, and each count must be at least 1. The model
-    is the ``TrainedModel`` of those counts and that config, and none of
-    its cells may answer below EPSILON_MIN. The document must then match
-    save_model of that model line for line, both cut by ``split_lines``
-    (so CRLF or CR line ends and a missing final newline pass), and one
-    comparison checks the total, the record count, every p0 line and
-    every float; the first line that differs is named in the error.
+    format_terminal writes it, of symbols ``phonology.is_symbol`` takes,
+    and each count must be at least 1. The model is the ``TrainedModel``
+    of those counts and that config, and none of its cells may answer
+    below EPSILON_MIN. The document must then match save_model of that
+    model line for line, both cut by ``split_lines`` (so CRLF or CR line
+    ends and a missing final newline pass), and one comparison checks
+    the total, the record count, every p0 line and every float; the
+    first line that differs is named in the error.
     """
     lines = split_lines(document)
     if not lines:
@@ -375,7 +375,7 @@ def load_model(document: str) -> TrainedModel:
                 if format_terminal(terminal) != text:
                     raise ModelFormatError(f"line {lineno}: terminal {text!r} is not written "
                                            f"{format_terminal(terminal)!r}")
-                if any(map(is_reserved, terminal)):
+                if not all(map(is_symbol, terminal)):
                     raise ModelFormatError(f"line {lineno}: terminal {text!r} holds a symbol "
                                            "that collides with the notation")
                 terminals[text] = terminal

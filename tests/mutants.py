@@ -76,24 +76,31 @@ MUTANTS = [
     Mutant("any-class", "phonology.py",
            "if kind not in (VOWEL, CONSONANT):", "if not kind:",
            "tests/test_phonology.py"),
-    Mutant("symbol-may-hold-whitespace", "phonology.py",
-           "if symbol.split() != [symbol] or", "if not symbol or",
-           "tests/test_phonology.py"),
-    Mutant("symbol-may-be-empty", "phonology.py",
-           "if symbol.split() != [symbol] or", "if (symbol.split() or [symbol]) != [symbol] or",
-           "tests/test_phonology.py"),
-    Mutant("symbol-may-be-reserved", "phonology.py",
-           " or is_reserved(symbol) or", " or",
-           "tests/test_phonology.py"),
-    Mutant("symbol-may-open-a-comment", "phonology.py",
-           ' or symbol[0] == "#":', ":",
-           "tests/test_phonology.py"),
     Mutant("replace-keeps-the-digest", "phonology.py",
            "def _make(cls, iterable) -> PhonemeInventory:", "def _unused(cls, iterable) -> PhonemeInventory:",
            "tests/test_phonology.py"),
     Mutant("equality-without-order", "phonology.py",
            "and self.digest == other.digest", "and self.classes == other.classes",
            "tests/test_phonology.py"),
+    # the one symbol rule, phonology.is_symbol, and its callers in train
+    Mutant("symbol-may-hold-whitespace", "phonology.py",
+           "return text.split() == [text] and", "return text != '' and",
+           "tests/test_phonology.py"),
+    Mutant("symbol-may-be-empty", "phonology.py",
+           "return text.split() == [text] and", "return (text.split() or [text]) == [text] and",
+           "tests/test_phonology.py"),
+    Mutant("symbol-may-be-reserved", "phonology.py",
+           " and text not in RESERVED_SYMBOLS and not text[-1].isdigit()", "",
+           "tests/test_phonology.py"),
+    Mutant("symbol-may-open-a-comment", "phonology.py",
+           ' and text[0] != "#"', "",
+           "tests/test_phonology.py"),
+    Mutant("model-carries-any-symbol", "train.py",
+           "if not carried.issuperset(terminal):", "if False:",
+           "tests/test_train.py"),
+    Mutant("model-file-carries-any-symbol", "train.py",
+           'raise ModelFormatError(f"line {lineno}: terminal {text!r} holds', '(f"line {lineno}: terminal {text!r} holds',
+           "tests/test_train.py"),
 ]
 
 
@@ -109,7 +116,7 @@ def _pytest(tree: Path, tests: list[str]) -> tuple[bool, str]:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
                          cwd=tree, env=env, capture_output=True, text=True)
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE)
+    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", run.stdout, re.MULTILINE)
     return run.returncode == 0, failed.group(1) if failed else run.stdout.strip()[-200:]
 
 
@@ -128,7 +135,7 @@ def main(names: list[str]) -> int:
             if not passed:
                 print(f"baseline fails: {test} ({first})")
                 bad += 1
-        print(f"{'mutant':<28} {'file':<14} {'result':<9} {'s':>5}  first failing test")
+        print(f"{'mutant':<30} {'file':<14} {'result':<9} {'s':>5}  first failing test")
         for m in mutants:
             start = time.perf_counter()
             tree = Path(tmp, m.name)
@@ -143,7 +150,7 @@ def main(names: list[str]) -> int:
                 result, first = ("SURVIVED", m.test) if passed else ("killed", first)
             shutil.rmtree(tree)
             bad += result != "killed"
-            print(f"{m.name:<28} {m.path:<14} {result:<9} {time.perf_counter() - start:5.1f}  {first}", flush=True)
+            print(f"{m.name:<30} {m.path:<14} {result:<9} {time.perf_counter() - start:5.1f}  {first}", flush=True)
     return 1 if bad else 0
 
 

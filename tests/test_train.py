@@ -24,7 +24,7 @@ from phonotax.errors import (
     VersionMismatch,
 )
 from phonotax.grammar import LABELS, PathType, format_terminal, templates_for
-from phonotax.phonology import load_inventory, stress_pattern
+from phonotax.phonology import PhonemeInventory, load_inventory, stress_pattern
 from phonotax.score import score_batch
 from phonotax.syllabify import MEDIAL_SPLITS, collect_word_onsets, syllabify
 from phonotax.train import (
@@ -512,11 +512,11 @@ def test_load_model_rejects_non_canonical_terminal_text(toy_model, record, text)
         load_model(edited)
 
 
-@pytest.mark.parametrize("text", ["∅ k", "k1", "+", ";", ":", "k;"])
+@pytest.mark.parametrize("text", ["∅ k", "k1", "+", ";", ":", "k;", "#k", "k#"])
 def test_load_model_takes_only_symbols_an_inventory_may_hold(toy_model, text):
-    def declarable(symbol):
+    def declarable(symbol):  # built, not read from a line, where #k would be a comment
         try:
-            load_inventory(INVENTORY_TEXT + f"{symbol}\tC\n")
+            PhonemeInventory({symbol: "C"})
         except ReservedSymbol:
             return False
         return True
@@ -656,8 +656,9 @@ def _mostly(good, bad):
 
 _SYMBOL = st.sampled_from(["k", "s", "t", "æ", "ɪ", "p"])
 _TERMINAL = st.lists(_SYMBOL, max_size=3).map(tuple)
-# symbols a model file cannot carry: empty, holding whitespace, or reserved
-_UNCARRIED = ["", "k t", " ", "k\u2028", "\x1f", "∅", "+", "k1"]
+# symbols a model file cannot carry: empty, holding whitespace, a notation
+# mark, ending in a digit or opening with #
+_UNCARRIED = ["", "k t", " ", "k\u2028", "\x1f", "∅", "+", "k1", "#k"]
 _ANY_TERMINAL = st.lists(_SYMBOL | st.sampled_from(_UNCARRIED), min_size=1, max_size=3).map(tuple)
 # a cell no model may hold: one with no counts, one whose counts are floats or
 # bools, or one whose terminals may hold a symbol a model file cannot carry
@@ -676,6 +677,7 @@ _FLAWED_CELL = (st.dictionaries(_TERMINAL, st.floats(-2, 1000) | st.booleans(), 
 @example({"Osif": {("k", ""): 1}}, None, "simple", "x" * 64)
 @example({"Osif": {("+",): 1}}, None, "simple", "x" * 64)
 @example({"Osif": {("k1",): 1}}, None, "simple", "x" * 64)
+@example({"Osif": {("#k",): 1}}, None, "simple", "x" * 64)
 def test_a_model_built_from_counts_saves_a_file_that_loads(counts, flaw, gt_mode, digest):
     if flaw is not None:
         counts = {**counts, flaw[0]: flaw[1]}
@@ -713,6 +715,33 @@ def test_a_model_built_from_counts_saves_a_file_that_loads(counts, flaw, gt_mode
     loaded = load_model(doc)
     assert loaded == model and loaded.lookup == model.lookup
     assert save_model(loaded) == doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(["#", "∅", "+", ";", ":", "1", " ", "\x1f", "k", "a"]), max_size=3))
+@example("#k")
+@example("k#")
+def test_an_inventory_a_model_and_a_model_file_take_the_same_symbols(text):
+    # one symbol rule: the inventory declares the text, a built model carries
+    # it in a terminal, and a model file whose one record holds it loads it
+    config = ModelConfig("x" * 64)
+    try:
+        PhonemeInventory({text: "C"})
+        declared = True
+    except ReservedSymbol:
+        declared = False
+    try:
+        TrainedModel({OSIF: {(text,): 1}}, config)
+        built = True
+    except ValueError:
+        built = False
+    doc = save_model(TrainedModel({OSIF: {("k",): 1}}, config))
+    edited = doc.replace(f"\n{OSIF}\tk\t", f"\n{OSIF}\t{text}\t")
+    try:
+        loaded = (text,) in load_model(edited).counts[OSIF]
+    except ModelFormatError:
+        loaded = False
+    assert declared == built == loaded, (declared, built, loaded)
 
 
 @pytest.mark.parametrize("separator", "\v\f\x1c\x1d\x1e\x85\u2028\u2029")
