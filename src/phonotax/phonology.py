@@ -16,7 +16,8 @@ An inventory is its classes, an ordered map of symbol to ``V`` or
 its digest and field table from them. ``is_symbol`` is the one rule for
 every symbol the package reads or writes, in an inventory, a model or a
 model file: one field, not a notation mark (``∅``, ``+``, ``;``, ``:``),
-not ending in a digit (stress) and not opening with ``#`` (a comment).
+not ending in a digit (stress), not opening with ``#`` (a comment) and
+holding no lone surrogate (UTF-8 cannot write one).
 Inventory documents are line-oriented: ``symbol<TAB>V|C`` per line,
 ``#`` comments and blank lines ignored.
 """
@@ -134,8 +135,12 @@ def split_lines(document: str) -> list[str]:
 
 
 def is_symbol(text: str) -> bool:
-    """Whether ``text`` may be a phoneme symbol: one field, no notation mark, no final digit, no opening ``#``."""
-    return text.split() == [text] and text not in RESERVED_SYMBOLS and not text[-1].isdigit() and text[0] != "#"
+    """Whether ``text`` may be a phoneme symbol: one field, no notation mark, no final digit, no opening ``#``.
+
+    Nor may it hold a lone surrogate, which no UTF-8 file can carry (``isprintable`` is the fast pass: none prints).
+    """
+    return (text.split() == [text] and text not in RESERVED_SYMBOLS and not text[-1].isdigit() and text[0] != "#"
+            and (text.isprintable() or not any("\ud800" <= c <= "\udfff" for c in text)))
 
 
 def _check_entry(symbol: str, kind: str, where: str = "") -> None:

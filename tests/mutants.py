@@ -84,10 +84,10 @@ MUTANTS = [
            "tests/test_phonology.py"),
     # the one symbol rule, phonology.is_symbol, and its callers in train
     Mutant("symbol-may-hold-whitespace", "phonology.py",
-           "return text.split() == [text] and", "return text != '' and",
+           "text.split() == [text] and", "text != '' and",
            "tests/test_phonology.py"),
     Mutant("symbol-may-be-empty", "phonology.py",
-           "return text.split() == [text] and", "return (text.split() or [text]) == [text] and",
+           "text.split() == [text] and", "(text.split() or [text]) == [text] and",
            "tests/test_phonology.py"),
     Mutant("symbol-may-be-reserved", "phonology.py",
            " and text not in RESERVED_SYMBOLS and not text[-1].isdigit()", "",
@@ -100,6 +100,19 @@ MUTANTS = [
            "tests/test_train.py"),
     Mutant("model-file-carries-any-symbol", "train.py",
            'raise ModelFormatError(f"line {lineno}: terminal {text!r} holds', '(f"line {lineno}: terminal {text!r} holds',
+           "tests/test_train.py"),
+    Mutant("symbol-may-hold-a-surrogate", "phonology.py",
+           'and (text.isprintable() or not any("\\ud800" <= c <= "\\udfff" for c in text))', "and True",
+           "tests/test_phonology.py"),
+    # reading a lexicon: what training reports and which lines it replays
+    Mutant("no-retained-line-trains-on", "train.py",
+           "            raise EmptyCorpus(NO_ENTRIES)", "            pass",
+           "tests/test_score_processes.py"),
+    Mutant("lines-renumbered-per-block", "train.py",
+           "+= len(block)", "+= 0",
+           "tests/test_train.py"),
+    Mutant("hash-line-replays-its-shape", "train.py",
+           'if plan is None or "#" in line:', "if plan is None:",
            "tests/test_train.py"),
 ]
 

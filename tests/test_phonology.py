@@ -85,6 +85,7 @@ def test_symbol_order_counts_in_equality_and_the_digest(inv):
     ({"k1": "C"}, ReservedSymbol),
     ({"+": "V"}, ReservedSymbol),  # else "k æ1 t + t æ1" reads three nuclei and no boundary
     ({"#k": "C"}, ReservedSymbol),  # a document would read its line as a comment
+    ({"k\ud800": "C"}, ReservedSymbol),  # a lone surrogate, which no UTF-8 file can carry
 ])
 def test_an_inventory_checks_its_classes_when_it_is_built(inv, classes, error):
     with pytest.raises(error):  # _replace builds the inventory anew

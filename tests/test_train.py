@@ -718,9 +718,10 @@ def test_a_model_built_from_counts_saves_a_file_that_loads(counts, flaw, gt_mode
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(st.sampled_from(["#", "∅", "+", ";", ":", "1", " ", "\x1f", "k", "a"]), max_size=3))
+@given(st.text(st.sampled_from(["#", "∅", "+", ";", ":", "1", " ", "\x1f", "\ud800", "k", "a"]), max_size=3))
 @example("#k")
 @example("k#")
+@example("k\ud800")
 def test_an_inventory_a_model_and_a_model_file_take_the_same_symbols(text):
     # one symbol rule: the inventory declares the text, a built model carries
     # it in a terminal, and a model file whose one record holds it loads it
