@@ -5,17 +5,19 @@ split of the medial cluster is a candidate segmentation. Each
 segmentation is scored under every word template its stress pattern
 generates; the parse probability is the product of its path
 probabilities, and the forest is ordered best first. Exact product
-ties break on the rendered path text so the ordering is reproducible.
+ties keep build order: ``templates_for``'s order (the one-word reading
+before the compound), then ``enumerate_segmentations``' (the cut whose
+second onset takes the most medial consonants first). The order reads
+no spelling, so it is reproducible and renders no text.
 
 ``parse_all`` reads each template's per-slot tables from the model,
 which builds them once for every stress pattern in scope
 (``TrainedModel.templates``), and returns a ``Forest``, which finds
 its winner in one scan of plain floats over template x segmentation
-while it is built. The scan keeps the best
-parse so far in local variables and only the winner becomes a
-``ScoredParse``, so scoring pays for the winner alone; an exact product
-tie at the top is broken by ranking the whole forest. Reading any other
-entry builds and ranks the whole forest once too. A forest entry is a
+while it is built. The scan keeps the first best parse in local
+variables and only the winner becomes a ``ScoredParse``, so scoring
+pays for the winner alone. Reading any other entry builds and ranks
+the whole forest once. A forest entry is a
 value: the template, the symbol runs, the per-path probabilities and
 their product, and nothing of the model. Its paths, unified parse and
 path text are built when they are read; whether a terminal was seen in
@@ -85,20 +87,15 @@ class ScoredParse(NamedTuple):
         return self.template.text % tuple(map(format_terminal, self.runs))
 
 
-def _order(parse: ScoredParse) -> tuple[float, str]:
-    """The forest's sort key: higher product first, exact ties by path text."""
-    return (-parse.product, parse.path_text)
-
-
 class Forest(Sequence):
-    """A word's parses, best first by the key (-product, path_text).
+    """A word's parses, best first by product, exact ties in build order.
 
     The forest holds each template with its per-slot tables and the
     word's segmentations; ``len`` is their product. The winner is found
     when the forest is built, by one scan of plain floats that builds a
     ``ScoredParse`` for the winner alone, so ``forest[0]`` costs nothing
     more. Any other index, a slice or iteration builds and ranks every
-    parse once and keeps that ranking; so does an exact tie at the top.
+    parse once and keeps that ranking.
     """
 
     __slots__ = ("_templates", "_segmentations", "_best", "_ranked")
@@ -113,12 +110,11 @@ class Forest(Sequence):
         # Every segmentation shares the first onset and the last rhyme, so
         # those are looked up once per template. Products multiply in slot
         # order, as math.prod does, so they carry the same bits as _rank's.
-        # The best parse so far stays in locals; an exact tie at the top
-        # product is rare, and the ranking of the whole forest breaks it.
+        # Only a strictly higher product replaces the best parse so far, so
+        # of exact ties the first built wins, as in _rank's stable sort.
         segmentations = self._segmentations
         first = segmentations[0]
         top = -1.0
-        tied = False
         for template, tables in self._templates:
             onsets, unseen_onset = tables[0]
             rhymes, unseen_rhyme = tables[-1]
@@ -128,9 +124,7 @@ class Forest(Sequence):
                 ((_, _),) = segmentations  # ValueError unless one segmentation of two runs
                 product = head * tail
                 if product > top:
-                    top, tied, best = product, False, (template, first, (head, tail))
-                elif product == top:
-                    tied = True
+                    top, best = product, (template, first, (head, tail))
                 continue
             (rhymes1, unseen1), (onsets2, unseen2) = tables[1], tables[2]
             for runs in segmentations:
@@ -139,12 +133,8 @@ class Forest(Sequence):
                 p2 = onsets2.get(run2, unseen2)
                 product = head * p1 * p2 * tail
                 if product > top:
-                    top, tied, best = product, False, (template, runs, (head, p1, p2, tail))
-                elif product == top:
-                    tied = True
-        if tied:
-            return self._rank()[0]
-        return ScoredParse(*best, top)  # a lone winner renders no text
+                    top, best = product, (template, runs, (head, p1, p2, tail))
+        return ScoredParse(*best, top)
 
     def __len__(self) -> int:
         return len(self._templates) * len(self._segmentations)
@@ -165,7 +155,8 @@ class Forest(Sequence):
                     probs = tuple([table.get(run, unseen)
                                    for (table, unseen), run in zip(tables, runs, strict=True)])
                     parses.append(ScoredParse(template, runs, probs, math.prod(probs)))
-            self._ranked = sorted(parses, key=_order)
+            # the sort is stable, and stays so reversed: exact ties keep build order
+            self._ranked = sorted(parses, key=lambda parse: parse.product, reverse=True)
         return self._ranked
 
 
@@ -175,8 +166,9 @@ def parse_all(t: Transcription, model: TrainedModel) -> Forest:
     The word is tried under every template ``templates_for`` gives for
     its stress pattern and boundary, so an unmarked strong-strong word
     competes as one word and as a closed compound. Raises what
-    ``stress_pattern`` and ``templates_for`` raise. The order is that of
-    the key (-product, path_text).
+    ``stress_pattern`` and ``templates_for`` raise. The order is product
+    descending, exact ties in the order the pairs are built: template by
+    template, each over the segmentations in their order.
     """
     key = stress_pattern(t), t.boundary is not None  # stress_pattern is the scope check, before any cut
     templates = model.templates.get(key)

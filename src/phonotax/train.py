@@ -53,7 +53,7 @@ Lookup = dict[str, tuple[dict[tuple[str, ...], float], float]]
 
 GT_MODES = ("simple", "full")
 # No cell answers below EPSILON_MIN: an all-unseen cell answers epsilon,
-# and load_model rejects counts that smooth below it. The four paths of a
+# and TrainedModel refuses counts that smooth below it. The four paths of a
 # parse then multiply to a normal float (1e-300), so ln p(word) is finite.
 EPSILON_MIN, EPSILON_MAX = 1e-75, 1e-3
 NO_ENTRIES = "no usable lexicon entries"
@@ -195,7 +195,9 @@ class TrainedModel(_ModelFields):
     no inventory may declare (see ``phonology.is_symbol``) raises
     ValueError, which names the label, or the cell and terminal; so
     ``total`` is the sum of the twelve cells' N, and every cell saves as
-    it loads.
+    it loads. Counts whose N does not fit a float, or that smooth a
+    cell's answer below EPSILON_MIN, raise ValueError too, the latter
+    naming the cell; so every model a file can carry loads again.
 
     Two attributes sit beside the fields, out of equality and the repr
     (so the class declares no slots), and nothing writes to either
@@ -226,7 +228,13 @@ class TrainedModel(_ModelFields):
                     carried.update(terminal)
         self = super().__new__(cls, counts, config)
         # good_turing is read from the module when called, so a wrapper swapped in for it sees the call
-        self.lookup = lookup = good_turing(self)
+        try:
+            self.lookup = lookup = good_turing(self)
+        except OverflowError:
+            raise ValueError("counts too large to smooth: a cell's N does not fit a float") from None
+        for label, (seen, unseen) in lookup.items():
+            if min([unseen, *seen.values()]) < EPSILON_MIN:
+                raise ValueError(f"cell {label}: counts so large a probability is below {EPSILON_MIN:g}")
         self.templates = {key: [(tpl, tuple([lookup[label] for label in tpl.labels]))
                                 for tpl in templates_for(*key)]
                           for key in TEMPLATE_KEYS}
@@ -338,8 +346,8 @@ def load_model(document: str) -> TrainedModel:
     terminal and count are read. Each terminal must be written as
     format_terminal writes it, of symbols ``phonology.is_symbol`` takes,
     and each count must be at least 1. The model is the ``TrainedModel``
-    of those counts and that config, and none of its cells may answer
-    below EPSILON_MIN. The document must then match save_model of that
+    of those counts and that config, whose own ValueError becomes a
+    ModelFormatError. The document must then match save_model of that
     model line for line, both cut by ``split_lines`` (so CRLF or CR line
     ends and a missing final newline pass), and one comparison checks
     the total, the record count, every p0 line and every float; the
@@ -356,6 +364,7 @@ def load_model(document: str) -> TrainedModel:
     config_fields: dict[str, str] = {}
     counts: dict[str, dict[tuple[str, ...], int]] = {label: {} for label in LABELS}
     terminals: dict[str, tuple[str, ...]] = {}  # text -> checked terminal, shared among cells
+    carried: set[str] = set()  # each symbol is checked once, as TrainedModel does
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         kind = parts[0]
@@ -375,9 +384,11 @@ def load_model(document: str) -> TrainedModel:
                 if format_terminal(terminal) != text:
                     raise ModelFormatError(f"line {lineno}: terminal {text!r} is not written "
                                            f"{format_terminal(terminal)!r}")
-                if not all(map(is_symbol, terminal)):
-                    raise ModelFormatError(f"line {lineno}: terminal {text!r} holds a symbol "
-                                           "that collides with the notation")
+                if not carried.issuperset(terminal):
+                    if not all(map(is_symbol, terminal)):
+                        raise ModelFormatError(f"line {lineno}: terminal {text!r} holds a symbol "
+                                               "that collides with the notation")
+                    carried.update(terminal)
                 terminals[text] = terminal
             try:
                 count = int(parts[2])
@@ -400,14 +411,12 @@ def load_model(document: str) -> TrainedModel:
     counts = {label: bucket for label, bucket in counts.items() if bucket}
     try:
         model = TrainedModel(counts, config)
-    except OverflowError:
-        raise ModelFormatError("counts too large to smooth: a cell's N does not fit a float") from None
-    for label, (seen, unseen) in model.lookup.items():
-        if min([unseen, *seen.values()]) < EPSILON_MIN:
-            raise ModelFormatError(f"cell {label}: counts so large a probability is below {EPSILON_MIN:g}")
+    except ValueError as err:  # the records passed every other rule: counts too large for floats or the floor
+        raise ModelFormatError(str(err)) from None
 
-    expected = split_lines(save_model(model))
-    if lines != expected:
+    saved = save_model(model)
+    if "\n".join(lines) + "\n" != saved:  # no line holds a line end, so this is lines == split_lines(saved)
+        expected = split_lines(saved)
         # the first line that differs, or else the end of the shorter document
         i = next((i for i, (a, b) in enumerate(zip(lines, expected)) if a != b),
                  min(len(lines), len(expected)))

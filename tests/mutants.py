@@ -66,8 +66,9 @@ MUTANTS = [
     Mutant("pearson-scaled", "stats.py",
            "return max(-1.0, min(1.0, r))", "return max(-1.0, min(1.0, 0.9 * r))",
            "tests/test_stats.py"),
-    Mutant("tie-by-build-order", "parse.py",
-           "return (-parse.product, parse.path_text)", 'return (-parse.product, "")',
+    Mutant("last-tie-wins", "parse.py",
+           "if product > top:\n                    top, best = product, (template, runs,",
+           "if product >= top:\n                    top, best = product, (template, runs,",
            "tests/test_parse.py"),
     # the inventory's constructor checks and derived values
     Mutant("inventory-may-be-empty", "phonology.py",
@@ -96,7 +97,10 @@ MUTANTS = [
            ' and text[0] != "#"', "",
            "tests/test_phonology.py"),
     Mutant("model-carries-any-symbol", "train.py",
-           "if not carried.issuperset(terminal):", "if False:",
+           'raise ValueError(f"cell {label}: a model file cannot carry', '(f"cell {label}: a model file cannot carry',
+           "tests/test_train.py"),
+    Mutant("model-below-the-floor", "train.py",
+           "if min([unseen, *seen.values()]) < EPSILON_MIN:", "if False:",
            "tests/test_train.py"),
     Mutant("model-file-carries-any-symbol", "train.py",
            'raise ModelFormatError(f"line {lineno}: terminal {text!r} holds', '(f"line {lineno}: terminal {text!r} holds',

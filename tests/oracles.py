@@ -16,7 +16,6 @@ from operator import mul
 
 from hypothesis import strategies as st
 
-from phonotax.grammar import PathType, format_path
 from phonotax.phonology import BOUNDARY_MARK, PhonemeInventory, Transcription
 
 # one transcription field as the oracle reads it: (symbol, stress digit or None, is_vowel)
@@ -111,7 +110,11 @@ def _oracle_prob(model, cell: str, terminal) -> float:
 
 
 def oracle_best(raw: str, inv: PhonemeInventory, model) -> tuple[float, list[str]]:
-    """Exhaustive best parse of valid text: (product, rendered path texts)."""
+    """Exhaustive best parse of valid text: (product, rendered path texts).
+
+    Of exact ties the first found wins, templates in table order, each
+    over the word's splits in order: the order ``parse_all`` builds in.
+    """
     words = read_fields(raw, inv)
     pattern = tuple(s for w in words for s in _oracle_stress(w))
     templates = ORACLE_TEMPLATES[pattern]
@@ -136,14 +139,10 @@ def oracle_best(raw: str, inv: PhonemeInventory, model) -> tuple[float, list[str
                     cell = kind + cat[1:]  # the cell label, e.g. 'O' + 'si'
                     terminal = tuple(symbol for symbol, _, _ in run)
                     probs.append(_oracle_prob(model, cell, terminal))
-                    texts.append(format_path(PathType(cell, terminal)))
+                    texts.append(f"U : W : S{cell[1:]} : {cell} : {' '.join(terminal) or '∅'}")
             product = reduce(mul, probs, 1.0)
             text = " ; ".join(texts)
-            if (
-                best_product is None
-                or product > best_product
-                or (product == best_product and text < best_texts)
-            ):
+            if best_product is None or product > best_product:
                 best_product = product
                 best_texts = text
     return best_product, best_texts.split(" ; ")

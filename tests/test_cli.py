@@ -184,7 +184,7 @@ def test_epsilon_floor_keeps_every_score_finite(tmp_path, capsys):
 
 
 # w2-w4 each have a winner tied with one or two other parses on product;
-# the rows are those a plain sort on (-product, path_text) gives
+# the rows are those a stable sort on -product over the parses in build order gives
 TIED_STIMULI = "w1\tk æ1 n ə1\nw2\tɔɪ1 n d ə1 l\nw3\tk æ0 n d ɪ1 l\nw4\tk æ1 t ə0 l\n"
 TIED_ROWS = [
     "w1\t0.010416666666666666\t-4.564348191467836\t0.08333333333333333\t0.5\t"

@@ -10,15 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from phonotax import parse as parse_module
 from phonotax.errors import OutOfScope, UnsupportedStressPattern
-from phonotax.grammar import format_path
+from phonotax.grammar import format_path, templates_for
 from phonotax.parse import ScoredParse, enumerate_segmentations, parse_all
-from phonotax.phonology import load_inventory, tokenize
+from phonotax.phonology import load_inventory, stress_pattern, tokenize
 from phonotax.score import score_batch, score_word
 from phonotax.syllabify import MEDIAL_SPLITS, collect_word_onsets
 from phonotax.train import ingest_lexicon, train_model
 
 from conftest import INVENTORY_TEXT, entry_paths
 from oracles import (
+    GEN_CONSONANTS,
+    GEN_VOWELS,
     ORACLE_TEMPLATES,
     _oracle_stress,
     _oracle_word_splits,
@@ -60,12 +62,14 @@ def test_enumerate_compound_is_single(inv):
 
 def test_parse_all_forest_size_and_order(inv, toy_model):
     # strong-strong disyllable: 2 templates x (m+1) segmentations
-    forest = parse_all(tokenize("k æ1 n ə1", inv), toy_model)
+    t = tokenize("k æ1 n ə1", inv)
+    forest = parse_all(t, toy_model)
     assert len(forest) == 2 * 2
     products = [sp.product for sp in forest]
     assert products == sorted(products, reverse=True)
-    # deterministic tie-break on rendered path text
-    tied = [sp.path_text for sp in forest if sp.product == products[0]]
+    # exact ties keep build order: template by template, each over the cuts
+    built = [(tpl, runs) for tpl in templates_for("ss") for runs in enumerate_segmentations(t)]
+    tied = [built.index((sp.template, sp.runs)) for sp in forest if sp.product == products[0]]
     assert tied == sorted(tied)
 
 
@@ -151,28 +155,75 @@ def test_agrees_with_oracle_randomized():
             assert got.path_text.split(" ; ") == want_paths
 
 
+# a consonant spelled with a prefix that sorts below ";" in path text ("-",
+# "'", "." or a digit), or none, on a base letter: one-to-one by the base
+_SPELLINGS = st.tuples(st.lists(st.sampled_from(["", "-", "'", ".", "0", "7"]),
+                                min_size=len(GEN_CONSONANTS), max_size=len(GEN_CONSONANTS)),
+                       st.permutations(GEN_CONSONANTS)
+                       ).map(lambda drawn: dict(zip(GEN_CONSONANTS, map(str.__add__, *drawn))))
+
+
+def _respelled(text: str, spelling: dict[str, str]) -> str:
+    return " ".join(spelling.get(field, field) for field in text.split(" "))
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 100_000))
-def test_forest_order_is_product_then_text(seed):
-    # toy lexica leave many cells empty, so exact product ties are common
+@given(st.integers(0, 100_000), _SPELLINGS, _SPELLINGS)
+def test_forest_order_is_product_then_build_order(seed, spelling, respelling):
+    # toy lexica leave many cells empty, so exact product ties are common; the
+    # order reads no spelling, so renaming the consonants renames the winner
     rng = random.Random(seed)
-    inventory = load_inventory(INVENTORY_TEXT)
-    model = train_model(random_lexicon(rng, rng.randint(3, 12)), inventory).model
-    for _ in range(5):
-        forest = parse_all(tokenize(random_transcription_text(rng), inventory), model)
-        assert list(forest) == sorted(forest, key=lambda sp: (-sp.product, sp.path_text))
+    lexicon = [line.split("\t") for line in random_lexicon(rng, rng.randint(3, 12)).splitlines()]
+    words = [random_transcription_text(rng) for _ in range(5)]
+    winners = []
+    for sigma in (spelling, respelling):
+        inventory = load_inventory("".join(f"{sigma[c]}\tC\n" for c in GEN_CONSONANTS)
+                                   + "".join(f"{v}\tV\n" for v in GEN_VOWELS))
+        model = train_model("".join(f"{orth}\t{_respelled(raw, sigma)}\n" for orth, raw in lexicon),
+                            inventory).model
+        for raw in words:
+            t = tokenize(_respelled(raw, sigma), inventory)
+            forest = parse_all(t, model)
+            built = []
+            for tpl in templates_for(stress_pattern(t), t.boundary is not None):
+                for runs in enumerate_segmentations(t):
+                    probs = tuple([model.lookup[label][0].get(run, model.lookup[label][1])
+                                   for label, run in zip(tpl.labels, runs)])
+                    built.append(ScoredParse(tpl, runs, probs, math.prod(probs)))
+            assert forest[0] == next(iter(forest))
+            assert list(forest) == sorted(built, key=lambda sp: sp.product, reverse=True)
+            winners.append((forest[0], score_word(model, t)[:4]))
+    renamed = {spelling[c]: respelling[c] for c in GEN_CONSONANTS}
+    for (first, scores), (second, rescores) in zip(winners, winners[len(words):]):
+        runs = tuple(tuple(renamed.get(s, s) for s in run) for run in first.runs)
+        assert (second.template, second.runs, rescores) == (first.template, runs, scores)
 
 
-def test_an_exact_tie_goes_to_the_first_path_text():
+def _tied_at_the_top():
     # "-" sorts before ";", so text order is not build order here; the one training
     # line leaves every disyllable cell empty, so the three cuts of "-l t" tie at the top
     inventory = load_inventory("k\tC\nt\tC\n-l\tC\na\tV\ne\tV\n")
-    model = train_model("x\tk a1\n", inventory).model
-    t = tokenize("k a1 -l t e1", inventory)
+    return train_model("x\tk a1\n", inventory).model, tokenize("k a1 -l t e1", inventory)
+
+
+def test_an_exact_tie_goes_to_the_first_built_parse():
+    model, t = _tied_at_the_top()
     forest = parse_all(t, model)
     assert [sp.product for sp in forest].count(forest[0].product) == 3
-    winner = "U : W : Ssif : Osif : k ; U : W : Ssif : Rsif : a -l ; U : W : Ssif : Osif : t ; U : W : Ssif : Rsif : e"
+    # the first cut built: the second onset takes both medial consonants
+    winner = "U : W : Ssif : Osif : k ; U : W : Ssif : Rsif : a ; U : W : Ssif : Osif : -l t ; U : W : Ssif : Rsif : e"
     assert forest[0].path_text == score_word(model, t).winner.path_text == winner
+
+
+def test_ranking_a_tied_forest_renders_no_path_text(monkeypatch):
+    model, t = _tied_at_the_top()
+
+    def unread(parse):
+        raise AssertionError("path text rendered")
+
+    monkeypatch.setattr(ScoredParse, "path_text", property(unread))
+    forest = parse_all(t, model)
+    assert forest[0] == list(forest)[0] == score_word(model, t).winner
 
 
 @settings(max_examples=60, deadline=None)

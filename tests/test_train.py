@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -470,9 +471,16 @@ def _saved(counts: dict[str, dict[tuple[str, ...], int]], config: ModelConfig = 
 
 def test_load_model_rejects_counts_that_smooth_below_the_floor(tmp_path, capsys):
     # k and æ t are seen once beside 10**300 tokens: each answers about 1e-300,
-    # so the parse of k æ1 t would multiply to 0 and its log fail
-    doc = _saved({OSIF: {("k",): 1, ("t",): 10**300}, RSIF: {("æ", "t"): 1, ("ɪ", "p"): 10**300}})
-    with pytest.raises(ModelFormatError, match=f"^cell {OSIF}: .* below {EPSILON_MIN:g}$"):
+    # so the parse of k æ1 t would multiply to 0 and its log fail. No model
+    # holds such counts, so the file is edited from one whose counts are 1.
+    huge = {OSIF: {("k",): 1, ("t",): 10**300}, RSIF: {("æ", "t"): 1, ("ɪ", "p"): 10**300}}
+    message = f"^cell {OSIF}: .* below {EPSILON_MIN:g}$"
+    with pytest.raises(ValueError, match=message):
+        TrainedModel(huge, CONFIG)
+    doc = _saved({OSIF: {("k",): 1, ("t",): 1}, RSIF: {("æ", "t"): 1, ("ɪ", "p"): 1}})
+    doc = _replace_line(doc, f"{OSIF}\tt\t", f"{OSIF}\tt\t{10**300}\t0.25")
+    doc = _replace_line(doc, f"{RSIF}\tɪ p\t", f"{RSIF}\tɪ p\t{10**300}\t0.25")
+    with pytest.raises(ModelFormatError, match=message):
         load_model(doc)
     (tmp_path / "model.tsv").write_text(doc, encoding="utf-8")
     (tmp_path / "stimuli.tsv").write_text("w1\tk æ1 t\n", encoding="utf-8")
@@ -493,9 +501,10 @@ _WORDS = [(f"w{i}", raw) for i, raw in enumerate([
     st.sampled_from([1e-75, 1e-9, 1e-3]))
 def test_a_model_that_loads_scores_every_word_finite(counts, epsilon):
     try:
-        model = load_model(_saved(counts, ModelConfig("x" * 64, epsilon=epsilon)))
-    except ModelFormatError:
+        model = TrainedModel(counts, ModelConfig("x" * 64, epsilon=epsilon))
+    except ValueError:  # counts that smooth below the floor build no model
         return
+    model = load_model(save_model(model))
     for row in score_batch(model, _WORDS, load_inventory(INVENTORY_TEXT)):
         assert row.report is None or math.isfinite(row.report.ln_p_word), row
 
@@ -678,6 +687,8 @@ _FLAWED_CELL = (st.dictionaries(_TERMINAL, st.floats(-2, 1000) | st.booleans(), 
 @example({"Osif": {("+",): 1}}, None, "simple", "x" * 64)
 @example({"Osif": {("k1",): 1}}, None, "simple", "x" * 64)
 @example({"Osif": {("#k",): 1}}, None, "simple", "x" * 64)
+@example({"Osi": {("k",): 10**80, ("t",): 1}}, None, "simple", "x" * 64)
+@example({"Osi": {("k",): 10**400}}, None, "simple", "x" * 64)
 def test_a_model_built_from_counts_saves_a_file_that_loads(counts, flaw, gt_mode, digest):
     if flaw is not None:
         counts = {**counts, flaw[0]: flaw[1]}
@@ -709,7 +720,19 @@ def test_a_model_built_from_counts_saves_a_file_that_loads(counts, flaw, gt_mode
                 or typed is not None and typed.group(1, 3, 2) in not_int
                 or carried is not None and carried.group(1, 2) in uncarried)
         return
-    model = TrainedModel(counts, config)
+    # counts whose N does not fit a float, or that smooth a cell's answer below
+    # the floor, are refused too, with the messages load_model gives such a file
+    try:
+        model = TrainedModel(counts, config)
+    except ValueError as caught:
+        message = str(caught)
+        floor = re.fullmatch(rf"cell (\w+): counts so large a probability is below {EPSILON_MIN:g}", message)
+        if floor is None:
+            assert message == "counts too large to smooth: a cell's N does not fit a float"
+            assert any(sum(cell.values()) > sys.float_info.max for cell in counts.values())
+        else:
+            assert sum(counts[floor.group(1)].values()) > 1 / (2 * EPSILON_MIN)
+        return
     assert model.total == sum(model.n(label) for label in LABELS)
     doc = save_model(model)
     loaded = load_model(doc)
