@@ -9,7 +9,8 @@ ASCII schemes both work) as long as they are declared in the inventory.
 
 A word's stress pattern is a string of the letters a constituent label
 carries, one per nucleus: ``s`` strong, ``w`` weak. So ``k æ1 n ə0``
-reads ``sw``, as its labels ``Osi`` ... ``Rwf`` do.
+reads ``sw``, as its labels ``Osi`` ... ``Rwf`` do. In one phonological
+word a 1-2 or 2-1 pair is one foot whose 2 reads ``w`` (``fold_stress``).
 
 An inventory is its classes, an ordered map of symbol to ``V`` or
 ``C``; ``PhonemeInventory`` checks them when it is built and derives
@@ -228,14 +229,25 @@ def tokenize(raw: str, inv: PhonemeInventory) -> Transcription:
     return Transcription(tuple(symbols), tuple(nuclei), tuple(stresses), boundary)
 
 
+# one phonological word's digits -> the digits it reads as: a 1-2 or 2-1 pair
+# is one foot, whose 2 is subordinate and weak (a lone 2 stays strong)
+_FOLDS = {(1, 2): (1, 0), (2, 1): (0, 1)}
+
+
+def fold_stress(t: Transcription) -> Transcription:
+    """``t`` with the digits ``stress_pattern`` reads: a one-word 1-2 or 2-1 pair's 2 becomes 0; else ``t`` itself."""
+    folded = _FOLDS.get(t.stresses) if t.boundary is None else None
+    return t if folded is None else t._replace(stresses=folded)
+
+
 def _word_pattern(digits: tuple[int | None, ...]) -> str | None:
-    """The stress letters of one phonological word's nucleus digits; None if a polysyllable lacks one."""
+    """The stress letters of one phonological word's nucleus digits, folded; None if a polysyllable lacks one."""
     if digits == (None,):
         # dictionaries leave monosyllables unmarked; they carry main stress
         return "s"
     if None in digits:
         return None
-    return "".join(["w" if d == 0 else "s" for d in digits])
+    return "".join(["w" if d == 0 else "s" for d in _FOLDS.get(digits, digits)])
 
 
 # (nucleus digits, compound) -> stress pattern, or None where a digit is
@@ -253,14 +265,14 @@ def stress_pattern(t: Transcription) -> str:
 
     The word structure is checked before any stress digit is read: a
     phonological word with no vowel raises NoNucleus, then more than two
-    nuclei raise OutOfScope. Digits 1 and 2 map to ``s``, 0 to ``w``. A
-    word with a single undigited vowel defaults to ``s``; a polysyllabic
-    word with any undigited vowel raises MissingStress. Rules apply word
-    by word, so both halves of an unmarked compound default
-    independently. Past the structure checks a pattern depends only on
-    the digits and the boundary, so every pattern and every stress error
-    is read from a table built at import: a digit outside 0-2 raises
-    BadStressDigit.
+    nuclei raise OutOfScope. Digits 1 and 2 map to ``s``, 0 to ``w``,
+    but a one-word 1-2 or 2-1 pair reads ``sw`` or ``ws``. A word with a
+    single undigited vowel defaults to ``s``; a polysyllabic word with
+    any undigited vowel raises MissingStress. Rules apply word by word,
+    so both halves of an unmarked compound default independently. Past
+    the structure checks a pattern depends only on the digits and the
+    boundary, so every pattern and every stress error is read from a
+    table built at import: a digit outside 0-2 raises BadStressDigit.
     """
     nuclei, boundary = t.nuclei, t.boundary
     if not nuclei or boundary is not None and not nuclei[0] < boundary <= nuclei[-1]:

@@ -42,8 +42,8 @@ from .errors import (
     VersionMismatch,
 )
 from .grammar import LABELS, NULL_TERMINAL, TEMPLATE_KEYS, format_terminal, templates_for
-from .phonology import (BOUNDARY_MARK, PhonemeInventory, Transcription, is_symbol, split_lines, stress_pattern,
-                        tokenize)
+from .phonology import (BOUNDARY_MARK, PhonemeInventory, Transcription, fold_stress, is_symbol, split_lines,
+                        stress_pattern, tokenize)
 from .syllabify import (MEDIAL_SPLITS, MedialPart, WordOnsetSet, collect_word_onsets, cut_runs,
                         split_medial)
 
@@ -114,6 +114,8 @@ def ingest_lexicon(document: str | Iterable[str], inv: PhonemeInventory, first: 
     it: every phonological word has a nucleus, the total nucleus count
     is one or two, and its stress digits are complete. Everything else
     lands in ``skipped`` with the offending line number and a reason.
+    A kept entry holds its digits as ``fold_stress`` folds them; each
+    entry that folds counts in ``downgraded``.
     Raises EmptyCorpus when nothing in a lexicon's text survives; a run
     of its lines, as training cuts them, may keep nothing.
     """
@@ -132,16 +134,13 @@ def ingest_lexicon(document: str | Iterable[str], inv: PhonemeInventory, first: 
         orthography = orthography.strip()
         try:
             t = tokenize(raw, inv)
-            if t.boundary is None and len(t.stresses) == 2 and set(t.stresses) == {1, 2}:
-                # a 1-2 or 2-1 nucleus pair in one word is one foot: the digit-2
-                # vowel is subordinate and trains as weak (a lone 2 stays strong)
-                t = t._replace(stresses=(0, 1) if t.stresses[0] == 2 else (1, 0))
-                downgraded += 1
-            pattern = stress_pattern(t)
+            folded = fold_stress(t)  # the entry holds the digits its pattern reads
+            pattern = stress_pattern(folded)
         except PhonotaxError as err:
             skipped.append((lineno, type(err).__name__, orthography))
             continue
-        entries.append(LexiconEntry(orthography, t, lineno, pattern))
+        downgraded += folded is not t
+        entries.append(LexiconEntry(orthography, folded, lineno, pattern))
     if not entries and isinstance(document, str):
         raise EmptyCorpus(NO_ENTRIES)
     return IngestResult(entries, skipped, downgraded)

@@ -48,8 +48,12 @@ MUTANTS = [
     Mutant("worst-best-swap", "score.py",
            "min(probs), max(probs), best)", "max(probs), min(probs), best)",
            "tests/test_acceptance.py"),
-    Mutant("fold-reversed", "train.py",
-           "stresses=(0, 1) if t.stresses[0] == 2 else (1, 0)", "stresses=(1, 0) if t.stresses[0] == 2 else (0, 1)",
+    # the stress fold, phonology._FOLDS, read by stress_pattern and fold_stress alike
+    Mutant("fold-reversed", "phonology.py",
+           "_FOLDS = {(1, 2): (1, 0), (2, 1): (0, 1)}", "_FOLDS = {(1, 2): (0, 1), (2, 1): (1, 0)}",
+           "tests/test_train.py"),
+    Mutant("fold-in-training-only", "phonology.py",
+           'for d in _FOLDS.get(digits, digits)]', "for d in digits]",
            "tests/test_train.py"),
     Mutant("split-cc-no-s-exception", "syllabify.py",
            'm > 1 and symbols[0] != "s":', "m > 1:",

@@ -75,6 +75,8 @@ def _oracle_stress(word: list[Field]) -> list[str]:
     assert digits, "oracle fed a vowel-less word"
     if digits == [None]:
         return ["s"]
+    if sorted(digits) == [1, 2]:  # a 1-2 or 2-1 word is one foot: the 2 beside the 1 is weak
+        return ["s" if stress == 1 else "w" for stress in digits]
     out = []
     for stress in digits:
         assert stress is not None, "oracle fed an undigited polysyllable"

@@ -190,6 +190,8 @@ def test_stress_pattern_rules(inv):
     assert _pattern("k æ2 t", inv) == "s"
     assert _pattern("k æ1 n ə0", inv) == "sw"
     assert _pattern("k æ0 n ə1", inv) == "ws"
+    # a 1-2 or 2-1 pair in one word is one foot; a compound's halves are two words
+    assert [_pattern(raw, inv) for raw in ("k æ1 n ə2", "k æ2 n ə1", "k æ1 + t ʌ2")] == ["sw", "ws", "ss"]
     # compound halves default independently
     assert _pattern("k æ + t ʌ", inv) == "ss"
 

@@ -28,7 +28,7 @@ import gen  # noqa: E402
 INVENTORY = Path(__file__).resolve().parents[1] / "src" / "phonotax" / "data" / "inventory_ipa.tsv"
 SEED = 7
 STDOUT_SHA256 = {
-    "mix": "dff9fb5cf467561f8bb7507c1a086cffab066e5fb64ecf14567441244b5ef18e",
+    "mix": "3b91a3cd01b4c34ecf383f0e63ffca946288657b4ba2b89464b0ccc3d82308e9",
     "wide": "25f20840f2713720ddaa1849c1ff319f9a82f6201129eb0c271c398a6410449a",
 }
 

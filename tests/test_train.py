@@ -25,8 +25,8 @@ from phonotax.errors import (
     VersionMismatch,
 )
 from phonotax.grammar import LABELS, PathType, format_terminal, templates_for
-from phonotax.phonology import PhonemeInventory, load_inventory, stress_pattern
-from phonotax.score import score_batch
+from phonotax.phonology import PhonemeInventory, load_inventory, stress_pattern, tokenize
+from phonotax.score import score_batch, score_word
 from phonotax.syllabify import MEDIAL_SPLITS, collect_word_onsets, syllabify
 from phonotax.train import (
     EPSILON_MIN,
@@ -96,6 +96,24 @@ def test_ingest_downgrades_secondary_next_to_primary(inv):
     assert stress_pattern(insect.transcription) == "sw"
     assert stress_pattern(lone.transcription) == "sw"
     assert lone.transcription.stresses[0] == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 120), st.sampled_from(MEDIAL_SPLITS))
+def test_a_trained_word_scores_at_least_its_training_parse(seed, size, policy):
+    # training and scoring read one transcription one way: an entry's
+    # pattern is the one its text reads as, and scoring the text finds a
+    # parse at least as probable as the paths training counted for it
+    inventory = load_inventory(INVENTORY_TEXT)
+    doc = random_lexicon(random.Random(seed), size)
+    result = train_model(doc, inventory, policy)
+    model, texts = result.model, [line.split("\t")[1] for line in doc.splitlines()]
+    for entry in ingest_lexicon(doc, inventory).entries:  # every one trains: random_lexicon draws no weak-weak word
+        t = tokenize(texts[entry.lineno - 1], inventory)
+        assert entry.pattern == stress_pattern(t), texts[entry.lineno - 1]
+        counted = math.prod([model.lookup[label][0].get(terminal, model.lookup[label][1])
+                             for label, terminal in entry_paths(entry, result.onsets, policy)])
+        assert score_word(model, t).p_word >= counted, texts[entry.lineno - 1]
 
 
 def test_extract_paths_monosyllables(inv):
