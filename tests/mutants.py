@@ -115,13 +115,34 @@ MUTANTS = [
     # reading a lexicon: what training reports and which lines it replays
     Mutant("no-retained-line-trains-on", "train.py",
            "            raise EmptyCorpus(NO_ENTRIES)", "            pass",
-           "tests/test_score_processes.py"),
+           "tests/test_processes.py"),
     Mutant("lines-renumbered-per-block", "train.py",
            "+= len(block)", "+= 0",
            "tests/test_train.py"),
     Mutant("hash-line-replays-its-shape", "train.py",
            'if plan is None or "#" in line:', "if plan is None:",
            "tests/test_train.py"),
+    # the process layer, chunks.run_chunks, that all three batch commands run through. Left out as
+    # equivalent: a worker that keeps an earlier sibling's read end (`sibling.up.close()` -> `pass`)
+    # delays that sibling's EPIPE only until its own guard check or EPIPE, within the same slice.
+    Mutant("guard-skipped", "chunks.py",
+           "if os.getppid() != parent:", "if False:",
+           "tests/test_processes.py"),
+    Mutant("sigint-not-held", "chunks.py",
+           "signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])", "signal.pthread_sigmask(signal.SIG_BLOCK, [])",
+           "tests/test_processes.py"),
+    Mutant("second-thread-forks", "chunks.py",
+           "threading is not None and threading.active_count() > 1", "False",
+           "tests/test_processes.py"),
+    Mutant("threshold-off-by-one", "chunks.py",
+           "rows < 2 * ROWS_PER_PROCESS", "rows <= 2 * ROWS_PER_PROCESS",
+           "tests/test_processes.py"),
+    Mutant("worker-fails-silently", "chunks.py",
+           'os.write(2, traceback.format_exc().encode("utf-8", "replace"))', "pass",
+           "tests/test_processes.py"),
+    Mutant("no-kill-on-failure", "chunks.py",
+           "os.kill(worker.pid, signal.SIGKILL)", "pass",
+           "tests/test_processes.py"),
 ]
 
 

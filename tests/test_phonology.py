@@ -46,7 +46,7 @@ def test_load_inventory_basics(inv):
     assert len(inv.symbols) == len(vowels) + len(consonants)
 
 
-def test_an_inventory_compares_and_shows_without_its_field_memo():
+def test_an_inventory_compares_shows_and_replaces_by_its_classes_alone():
     used, fresh = load_inventory(INVENTORY_TEXT), load_inventory(INVENTORY_TEXT)
     tokenize("k æ1 t", used)
     assert used == fresh
@@ -249,7 +249,7 @@ def test_tokenize_format_inverse(raw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 2**32), min_size=1, max_size=6))
-def test_tokenize_is_stable_across_its_memo(seeds):
+def test_tokenize_gives_the_same_words_on_every_call_and_every_equal_inventory(seeds):
     inventory = load_inventory(INVENTORY_TEXT)
     texts = [random_transcription_text(random.Random(seed)) for seed in seeds]
     first = [tokenize(x, inventory) for x in texts]
