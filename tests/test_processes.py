@@ -69,7 +69,9 @@ INPUT = {"score": "stimuli.tsv", "evaluate": "stimuli.tsv", "train": "lexicon.ts
 # islice ("ingest"), then each block is counted in one pass over
 # enumerate(block) ("train", the count).
 STEPS = {"score": "score.stimulus_rows", "evaluate": "score.stimulus_rows",
-         "train": "train.enumerate", "train-ingest": "train.islice"}
+         "train": "train.enumerate", "ingest": "train.islice"}
+# the command each phase of training runs; any other phase is a command
+COMMAND = {"ingest": "train", "handoff": "train"}
 # fields that break a row: an unknown symbol, a stress digit out of range or
 # on a consonant, a vowel that takes a word past two syllables, a boundary
 _BREAKERS = ["q", "æ7", "k1", "ɪ1", "+"]
@@ -355,7 +357,7 @@ def test_a_failure_on_either_side_writes_nothing_and_reaps_every_worker(files, m
 
     monkeypatch.setattr(module, name, failing_step, raising=False)
     monkeypatch.setattr(chunks, "_processes", lambda rows: 3)
-    code, stdout, stderr, written = _outcome(phase.split("-")[0], files)
+    code, stdout, stderr, written = _outcome(COMMAND.get(phase, phase), files)
     assert (stdout, written) == ("", {})
     _assert_no_child_left()
     if failing == "worker":
@@ -374,9 +376,10 @@ ROW_DELAY = 0.001
 #   slow       a step of STEPS, slowed in every process, or with
 #   in         "parent", in the parent only
 #   fail       the parent's first row through the step raises instead
-#   say        a worker writes a line to stderr, once: "worker" as it takes
-#              its first row through the step, "sent" as it starts to send
-#              its result up, its chunk done
+#   say        a line written to stderr, once: "forked" by the parent as its
+#              first fork returns; or by a worker, "worker" as it takes its
+#              first row through the step, "sent" as it starts to send its
+#              result up, its chunk done
 #   interrupt  SIGINT reaches each process the moment a fork returns in it
 LAUNCHER = f"""
 import ast, builtins, importlib, os, signal, sys, time
@@ -409,13 +412,16 @@ def sending(pipe, value):
     say("sent")
     send(pipe, value)
 chunks._send = sending
-if opts.get("interrupt"):
+if hasattr(os, "fork"):
     fork = os.fork
-    def interrupted_fork():
+    def forking():
         pid = fork()
-        os.kill(os.getpid(), signal.SIGINT)
+        if pid:
+            say("forked")
+        if opts.get("interrupt"):
+            os.kill(os.getpid(), signal.SIGINT)
         return pid
-    os.fork = interrupted_fork
+    os.fork = forking
 sys.exit(main())
 """
 
@@ -462,6 +468,22 @@ def _running_in_group(group: int) -> list[int]:
     return running
 
 
+def _group_running(group: int) -> bool:
+    """Whether a process group holds a process that has not exited.
+
+    Where /proc shows process states, an exited worker that nobody has
+    reaped yet counts as gone. Elsewhere os.killpg(group, 0) is the test,
+    and it counts such a zombie until its new parent reaps it.
+    """
+    if Path("/proc/self/stat").exists():
+        return bool(_running_in_group(group))
+    try:
+        os.killpg(group, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 @needs_two_cpus
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_command_is_byte_identical_pinned_to_one_cpu_and_unpinned(files, command):
@@ -487,7 +509,7 @@ def _pipe_buffer() -> int:
 
 @needs_fork
 @needs_proc
-@pytest.mark.parametrize("phase", [*STEPS, "train-handoff"])
+@pytest.mark.parametrize("phase", [*STEPS, "handoff"])
 def test_a_worker_stops_within_a_slice_of_its_parent_dying(files, phase):
     # A worker's chunk takes ten slices or more, so a worker that went on
     # to the end would run far past the limit; one that has finished its
@@ -498,7 +520,7 @@ def test_a_worker_stops_within_a_slice_of_its_parent_dying(files, phase):
     assert ROWS_PER_PROCESS >= 10 * chunks.ROWS_PER_SLICE
     limit = 3 * chunks.ROWS_PER_SLICE * ROW_DELAY
     opts = {"processes": 2, "slow": STEPS.get(phase), "say": "worker"}
-    if phase == "train-handoff":
+    if phase == "handoff":
         # the worker's result outgrows the pipe, so the worker blocks in its
         # write until its parent, still ingesting, reads or dies
         lexicon = random_lexicon(random.Random(19), 6 * ROWS_PER_PROCESS)
@@ -507,8 +529,8 @@ def test_a_worker_stops_within_a_slice_of_its_parent_dying(files, phase):
         cut = len(lines) // 2
         result = train._train_chunk(lines[cut:], cut, load_inventory(INVENTORY_TEXT))
         assert len(pickle.dumps(result, pickle.HIGHEST_PROTOCOL)) > _pipe_buffer()
-        opts.update({"slow": STEPS["train-ingest"], "in": "parent", "say": "sent"})
-    with _launched(_argv(phase.split("-")[0], files), opts) as proc:
+        opts.update({"slow": STEPS["ingest"], "in": "parent", "say": "sent"})
+    with _launched(_argv(COMMAND.get(phase, phase), files), opts) as proc:
         assert proc.stderr.readline() == f"{opts['say']}\n".encode()
         os.kill(proc.pid, signal.SIGKILL)  # the parent alone, mid-phase
         proc.wait(timeout=10)
@@ -518,6 +540,61 @@ def test_a_worker_stops_within_a_slice_of_its_parent_dying(files, phase):
             time.sleep(0.01)
 
 
+@needs_two_cpus
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_killed_command_leaves_no_worker_running(files, command):
+    # the command as it runs on this host, with the processes its CPUs give and no step slowed
+    with _launched(_argv(command, files), {"say": "forked"}) as proc:
+        assert proc.stderr.readline() == b"forked\n"
+        os.kill(proc.pid, signal.SIGKILL)  # the parent alone, mid-command
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while _group_running(proc.pid):
+            assert time.monotonic() < deadline, "a worker outlived the killed command"
+            time.sleep(0.05)
+
+
+# run_chunks over rows that take about ROW_DELAY seconds each, forced into
+# two processes, with work that walks its rows plainly; the worker says on
+# stderr when it starts on its first row
+UNCHECKED_CHUNKS = f"""
+import os, time
+from phonotax import chunks
+chunks._processes = lambda rows: 2
+def work(rows, first):
+    for row in rows:
+        if first and row == first:
+            os.write(2, b"worker\\n")
+        time.sleep({ROW_DELAY!r})
+chunks.run_chunks(list(range(2 * chunks.ROWS_PER_PROCESS)), work)
+"""
+
+
+@needs_fork
+@needs_proc
+def test_every_worker_is_guarded_by_run_chunks():
+    # run_chunks hands a worker its rows already guarded, so work that walks
+    # them plainly still stops within a slice of its parent's death
+    assert ROWS_PER_PROCESS >= 10 * chunks.ROWS_PER_SLICE
+    limit = 3 * chunks.ROWS_PER_SLICE * ROW_DELAY
+    proc = subprocess.Popen([sys.executable, "-c", UNCHECKED_CHUNKS], env=ENV, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        assert proc.stderr.readline() == b"worker\n"
+        os.kill(proc.pid, signal.SIGKILL)  # the parent alone, mid-chunk
+        proc.wait(timeout=10)
+        start = time.monotonic()
+        while _running_in_group(proc.pid):
+            assert time.monotonic() - start < limit, "a worker kept working after its parent died"
+            time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+
+
 @needs_fork
 @needs_proc
 @pytest.mark.parametrize("phase", STEPS)
@@ -525,7 +602,7 @@ def test_a_failing_parent_kills_its_workers_before_they_finish(files, phase):
     # Each of two workers holds ROWS_PER_PROCESS rows, slowed by ROW_DELAY a
     # row, and says "sent" once it has worked through them. The parent's own
     # chunk fails at its first row, so the workers must be killed, not waited for.
-    command = phase.split("-")[0]
+    command = COMMAND.get(phase, phase)
     _resize(files, command, 3 * ROWS_PER_PROCESS)
     with _launched(_argv(command, files), {"processes": 3, "slow": STEPS[phase], "fail": True, "say": "sent"}) as proc:
         _, err = proc.communicate(timeout=60)
